@@ -3,10 +3,11 @@ diffusions, with asymptotic quantification of the estimation error.
 
 The workflow the package supports end to end:
 
-1. define a parametric jump-diffusion model with closed-form coefficient
-   derivatives (`models`),
+1. define a parametric jump-diffusion model by two callables that return
+   its coefficients with their closed-form derivatives (`models`),
 2. simulate it together with its parameter-sensitivity process from
-   seeded, reusable noise (`simulate`, `derivative`),
+   seeded, reusable noise; the model's one fused `coefficients` call
+   drives both (`simulate`, with checks in `derivative`),
 3. estimate the parameter from discrete observations (`estimate`),
 4. evaluate an expected functional at the estimate by Monte Carlo and
    attach a confidence interval that accounts for the estimation error
@@ -39,12 +40,7 @@ from .simulate import (
     coupling_residual_supnorms,
     sup_norm_moment,
 )
-from .derivative import (
-    DerivativeSystem,
-    build_derivative_system,
-    ou_derivative_closed_form,
-    order_check,
-)
+from .derivative import ou_derivative_closed_form, order_check
 from .functionals import Functional, smoothed_call, smoothed_call_deriv, eval_functional, pathwise_gradient
 from .estimate import (
     Observations,

@@ -19,7 +19,6 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .derivative import build_derivative_system
 from .estimate import Observations, minimize_contrast
 from .experiments import (
     ExperimentConfig,
@@ -53,7 +52,6 @@ def cmd_simulate(args) -> int:
     if args.jump_intensity is not None:
         config["jump"] = {"intensity": args.jump_intensity}
     model = model_from_config(config)
-    system = build_derivative_system(model)
     theta = np.asarray(config["params"], dtype=float)
     grid = TimeGrid(args.T, args.n)
     times = grid.times()
@@ -61,7 +59,7 @@ def cmd_simulate(args) -> int:
     writer.writerow(["path_id", "t", "X"] + [f"Y{i + 1}" for i in range(model.p)])
     for i in range(args.paths):
         bundle = sample_noise(grid, model.jump, path_seed(args.seed, i))
-        cp = coupled_paths(model, system, theta, np.zeros(model.p), bundle)
+        cp = coupled_paths(model, theta, np.zeros(model.p), bundle)
         for k, t in enumerate(times):
             writer.writerow([i, _fmt(t), _fmt(cp.x[k])] + [_fmt(v) for v in cp.y[k]])
     return 0
@@ -107,7 +105,6 @@ def cmd_price(args) -> int:
     raw = _load_json(args.config)
     model = model_from_config(raw)
     functional = functional_from_config(raw["functional"])
-    system = build_derivative_system(model)
     theta = np.asarray([float(v) for v in raw["params"]])
     n_paths = args.B if args.B is not None else int(raw.get("B", 10_000))
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
@@ -124,7 +121,6 @@ def cmd_price(args) -> int:
         info = fisher_info(model, theta, deterministic_path(model, theta, grid))
     report = build_report(
         model,
-        system,
         functional,
         theta,
         np.asarray(rates, dtype=float),

@@ -1,17 +1,17 @@
-"""Coupled sensitivity system of a jump-diffusion model.
+"""Checks of the sensitivity process of a jump-diffusion model.
 
 The parameter sensitivity Y (one coordinate per model parameter) solves a
 linear-in-Y system driven by the same Brownian motion and jump measure as
 X, with coefficients
 
-    A(x, y) = a_x(x) y + a_theta(x)
-    B(x, y) = b_x(x) y + b_theta(x)
-    C(x, y, z) = c_x(x, z) y + c_theta(x, z)
+    a_x(x) y + a_theta(x),   b_x(x) y + b_theta(x),   c_x(x, z) y + c_theta(x, z)
 
 and initial value equal to the theta-gradient of the initial condition.
-Simulating (X, Y) jointly on one noise bundle makes X^{theta+u} - X^theta
-- u.Y small pathwise (order |u|^2 in sup norm), which is what the order
-check below measures.
+All of them come from the model's `coefficients` and `jump_kernel` calls,
+and the Euler stepper in `simulate` advances Y with X.  Simulating (X, Y)
+jointly on one noise bundle makes X^{theta+u} - X^theta - u.Y small
+pathwise (order |u|^2 in sup norm), which is what the order check below
+measures.
 
 For the mean-reverting jump model the system solves in closed form; that
 solution, discretized on the simulation grid, is the cross-validation
@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,77 +32,11 @@ from .simulate import NoiseBundle, TimeGrid, coupling_residual_supnorms, sup_nor
 Array = np.ndarray
 
 __all__ = [
-    "DerivativeSystem",
-    "build_derivative_system",
     "ou_derivative_closed_form",
     "order_check",
     "OrderCheckResult",
     "order_check_csv",
 ]
-
-
-@dataclass(frozen=True)
-class DerivativeSystem:
-    """Linear coefficient functions (A, B, C) of the sensitivity SDE."""
-
-    model: JumpDiffusionModel
-    initial: Callable[[Array], Array]
-    A: Callable[..., Array]
-    B: Callable[..., Array]
-    C: Callable[..., Array] | None
-    C_comp: Callable[..., Array] | None
-
-    @property
-    def p(self) -> int:
-        return self.model.p
-
-
-def build_derivative_system(model: JumpDiffusionModel) -> DerivativeSystem:
-    """Compose the coupled system from the model's coefficient derivatives.
-
-    Raises if a required derivative function is missing, naming the gap.
-    Shapes follow the model convention: y has shape (p,) + shape(x), and
-    the returned values match it.
-    """
-    required = ["drift_dx", "diffusion_dx", "drift_dtheta", "diffusion_dtheta"]
-    if model.has_jumps:
-        required += ["jump_dx", "jump_dtheta", "jump_dx_comp", "jump_dtheta_comp"]
-    missing = [name for name in required if getattr(model, name) is None]
-    if missing:
-        raise ValueError(
-            f"model '{model.name}' lacks coefficient derivatives: {', '.join(missing)}"
-        )
-
-    def A(x, y, theta):
-        return np.asarray(model.drift_dx(x, theta)) * y + model.drift_dtheta(x, theta)
-
-    def B(x, y, theta):
-        return np.asarray(model.diffusion_dx(x, theta)) * y + model.diffusion_dtheta(
-            x, theta
-        )
-
-    C = None
-    C_comp = None
-    if model.has_jumps:
-
-        def C(x, y, z, theta):
-            return np.asarray(model.jump_dx(x, z, theta)) * y + model.jump_dtheta(
-                x, z, theta
-            )
-
-        def C_comp(x, y, theta):
-            return np.asarray(model.jump_dx_comp(x, theta)) * y + model.jump_dtheta_comp(
-                x, theta
-            )
-
-    return DerivativeSystem(
-        model=model,
-        initial=lambda th: np.asarray(model.initial_grad(th), dtype=float),
-        A=A,
-        B=B,
-        C=C,
-        C_comp=C_comp,
-    )
 
 
 def ou_derivative_closed_form(theta, noise: NoiseBundle, x0: float) -> Array:
@@ -181,7 +114,6 @@ class OrderCheckResult:
 
 def order_check(
     model: JumpDiffusionModel,
-    system: DerivativeSystem,
     theta,
     grid: TimeGrid,
     direction: int,
@@ -203,9 +135,7 @@ def order_check(
     for i, h in enumerate(mags):
         u = np.zeros(model.p)
         u[direction] = h
-        sups = coupling_residual_supnorms(
-            model, system, theta, u, grid, root_seed, n_paths
-        )
+        sups = coupling_residual_supnorms(model, theta, u, grid, root_seed, n_paths)
         moments[i], stderrs[i] = sup_norm_moment(sups, p)
     slope = float(np.polyfit(np.log(mags), np.log(moments), 1)[0])
     return OrderCheckResult(

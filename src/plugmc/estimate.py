@@ -7,8 +7,10 @@ increments,
                          / (eps^2 dt btilde^2(X_{k-1}, theta))
                          + log btilde^2(X_{k-1}, theta) ],
 
-where btilde is the diffusion coefficient with the known structural noise
-scale eps divided out, and dt = T/n.  Under eps -> 0, n -> infinity the
+where btilde = b / eps is the diffusion coefficient with the known
+structural noise scale eps divided out, and dt = T/n.  The contrast, its
+gradient and the information matrix all read the model's one fused
+`coefficients` call.  Under eps -> 0, n -> infinity the
 minimizer converges at rate eps for drift parameters and 1/sqrt(n) for
 diffusion parameters, with the information matrix computed along the
 noise-free limit path.
@@ -75,35 +77,47 @@ class EstimatorResult:
     n_iter: int = 0
 
 
+def _unit_coefficients(model: JumpDiffusionModel, x: Array, theta: Array):
+    """(a, btilde, a_theta, btilde_theta) at the states x.
+
+    btilde = b / eps, broadcast to the shape of x; btilde_theta is the
+    theta-gradient b_theta / eps, entry by entry.
+    """
+    a, b, _, _, a_th, b_th = model.coefficients(x, theta)[:6]
+    eps = model.epsilon
+    return a, np.broadcast_to(b / eps, x.shape), a_th, tuple(g / eps for g in b_th)
+
+
 def _prepare(obs: Observations, theta, model: JumpDiffusionModel):
     theta = np.asarray(theta, dtype=float)
     x_prev = obs.samples[:-1]
     dx = np.diff(obs.samples)
-    btilde = np.asarray(model.unit_diffusion(x_prev, theta), dtype=float)
+    a, btilde, a_th, b_dot = _unit_coefficients(model, x_prev, theta)
     if np.any(btilde == 0) or not np.all(np.isfinite(btilde)):
         raise ValueError("diffusion coefficient vanishes at an observed state")
-    return theta, x_prev, dx, btilde
+    resid = dx - a * obs.grid.dt
+    return resid, btilde, a_th, b_dot
 
 
 def contrast(obs: Observations, theta, model: JumpDiffusionModel) -> float:
-    theta, x_prev, dx, btilde = _prepare(obs, theta, model)
-    dt = obs.grid.dt
-    resid = dx - np.asarray(model.drift(x_prev, theta)) * dt
-    quad = resid**2 / (obs.eps**2 * dt * btilde**2)
+    resid, btilde, _, _ = _prepare(obs, theta, model)
+    quad = resid**2 / (obs.eps**2 * obs.grid.dt * btilde**2)
     return float(np.sum(quad + np.log(btilde**2)))
 
 
 def contrast_gradient(obs: Observations, theta, model: JumpDiffusionModel) -> Array:
     """Analytic gradient of the contrast (closed-form coefficient derivatives)."""
-    theta, x_prev, dx, btilde = _prepare(obs, theta, model)
+    resid, btilde, a_th, b_dot = _prepare(obs, theta, model)
     dt = obs.grid.dt
-    resid = dx - np.asarray(model.drift(x_prev, theta)) * dt
-    a_dot = np.asarray(model.drift_dtheta(x_prev, theta))  # (p, n)
-    b_dot = np.asarray(model.unit_diffusion_dtheta(x_prev, theta))
     w = obs.eps**2 * dt
-    term_drift = -2.0 * (resid / (w * btilde**2)) * a_dot * dt
-    term_diff = (-2.0 * resid**2 / (w * btilde**3) + 2.0 / btilde) * b_dot
-    return np.sum(term_drift + term_diff, axis=1)
+    drift_weight = -2.0 * (resid / (w * btilde**2))
+    diff_weight = -2.0 * resid**2 / (w * btilde**3) + 2.0 / btilde
+    grad = np.empty(model.p)
+    for j in range(model.p):
+        term_drift = drift_weight * a_th[j] * dt
+        term_diff = diff_weight * b_dot[j]
+        grad[j] = np.sum(term_drift + term_diff)
+    return grad
 
 
 def minimize_contrast(
@@ -219,7 +233,7 @@ def deterministic_path(model: JumpDiffusionModel, theta, grid: TimeGrid) -> Path
     x[0] = model.initial(theta)
     dt = grid.dt
     for k in range(grid.steps):
-        x[k + 1] = x[k] + float(model.drift(x[k], theta)) * dt
+        x[k + 1] = x[k] + float(model.coefficients(x[k], theta)[0]) * dt
     if not np.all(np.isfinite(x)):
         raise ValueError("limit ODE path is non-finite")
     return Path(grid=grid, values=x)
@@ -239,14 +253,12 @@ def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
     theta = np.asarray(theta, dtype=float)
     x = driver.values
     t = driver.grid.times()
-    btilde = np.asarray(model.unit_diffusion(x, theta), dtype=float)
+    _, btilde, a_th, b_dot = _unit_coefficients(model, x, theta)
     if np.any(btilde == 0):
         raise ValueError("diffusion coefficient vanishes along the driver path")
-    a_dot = np.asarray(model.drift_dtheta(x, theta))
-    b_dot = np.asarray(model.unit_diffusion_dtheta(x, theta))
     entries = np.empty(model.p)
     for k in range(model.p):
-        drift_part = np.trapezoid((a_dot[k] / btilde) ** 2, t)
+        drift_part = np.trapezoid((a_th[k] / btilde) ** 2, t)
         diff_part = 0.5 * np.trapezoid((2.0 * b_dot[k] / btilde) ** 2, t)
         entries[k] = drift_part + diff_part
     return np.diag(entries)

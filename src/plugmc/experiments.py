@@ -27,12 +27,12 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .derivative import build_derivative_system
 from .estimate import Observations, bs_closed_form, deterministic_path, fisher_info
 from .functionals import Functional
 from .inference import (
     asymptotic_variance,
     bs_call_closed_form,
+    central_difference_gradient,
     confidence_interval,
     estimate_C,
     ou_discounted_value,
@@ -169,7 +169,6 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     eps = config.resolved_epsilon()
     root = config.root_seed
     model = bs_small_noise_model(theta0[0], theta0[1], eps, config.x0)
-    system = build_derivative_system(model)
     functional = Functional(
         kind="smoothed_call_terminal",
         horizon=config.horizon,
@@ -185,7 +184,6 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     # True-parameter ingredients of the normalization.
     c0, c0_se = estimate_C(
         model,
-        system,
         functional,
         theta0,
         config.n_paths_correction,
@@ -216,7 +214,6 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
                 raise ValueError("degenerate estimate: sigma_hat = 0")
             c_hat, _, h_hat, h_se = estimate_C(
                 model,
-                system,
                 functional,
                 theta_hat,
                 config.n_paths_price,
@@ -293,14 +290,12 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
         raise ValueError("mu must be > 0")
     lam = config.jump_intensity
     model = ou_jump_model(mu, sigma, eta, lam, config.x0)
-    system = build_derivative_system(model)
     functional = Functional(
         kind="discounted_integral", horizon=config.horizon, discount=config.discount
     )
     grid = config.price_grid()
     c_hat, c_se, h_mc, h_se = estimate_C(
         model,
-        system,
         functional,
         theta,
         config.n_paths_correction,
@@ -318,13 +313,7 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
             th[0], th[2], lam, config.discount, config.horizon, config.x0
         )
 
-    grad = np.empty(3)
-    for i in range(3):
-        step = 1e-6 * max(1.0, abs(theta[i]))
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += step
-        tm[i] -= step
-        grad[i] = (h_of(tp) - h_of(tm)) / (2.0 * step)
+    grad = central_difference_gradient(h_of, theta)
 
     return {
         "kind": "ou_oracle",
@@ -446,7 +435,13 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
 
 
 def functional_from_config(raw: dict) -> Functional:
-    """Build a functional from {kind, K, r, T, delta, epsilon_smooth, V}."""
+    """Build a functional from {kind, K, r, T, delta, epsilon_smooth, V}.
+
+    V, the integrand of the discounted integral, can only be "identity".
+    """
+    integrand = raw.get("V", "identity")
+    if integrand != "identity":
+        raise ValueError(f"unknown integrand {integrand!r}")
     return Functional(
         kind=raw["kind"],
         horizon=float(raw["T"]),
@@ -454,5 +449,4 @@ def functional_from_config(raw: dict) -> Functional:
         rate=float(raw.get("r", 0.0)),
         eps_smooth=float(raw.get("epsilon_smooth", 0.0)),
         discount=float(raw.get("delta", 0.0)),
-        v_name=raw.get("V", "identity"),
     )

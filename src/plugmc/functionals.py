@@ -2,11 +2,11 @@
 
 A functional maps a path to the scalar h = payoff(reducer(path)), where
 the reducer is one of: terminal value, time average, or discounted
-integral of V along the path.  Its pathwise gradient combines the payoff
+integral of the path.  Its pathwise gradient combines the payoff
 derivative with the matching reduction of the sensitivity path:
 
     G = payoff'(X_*) * Ytilde,
-    Ytilde = Y_T | time-average of Y | int e^{-delta t} V'(X) Y dt.
+    Ytilde = Y_T | time-average of Y | int e^{-delta t} Y dt.
 
 Averaging G over simulated (X, Y) pairs estimates the correction vector
 C(theta) that drives the plug-in error variance.
@@ -37,10 +37,6 @@ KINDS = (
     "smoothed_call_terminal",
     "smoothed_call_average",
 )
-
-V_FUNCTIONS = {
-    "identity": (lambda x: x, lambda x: np.ones_like(np.asarray(x, dtype=float))),
-}
 
 __all__ = [
     "Functional",
@@ -75,8 +71,7 @@ class Functional:
     kind       : one of KINDS
     horizon    : T, the time span the rule needs the path to cover
     strike, rate, eps_smooth : call-payoff constants (smoothed kinds)
-    discount   : delta in the discounted-integral kind
-    v_name     : integrand V for discounted_integral ("identity")
+    discount   : delta in the discounted integral int e^{-delta t} X_t dt
     """
 
     kind: str
@@ -85,7 +80,6 @@ class Functional:
     rate: float = 0.0
     eps_smooth: float = 0.0
     discount: float = 0.0
-    v_name: str = "identity"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -94,8 +88,6 @@ class Functional:
             raise ValueError("horizon must be positive")
         if self.kind.startswith("smoothed_call") and self.eps_smooth < 0:
             raise ValueError("eps_smooth must be >= 0")
-        if self.v_name not in V_FUNCTIONS:
-            raise ValueError(f"unknown integrand {self.v_name!r}")
 
     # -- payoff phi and its derivative on the reduced scalar ---------------
 
@@ -132,8 +124,7 @@ class Functional:
             return float(x[-1])
         if self.kind in ("time_average", "smoothed_call_average"):
             return float(np.trapezoid(x, t) / self.horizon)
-        v_fn, _ = V_FUNCTIONS[self.v_name]
-        return float(np.trapezoid(np.exp(-self.discount * t) * v_fn(x), t))
+        return float(np.trapezoid(np.exp(-self.discount * t) * x, t))
 
     def reduce_gradient(self, x_path: Path, y_values: Array) -> Array:
         """Ytilde: the matching reduction of the sensitivity path, shape (p,)."""
@@ -144,8 +135,7 @@ class Functional:
             return np.asarray(y[-1], dtype=float)
         if self.kind in ("time_average", "smoothed_call_average"):
             return np.trapezoid(y, t, axis=0) / self.horizon
-        _, vp_fn = V_FUNCTIONS[self.v_name]
-        w = np.exp(-self.discount * t) * vp_fn(x_path.values[: k + 1])
+        w = np.exp(-self.discount * t)
         return np.trapezoid(w[:, None] * y, t, axis=0)
 
     # -- batch variants on streaming reductions ----------------------------
@@ -153,8 +143,7 @@ class Functional:
     def needs(self) -> dict:
         """Accumulators the batch engine must track for this functional."""
         if self.kind == "discounted_integral":
-            v_fn, vp_fn = V_FUNCTIONS[self.v_name]
-            return {"disc": (self.discount, v_fn, vp_fn), "want_trap": False}
+            return {"disc": self.discount, "want_trap": False}
         if self.kind in ("time_average", "smoothed_call_average"):
             return {"disc": None, "want_trap": True}
         return {"disc": None, "want_trap": False}

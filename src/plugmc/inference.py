@@ -42,6 +42,7 @@ __all__ = [
     "ou_discounted_value",
     "asymptotic_variance",
     "confidence_interval",
+    "central_difference_gradient",
     "delta_method_variance",
     "build_report",
 ]
@@ -87,7 +88,6 @@ def plugin_H(
 
 def estimate_C(
     model: JumpDiffusionModel,
-    system,
     functional: Functional,
     theta,
     n_paths: int,
@@ -114,7 +114,7 @@ def estimate_C(
         root_seed,
         n_paths,
         start_index=start_index,
-        system=system,
+        want_y=True,
         disc=needs["disc"],
         want_trap=needs["want_trap"],
     )
@@ -222,15 +222,13 @@ def confidence_interval(
     return (float(h_hat - half), float(h_hat + half))
 
 
-def delta_method_variance(h_fn, theta, sigma) -> float:
-    """grad H' Sigma grad H with a central-difference gradient.
+def central_difference_gradient(h_fn, theta) -> Array:
+    """Central-difference gradient of a scalar function of theta.
 
-    Step per coordinate is max(1e-6, 1e-6 |theta_i|).  Available whenever
-    H is an explicit function of theta; serves as the independent check of
-    the derivative-process route.
+    Step per coordinate is max(1e-6, 1e-6 |theta_i|).  Raises if h_fn is
+    non-finite at either probe of a coordinate.
     """
     theta = np.asarray(theta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
     grad = np.empty(theta.size)
     for i in range(theta.size):
         h = max(1e-6, 1e-6 * abs(theta[i]))
@@ -242,6 +240,17 @@ def delta_method_variance(h_fn, theta, sigma) -> float:
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise ValueError(f"H is non-finite near theta (coordinate {i})")
         grad[i] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def delta_method_variance(h_fn, theta, sigma) -> float:
+    """grad H' Sigma grad H with a central-difference gradient.
+
+    Available whenever H is an explicit function of theta; serves as the
+    independent check of the derivative-process route.
+    """
+    grad = central_difference_gradient(h_fn, theta)
+    sigma = np.asarray(sigma, dtype=float)
     return float(max(grad @ sigma @ grad, 0.0))
 
 
@@ -261,6 +270,11 @@ class InferenceReport:
     z_hat: float | None = None
 
     def __post_init__(self):
+        # a NaN would otherwise surface as a CI that misses its own point
+        for name in ("h_hat", "c_hat", "asy_var"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"InferenceReport: {name} is not finite: {value}")
         lo, hi = self.ci
         if not (lo <= self.h_hat <= hi):
             raise ValueError("confidence interval must contain the point estimate")
@@ -285,7 +299,6 @@ class InferenceReport:
 
 def build_report(
     model: JumpDiffusionModel,
-    system,
     functional: Functional,
     theta,
     rates,
@@ -308,7 +321,7 @@ def build_report(
     theta = np.asarray(theta, dtype=float)
     rates = np.asarray(rates, dtype=float)
     c_hat, c_se, h_hat, h_se = estimate_C(
-        model, system, functional, theta, n_paths, root_seed, grid, return_h=True
+        model, functional, theta, n_paths, root_seed, grid, return_h=True
     )
     info_inv = np.linalg.inv(np.asarray(info, dtype=float))
     asy_var = asymptotic_variance(c_hat, info_inv, rates=rates)

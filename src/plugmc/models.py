@@ -1,21 +1,35 @@
 """Parametric one-dimensional jump-diffusion models.
 
-A model bundles the coefficient functions of
+A model supplies the coefficients of
 
     dX_t = a(X_t, theta) dt + b(X_t, theta) dW_t
            + integral of c(X_{t-}, z, theta) against the compensated
              Poisson random measure of a compound-Poisson jump process,
 
-together with their x- and theta-derivatives (needed to build the coupled
-sensitivity system) and the jump law.  Coefficient derivatives are supplied
-as closed-form callables, not produced by automatic differentiation; every
-built-in model has them in closed form, and finite differences exist only
-as test oracles.
+together with their x- and theta-derivatives and the jump law, through two
+vectorised callables:
+
+    coefficients(x, theta) -> (a, b, a_x, b_x, a_theta, b_theta)
+                              [+ (comp, comp_x, comp_theta) with jumps]
+    jump_kernel(x, z, theta) -> (c, c_x, c_theta), None without jumps
+
+The derivatives are what the sensitivity process Y = dX/dtheta needs: Y
+solves the linear SDE with coefficients a_x Y + a_theta, b_x Y + b_theta
+and c_x Y + c_theta, so one call per step advances both X and Y.
+Derivatives are supplied in closed form, not produced by automatic
+differentiation; every built-in model has them, and finite differences
+exist only as test oracles.
+
+Values and x-derivatives are scalars or arrays shaped like x.  A
+theta-gradient is a length-p tuple whose entries are scalars or arrays
+shaped like x; constant entries stay scalars and broadcast, so nothing is
+stacked per call.
 
 Jump kernels are interpreted against the *compensated* measure, so the
 drift `a` must already include any compensator contribution.  The exact
-compensator integrals (``jump_comp`` and friends) are stored as functions
-so the simulator never has to integrate the jump law at runtime.
+compensator comp(x, theta) = integral of c(x, z, theta) against the Levy
+measure is returned in closed form, so the simulator never integrates the
+jump law at runtime.
 """
 
 from __future__ import annotations
@@ -26,7 +40,6 @@ from typing import Callable
 import numpy as np
 
 Array = np.ndarray
-Coef = Callable[..., Array]
 
 __all__ = [
     "JumpSpec",
@@ -38,22 +51,22 @@ __all__ = [
     "levy_model",
     "validate_model",
     "default_probe_grid",
-    "grad_stack",
 ]
 
-
-def grad_stack(x, *components) -> Array:
-    """Stack per-parameter coefficient values into shape (p,) + broadcast shape.
-
-    Components may be scalars or arrays broadcastable against x; this is
-    how built-in models return theta-gradients that work for both scalar
-    states and vectorized path batches.
-    """
-    shape = np.broadcast_shapes(np.shape(x), *(np.shape(c) for c in components))
-    out = np.empty((len(components),) + shape, dtype=float)
-    for i, comp in enumerate(components):
-        out[i] = comp
-    return out
+# Names of the entries of coefficients(...) and jump_kernel(...), in order;
+# validation errors use them.
+COEFFICIENT_NAMES = (
+    "drift",
+    "diffusion",
+    "drift_dx",
+    "diffusion_dx",
+    "drift_dtheta",
+    "diffusion_dtheta",
+    "compensator",
+    "compensator_dx",
+    "compensator_dtheta",
+)
+JUMP_NAMES = ("jump_kernel", "jump_dx", "jump_dtheta")
 
 
 @dataclass(frozen=True)
@@ -93,11 +106,11 @@ NO_JUMPS = JumpSpec(intensity=0.0, mean=0.0, sampler=None)
 class JumpDiffusionModel:
     """Coefficients, derivatives and jump law of a parametric jump diffusion.
 
-    All coefficient callables take (x, theta) — or (x, z, theta) for jump
-    kernels — with x scalar or ndarray and theta a length-p vector.
-    Theta-gradients return shape (p,) + shape(x).  ``epsilon`` is a
-    structural noise scale (it is *not* a component of theta); models
-    without a small-noise structure leave it at 1.
+    ``coefficients`` and ``jump_kernel`` follow the module docstring; x is
+    a scalar or an ndarray and theta a length-p vector.  ``epsilon`` is a
+    structural noise scale (it is *not* a component of theta): estimation
+    divides it out of b.  Models without a small-noise structure leave it
+    at 1.  ``jump`` is the law the noise generator draws from.
     """
 
     name: str
@@ -105,23 +118,13 @@ class JumpDiffusionModel:
     param_names: tuple[str, ...]
     initial: Callable[[Array], float]
     initial_grad: Callable[[Array], Array]
-    drift: Coef
-    diffusion: Coef
-    drift_dx: Coef
-    diffusion_dx: Coef
-    drift_dtheta: Coef
-    diffusion_dtheta: Coef
+    coefficients: Callable[..., tuple]
     param_box: Array
     growth_const: float
     theta0: Array
     epsilon: float = 1.0
     jump: JumpSpec = NO_JUMPS
-    jump_kernel: Coef | None = None
-    jump_dx: Coef | None = None
-    jump_dtheta: Coef | None = None
-    jump_comp: Coef | None = None
-    jump_dx_comp: Coef | None = None
-    jump_dtheta_comp: Coef | None = None
+    jump_kernel: Callable[..., tuple] | None = None
 
     def __post_init__(self):
         box = np.asarray(self.param_box, dtype=float)
@@ -153,13 +156,6 @@ class JumpDiffusionModel:
             raise ValueError(f"{self.name}: theta {theta} outside parameter box")
         return theta
 
-    def unit_diffusion(self, x, theta) -> Array:
-        """Diffusion coefficient with the structural noise scale divided out."""
-        return self.diffusion(x, theta) / self.epsilon
-
-    def unit_diffusion_dtheta(self, x, theta) -> Array:
-        return self.diffusion_dtheta(x, theta) / self.epsilon
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -168,9 +164,21 @@ class ValidationReport:
     violations: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _check_finite(name: str, value, probe) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"non-finite {name} at probe {probe}: {value}")
+def _check_entries(model: JumpDiffusionModel, names, values, probe) -> None:
+    """Raise unless every entry is present and finite, naming the first bad one."""
+    if len(values) != len(names):
+        raise ValueError(
+            f"{model.name}: expected {len(names)} entries "
+            f"({', '.join(names)}), got {len(values)}"
+        )
+    for name, value in zip(names, values):
+        parts = (value,)
+        if name.endswith("dtheta"):
+            parts = value
+            if len(parts) != model.p:
+                raise ValueError(f"{model.name}: {name} must have {model.p} entries")
+        if not all(np.all(np.isfinite(v)) for v in parts):
+            raise ValueError(f"non-finite {name} at probe {probe}: {value}")
 
 
 def validate_model(model: JumpDiffusionModel, probe_points) -> ValidationReport:
@@ -182,11 +190,12 @@ def validate_model(model: JumpDiffusionModel, probe_points) -> ValidationReport:
         |a| + |b| <= kappa * (1 + |x|)
         |c|       <= kappa * |z| * (1 + |x|)
 
-    and that every coefficient (and derivative) is finite.  Passing is
-    necessary, not sufficient.  A non-finite coefficient raises; growth
-    violations are collected into the report.
+    and that every coefficient and derivative is present and finite.
+    Passing is necessary, not sufficient.  A missing or non-finite entry
+    raises, naming it; growth violations are collected into the report.
     """
     kappa = model.growth_const
+    names = COEFFICIENT_NAMES if model.has_jumps else COEFFICIENT_NAMES[:6]
     violations: list[str] = []
     n = 0
     for probe in probe_points:
@@ -195,24 +204,18 @@ def validate_model(model: JumpDiffusionModel, probe_points) -> ValidationReport:
         if not (np.isfinite(x) and np.isfinite(z)):
             raise ValueError(f"non-finite probe point {probe}")
         n += 1
-        a = model.drift(x, theta)
-        b = model.diffusion(x, theta)
-        _check_finite("drift", a, probe)
-        _check_finite("diffusion", b, probe)
-        _check_finite("drift_dx", model.drift_dx(x, theta), probe)
-        _check_finite("diffusion_dx", model.diffusion_dx(x, theta), probe)
-        _check_finite("drift_dtheta", model.drift_dtheta(x, theta), probe)
-        _check_finite("diffusion_dtheta", model.diffusion_dtheta(x, theta), probe)
+        coef = model.coefficients(x, theta)
+        _check_entries(model, names, coef, probe)
+        a, b = coef[0], coef[1]
         if abs(a) + abs(b) > kappa * (1.0 + abs(x)) + 1e-12:
             violations.append(
                 f"|a|+|b| = {abs(a) + abs(b):.6g} exceeds "
                 f"kappa*(1+|x|) = {kappa * (1 + abs(x)):.6g} at {probe}"
             )
         if model.jump_kernel is not None:
-            c = model.jump_kernel(x, z, theta)
-            _check_finite("jump_kernel", c, probe)
-            _check_finite("jump_dx", model.jump_dx(x, z, theta), probe)
-            _check_finite("jump_dtheta", model.jump_dtheta(x, z, theta), probe)
+            kernel = model.jump_kernel(x, z, theta)
+            _check_entries(model, JUMP_NAMES, kernel, probe)
+            c = kernel[0]
             if abs(c) > kappa * abs(z) * (1.0 + abs(x)) + 1e-12:
                 violations.append(
                     f"|c| = {abs(c):.6g} exceeds kappa*|z|*(1+|x|) = "
@@ -261,18 +264,16 @@ def bs_small_noise_model(
     if not (box[0, 0] <= mu <= box[0, 1]):
         raise ValueError(f"mu {mu} outside supported range {box[0]}")
 
+    def coefficients(x, th):
+        return (th[0] * x, eps * th[1] * x, th[0], eps * th[1], (x, 0.0), (0.0, eps * x))
+
     return JumpDiffusionModel(
         name="bs_small_noise",
         p=2,
         param_names=("mu", "sigma"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(2),
-        drift=lambda x, th: th[0] * np.asarray(x, dtype=float),
-        diffusion=lambda x, th: eps * th[1] * np.asarray(x, dtype=float),
-        drift_dx=lambda x, th: th[0] + 0.0 * np.asarray(x, dtype=float),
-        diffusion_dx=lambda x, th: eps * th[1] + 0.0 * np.asarray(x, dtype=float),
-        drift_dtheta=lambda x, th: grad_stack(x, x, 0.0),
-        diffusion_dtheta=lambda x, th: grad_stack(x, 0.0, eps * np.asarray(x, dtype=float)),
+        coefficients=coefficients,
         param_box=box,
         growth_const=abs(mu) + eps * sigma,
         theta0=theta0,
@@ -321,8 +322,15 @@ def ou_jump_model(
     # z = 0 (probes use |z| >= 0.5), |z + eta| <= (1 + 2|eta|)|z|.
     kappa = max(mu, lam * abs(eta) + sigma, 1.0 + 2.0 * abs(eta))
 
+    def coefficients(x, th):
+        drift = -th[0] * x + lam * th[2]
+        coef = (drift, th[1], -th[0], 0.0, (-x, 0.0, lam), (0.0, 1.0, 0.0))
+        if lam > 0:
+            coef += (lam * th[2], 0.0, (0.0, 0.0, lam))
+        return coef
+
     def jump_kernel(x, z, th):
-        return np.asarray(z, dtype=float) + th[2] + 0.0 * np.asarray(x, dtype=float)
+        return (z + th[2], 0.0, (0.0, 0.0, 1.0))
 
     return JumpDiffusionModel(
         name="ou_jump",
@@ -330,37 +338,12 @@ def ou_jump_model(
         param_names=("mu", "sigma", "eta"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(3),
-        drift=lambda x, th: -th[0] * np.asarray(x, dtype=float) + lam * th[2],
-        diffusion=lambda x, th: th[1] + 0.0 * np.asarray(x, dtype=float),
-        drift_dx=lambda x, th: -th[0] + 0.0 * np.asarray(x, dtype=float),
-        diffusion_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dtheta=lambda x, th: grad_stack(x, -np.asarray(x, dtype=float), 0.0, lam),
-        diffusion_dtheta=lambda x, th: grad_stack(x, 0.0, 1.0, 0.0),
+        coefficients=coefficients,
         param_box=box,
         growth_const=kappa,
         theta0=theta0,
         jump=spec,
         jump_kernel=jump_kernel if lam > 0 else None,
-        jump_dx=(
-            lambda x, z, th: 0.0 * np.asarray(x, dtype=float) * np.asarray(z, dtype=float)
-        )
-        if lam > 0
-        else None,
-        jump_dtheta=(
-            lambda x, z, th: grad_stack(
-                0.0 * np.asarray(x, dtype=float) * np.asarray(z, dtype=float),
-                0.0,
-                0.0,
-                1.0,
-            )
-        )
-        if lam > 0
-        else None,
-        jump_comp=(lambda x, th: lam * th[2] + 0.0 * np.asarray(x, dtype=float))
-        if lam > 0
-        else None,
-        jump_dx_comp=(lambda x, th: 0.0 * np.asarray(x, dtype=float)) if lam > 0 else None,
-        jump_dtheta_comp=(lambda x, th: grad_stack(x, 0.0, 0.0, lam)) if lam > 0 else None,
     )
 
 
@@ -387,29 +370,22 @@ def levy_model(mu: float, sigma: float, eta: float, x0: float) -> JumpDiffusionM
         sampler=lambda rng, count: rng.exponential(1.0, count),
     )
 
+    def coefficients(x, th):
+        return (
+            th[0] + th[2], th[1], 0.0, 0.0, (1.0, 0.0, 1.0), (0.0, 1.0, 0.0),
+            th[2], 0.0, (0.0, 0.0, 1.0),
+        )
+
     return JumpDiffusionModel(
         name="levy",
         p=3,
         param_names=("mu", "sigma", "eta"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(3),
-        drift=lambda x, th: th[0] + th[2] + 0.0 * np.asarray(x, dtype=float),
-        diffusion=lambda x, th: th[1] + 0.0 * np.asarray(x, dtype=float),
-        drift_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        diffusion_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dtheta=lambda x, th: grad_stack(x, 1.0, 0.0, 1.0),
-        diffusion_dtheta=lambda x, th: grad_stack(x, 0.0, 1.0, 0.0),
+        coefficients=coefficients,
         param_box=box,
         growth_const=abs(mu + eta) + sigma + abs(eta),
         theta0=theta0,
         jump=spec,
-        jump_kernel=lambda x, z, th: th[2] * np.asarray(z, dtype=float)
-        + 0.0 * np.asarray(x, dtype=float),
-        jump_dx=lambda x, z, th: 0.0
-        * np.asarray(x, dtype=float)
-        * np.asarray(z, dtype=float),
-        jump_dtheta=lambda x, z, th: grad_stack(x, 0.0, 0.0, np.asarray(z, dtype=float)),
-        jump_comp=lambda x, th: th[2] + 0.0 * np.asarray(x, dtype=float),
-        jump_dx_comp=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        jump_dtheta_comp=lambda x, th: grad_stack(x, 0.0, 0.0, 1.0),
+        jump_kernel=lambda x, z, th: (th[2] * z, 0.0, (0.0, 0.0, z)),
     )

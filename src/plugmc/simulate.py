@@ -14,13 +14,22 @@ share one stepper) is
               - dt * integral of c(X_k, z) against the jump measure,
 
 i.e. jumps enter with the left-limit state and the compensator drift is
-evaluated in closed form from the model.  The coupled sensitivity system
-is advanced jointly on the same grid from the same noise; its Euler
-iterates are the exact theta-derivatives of the Euler iterates of X.
+evaluated in closed form from the model.  The sensitivity Y = dX/dtheta,
+held as a (p, m) array for m paths, is advanced on the same grid from the
+same noise by differentiating that step, one generic line per term:
+
+    Y_{k+1} = Y_k + (a_x Y_k + a_theta) dt + (b_x Y_k + b_theta) dW_k
+              + sum of (c_x Y_k + c_theta) over jumps
+              - (comp_x Y_k + comp_theta) dt,
+
+with every coefficient from one `model.coefficients` call per step, so
+the Euler iterates of Y are the exact theta-derivatives of the Euler
+iterates of X.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +53,6 @@ __all__ = [
     "coupling_residual_supnorms",
     "sup_norm_moment",
 ]
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -126,10 +132,20 @@ class SimulationBlowup(RuntimeError):
 
 
 def path_seed(root_seed: int, index: int) -> int:
-    """Counter-based per-path seed: root in high 64 bits, counter in low."""
+    """Counter-based per-path seed: root in high 64 bits, counter in low.
+
+    Both halves must fit in 64 bits; a larger value would alias a smaller
+    one (2**64 + 5 and 5 would give the same streams), so it is rejected.
+    numpy integers are converted first, as their fixed-width shifts wrap.
+    """
+    root_seed, index = operator.index(root_seed), operator.index(index)
     if root_seed < 0 or index < 0:
         raise ValueError("root_seed and index must be non-negative")
-    return ((root_seed & _MASK64) << 64) | (index & _MASK64)
+    if root_seed >> 64 or index >> 64:
+        raise ValueError(
+            f"root_seed and index must be below 2**64, got {root_seed} and {index}"
+        )
+    return (root_seed << 64) | index
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -206,9 +222,9 @@ def _step_block(
     increments: Array,  # (steps, m), one column per step after transpose
     jumps,  # output of _flat_jumps or None
     *,
-    system=None,
+    want_y: bool = False,
     theta_shift: Array | None = None,
-    disc: tuple | None = None,  # (delta, V, V_prime)
+    disc: float | None = None,  # discount rate delta of int e^{-delta t} X dt
     want_trap: bool = False,
     record: bool = False,
     path_offset: int = 0,
@@ -216,17 +232,20 @@ def _step_block(
     """Advance a block of m paths over the full grid.
 
     Returns (BatchResult, recorded) where recorded is (x, x_shift, y) full
-    path arrays when record=True (small blocks only).
+    path arrays when record=True (small blocks only), y of shape
+    (steps + 1, p, m).  Raises SimulationBlowup at the first step where X,
+    Y or X_shift turns non-finite.
     """
     n, m = increments.shape
     dt = grid.dt
-    x0 = model.initial(theta)
-    x = np.full(m, float(x0))
+    p = model.p
+    x = np.full(m, float(model.initial(theta)))
     has_jumps = model.has_jumps
 
     y = None
-    if system is not None:
-        y = np.tile(np.asarray(system.initial(theta), dtype=float), (m, 1))  # (m, p)
+    if want_y:
+        y0 = np.asarray(model.initial_grad(theta), dtype=float)
+        y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
     xs = None
     if theta_shift is not None:
         xs = np.full(m, float(model.initial(theta_shift)))
@@ -235,22 +254,21 @@ def _step_block(
         trap_x = x * (0.5 * dt)
         trap_y = y * (0.5 * dt) if y is not None else None
     if disc is not None:
-        delta, v_fn, vp_fn = disc
-        disc_w = np.exp(-delta * grid.times())  # e^{-delta t_k}, k = 0..n
-        disc_v = disc_w[0] * v_fn(x) * (0.5 * dt)
-        disc_vy = disc_w[0] * (vp_fn(x) * y.T).T * (0.5 * dt) if y is not None else None
+        disc_w = np.exp(-disc * grid.times())  # e^{-delta t_k}, k = 0..n
+        disc_v = disc_w[0] * x * (0.5 * dt)
+        disc_vy = disc_w[0] * y * (0.5 * dt) if y is not None else None
 
     res_sup = None
     if xs is not None and y is not None:
-        u = np.asarray(theta_shift, dtype=float) - np.asarray(theta, dtype=float)
-        res_sup = np.abs(xs - x - y @ u)
+        u = theta_shift - theta
+        res_sup = np.abs(xs - x - u @ y)
 
     if record:
         rec_x = np.empty((n + 1, m))
         rec_x[0] = x
         rec_y = None
         if y is not None:
-            rec_y = np.empty((n + 1, m, y.shape[1]))
+            rec_y = np.empty((n + 1, p, m))
             rec_y[0] = y
         rec_xs = None
         if xs is not None:
@@ -261,29 +279,28 @@ def _step_block(
         dw = increments[k]
         x_prev = x
 
-        x = x_prev + model.drift(x_prev, theta) * dt + model.diffusion(x_prev, theta) * dw
+        coef = model.coefficients(x_prev, theta)
+        a, b, a_x, b_x, a_th, b_th = coef[:6]
+        x = x_prev + a * dt + b * dw
         if has_jumps:
-            x = x - model.jump_comp(x_prev, theta) * dt
+            comp, comp_x, comp_th = coef[6:]
+            x = x - comp * dt
 
         if y is not None:
             yp = y
-            y = (
-                yp
-                + system.A(x_prev, yp.T, theta).T * dt
-                + system.B(x_prev, yp.T, theta).T * dw[:, None]
-            )
-            if has_jumps:
-                y = y - system.C_comp(x_prev, yp.T, theta).T * dt
+            y = np.empty_like(yp)
+            for j in range(p):
+                row = yp[j] + (a_x * yp[j] + a_th[j]) * dt + (b_x * yp[j] + b_th[j]) * dw
+                if has_jumps:
+                    row = row - (comp_x * yp[j] + comp_th[j]) * dt
+                y[j] = row
 
         if xs is not None:
             xs_prev = xs
-            xs = (
-                xs_prev
-                + model.drift(xs_prev, theta_shift) * dt
-                + model.diffusion(xs_prev, theta_shift) * dw
-            )
+            coef_s = model.coefficients(xs_prev, theta_shift)
+            xs = xs_prev + coef_s[0] * dt + coef_s[1] * dw
             if has_jumps:
-                xs = xs - model.jump_comp(xs_prev, theta_shift) * dt
+                xs = xs - coef_s[6] * dt
 
         if jumps is not None:
             steps_j, paths_j, sizes_j, bounds = jumps
@@ -291,16 +308,21 @@ def _step_block(
             if hi > lo:
                 pj = paths_j[lo:hi]
                 zj = sizes_j[lo:hi]
-                xj = x_prev[pj]
-                np.add.at(x, pj, model.jump_kernel(xj, zj, theta))
+                c, c_x, c_th = model.jump_kernel(x_prev[pj], zj, theta)
+                np.add.at(x, pj, c)
                 if y is not None:
-                    np.add.at(y, pj, system.C(xj, yp[pj].T, zj, theta).T)
+                    for j in range(p):
+                        np.add.at(y[j], pj, c_x * yp[j, pj] + c_th[j])
                 if xs is not None:
-                    np.add.at(xs, pj, model.jump_kernel(xs_prev[pj], zj, theta_shift))
+                    np.add.at(xs, pj, model.jump_kernel(xs_prev[pj], zj, theta_shift)[0])
 
-        if not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise SimulationBlowup(k + 1, detail=f" (path index {path_offset + bad})")
+        for label, state in (("X", x), ("Y", y), ("X_shift", xs)):
+            if state is not None and not np.isfinite(state).all():
+                finite = np.isfinite(state).reshape(-1, m).all(axis=0)
+                bad = int(np.flatnonzero(~finite)[0])
+                raise SimulationBlowup(
+                    k + 1, detail=f" in {label} (path index {path_offset + bad})"
+                )
 
         last = k == n - 1
         if want_trap:
@@ -309,11 +331,11 @@ def _step_block(
                 trap_y = trap_y + y * (0.5 * dt if last else dt)
         if disc is not None:
             w = disc_w[k + 1] * (0.5 * dt if last else dt)
-            disc_v = disc_v + w * v_fn(x)
+            disc_v = disc_v + w * x
             if disc_vy is not None:
-                disc_vy = disc_vy + w * (vp_fn(x) * y.T).T
+                disc_vy = disc_vy + w * y
         if res_sup is not None:
-            np.maximum(res_sup, np.abs(xs - x - y @ u), out=res_sup)
+            np.maximum(res_sup, np.abs(xs - x - u @ y), out=res_sup)
 
         if record:
             rec_x[k + 1] = x
@@ -322,13 +344,18 @@ def _step_block(
             if rec_xs is not None:
                 rec_xs[k + 1] = xs
 
+    def per_path(block):
+        # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
+        # summation order of the reductions over paths (mean(axis=0))
+        return None if block is None else np.ascontiguousarray(block.T)
+
     result = BatchResult(
         x_terminal=x,
         trap_x=trap_x if want_trap else None,
-        trap_y=trap_y if (want_trap and y is not None) else None,
+        trap_y=per_path(trap_y) if want_trap else None,
         disc_v=disc_v if disc is not None else None,
-        disc_vy=disc_vy if (disc is not None and y is not None) else None,
-        y_terminal=y,
+        disc_vy=per_path(disc_vy) if disc is not None else None,
+        y_terminal=per_path(y),
         x_shift_terminal=xs,
         residual_sup=res_sup,
     )
@@ -356,9 +383,7 @@ def euler_path(model: JumpDiffusionModel, theta, noise: NoiseBundle) -> Path:
     return Path(grid=noise.grid, values=recorded[0][:, 0])
 
 
-def coupled_paths(
-    model: JumpDiffusionModel, system, theta, u, noise: NoiseBundle
-) -> CoupledPaths:
+def coupled_paths(model: JumpDiffusionModel, theta, u, noise: NoiseBundle) -> CoupledPaths:
     """Advance (X at theta, X at theta + u, Y at theta) from one noise bundle."""
     theta = model.require_theta(theta)
     u = np.asarray(u, dtype=float)
@@ -370,13 +395,13 @@ def coupled_paths(
         noise.grid,
         inc,
         _bundle_jumps(noise),
-        system=system,
+        want_y=True,
         theta_shift=theta_shift,
         record=True,
     )
     rec_x, rec_xs, rec_y = recorded
     return CoupledPaths(
-        grid=noise.grid, x=rec_x[:, 0], x_shift=rec_xs[:, 0], y=rec_y[:, 0, :]
+        grid=noise.grid, x=rec_x[:, 0], x_shift=rec_xs[:, 0], y=rec_y[:, :, 0]
     )
 
 
@@ -388,16 +413,17 @@ def simulate_batch(
     n_paths: int,
     *,
     start_index: int = 0,
-    system=None,
+    want_y: bool = False,
     theta_shift=None,
-    disc: tuple | None = None,
+    disc: float | None = None,
     want_trap: bool = False,
     chunk_size: int = 4096,
 ) -> BatchResult:
     """Simulate n_paths seeded paths and return streaming reductions.
 
     Path i uses seed path_seed(root_seed, start_index + i); results are
-    identical for any chunk_size.  See _step_block for what is tracked.
+    identical for any chunk_size.  want_y adds the sensitivity Y; see
+    _step_block for what else is tracked.
     """
     theta = model.require_theta(theta)
     if theta_shift is not None:
@@ -429,7 +455,7 @@ def simulate_batch(
             grid,
             np.ascontiguousarray(increments.T),
             jumps,
-            system=system,
+            want_y=want_y,
             theta_shift=theta_shift,
             disc=disc,
             want_trap=want_trap,
@@ -455,7 +481,7 @@ def simulate_batch(
 
 
 def coupling_residual_supnorms(
-    model: JumpDiffusionModel, system, theta, u, grid: TimeGrid, root_seed: int, n_paths: int
+    model: JumpDiffusionModel, theta, u, grid: TimeGrid, root_seed: int, n_paths: int
 ) -> Array:
     """Sup-norm over grid nodes of X^{theta+u} - X^theta - u.Y per path."""
     if n_paths < 100:
@@ -468,7 +494,7 @@ def coupling_residual_supnorms(
         grid,
         root_seed,
         n_paths,
-        system=system,
+        want_y=True,
         theta_shift=theta + u,
     )
     return res.residual_sup

@@ -6,7 +6,6 @@ from plugmc import (
     TimeGrid,
     Path,
     bs_small_noise_model,
-    build_derivative_system,
     levy_model,
     ou_jump_model,
 )
@@ -27,18 +26,8 @@ def bs_model():
 
 
 @pytest.fixture(scope="session")
-def bs_system(bs_model):
-    return build_derivative_system(bs_model)
-
-
-@pytest.fixture(scope="session")
 def ou_model():
     return ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0)
-
-
-@pytest.fixture(scope="session")
-def ou_system(ou_model):
-    return build_derivative_system(ou_model)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,6 @@ from plugmc import (
     bs_call_closed_form,
     bs_closed_form,
     bs_small_noise_model,
-    build_derivative_system,
     coupled_paths,
     delta_method_variance,
     estimate_C,
@@ -78,16 +77,15 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def bs_setup():
-    model = bs_small_noise_model(THETA0[0], THETA0[1], EPS, X0)
-    return model, build_derivative_system(model)
+    return bs_small_noise_model(THETA0[0], THETA0[1], EPS, X0)
 
 
 @pytest.fixture(scope="module")
 def c_fine(bs_setup):
     # correction vector at theta0 on a fine pricing grid (Euler bias ~ 1e-4)
-    model, system = bs_setup
+    model = bs_setup
     t0 = time.time()
-    c, se = estimate_C(model, system, CALL, THETA0, 100_000, 808, TimeGrid(HORIZON, 2000))
+    c, se = estimate_C(model, CALL, THETA0, 100_000, 808, TimeGrid(HORIZON, 2000))
     return c, se, time.time() - t0
 
 
@@ -113,10 +111,10 @@ def full_500():
     "vector is ~(1.1618, 0); see build notes",
 )
 def test_criterion_1_reference_correction_vector(bs_setup):
-    model, system = bs_setup
+    model = bs_setup
     t0 = time.time()
     c, se = estimate_C(
-        model, system, CALL, THETA0, 100_000, 808, TimeGrid(HORIZON, N_OBS)
+        model, CALL, THETA0, 100_000, 808, TimeGrid(HORIZON, N_OBS)
     )
     elapsed = time.time() - t0
     ok = bool(np.all(np.abs(c - REFERENCE_C) <= 3 * se)) and elapsed < 120
@@ -237,10 +235,10 @@ def test_criterion_3_fast_mode(n_obs):
 
 
 def test_criterion_4_bs_slopes(bs_setup):
-    model, system = bs_setup
+    model = bs_setup
     grid = TimeGrid(1.0, 128)
     slopes = [
-        order_check(model, system, THETA0, grid, d, root_seed=47, n_paths=200).slope
+        order_check(model, THETA0, grid, d, root_seed=47, n_paths=200).slope
         for d in (0, 1)
     ]
     ok = all(abs(s - 4.0) <= 0.6 for s in slopes)
@@ -251,10 +249,9 @@ def test_criterion_4_bs_slopes(bs_setup):
 
 def test_criterion_4_ou_slope_and_exact_directions():
     model = ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0)
-    system = build_derivative_system(model)
     grid = TimeGrid(1.0, 128)
     slope = order_check(
-        model, system, model.theta0, grid, 0, root_seed=53, n_paths=200
+        model, model.theta0, grid, 0, root_seed=53, n_paths=200
     ).slope
     # sigma and eta enter affinely: zero residual, no slope to regress
     worst = 0.0
@@ -263,7 +260,7 @@ def test_criterion_4_ou_slope_and_exact_directions():
         u[d] = 2.0**-3
         for i in range(50):
             b = sample_noise(grid, model.jump, path_seed(59, i))
-            cp = coupled_paths(model, system, model.theta0, u, b)
+            cp = coupled_paths(model, model.theta0, u, b)
             worst = max(worst, cp.residual_sup_norm(u))
     ok = abs(slope - 4.0) <= 0.6 and worst < 1e-10
     report("4 (ou order)", bool(ok), f"mu-slope={slope:.3f}, affine residual={worst:.2e}")
@@ -273,13 +270,12 @@ def test_criterion_4_ou_slope_and_exact_directions():
 
 def test_criterion_4_levy_exact():
     model = levy_model(0.1, 0.3, 0.5, 1.0)
-    system = build_derivative_system(model)
     grid = TimeGrid(1.0, 128)
     u = np.array([2.0**-3, -(2.0**-4), 2.0**-5])
     worst = 0.0
     for i in range(50):
         b = sample_noise(grid, model.jump, path_seed(61, i))
-        cp = coupled_paths(model, system, model.theta0, u, b)
+        cp = coupled_paths(model, model.theta0, u, b)
         worst = max(worst, cp.residual_sup_norm(u))
     ok = worst < 1e-10
     report("4 (levy exact)", bool(ok), f"residual={worst:.2e} (<1e-10)")

@@ -1,14 +1,16 @@
-"""Coupled sensitivity system: composition, linearity, order, closed forms."""
+"""Sensitivity process: coefficient forms, Y as the derivative of X, order, closed forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plugmc import (
     NO_JUMPS,
     TimeGrid,
     bs_small_noise_model,
-    build_derivative_system,
     coupled_paths,
+    euler_path,
+    levy_model,
     ou_derivative_closed_form,
     ou_jump_model,
     order_check,
@@ -16,61 +18,34 @@ from plugmc import (
     sample_noise,
 )
 from plugmc.derivative import order_check_csv
-from plugmc.models import JumpDiffusionModel, grad_stack
+from plugmc.models import JumpDiffusionModel
 
 from conftest import EPS, THETA0
 
 
-def test_composition_matches_independent_expressions(bs_model, bs_system):
-    # A = a_x y + a_theta and B = b_x y + b_theta, recomposed by hand
+def test_composition_matches_independent_expressions(bs_model):
+    # the fused call returns (a, b, a_x, b_x, a_theta, b_theta) of
+    # dX = mu X dt + eps sigma X dW, each written out here by hand
+    mu, sigma = THETA0
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = rng.uniform(0.2, 3.0)
-        y = rng.normal(size=2)
-        expected_a = bs_model.drift_dx(x, THETA0) * y + bs_model.drift_dtheta(x, THETA0)
-        expected_b = bs_model.diffusion_dx(x, THETA0) * y + bs_model.diffusion_dtheta(
-            x, THETA0
-        )
-        assert np.allclose(bs_system.A(x, y, THETA0), expected_a, rtol=0, atol=0)
-        assert np.allclose(bs_system.B(x, y, THETA0), expected_b, rtol=0, atol=0)
+    x = rng.uniform(0.2, 3.0, size=20)
+    a, b, a_x, b_x, a_th, b_th = bs_model.coefficients(x, THETA0)
+    assert np.array_equal(a, mu * x) and np.array_equal(b, EPS * sigma * x)
+    assert a_x == mu and b_x == EPS * sigma
+    assert np.array_equal(a_th[0], x) and a_th[1] == 0.0
+    assert b_th[0] == 0.0 and np.array_equal(b_th[1], EPS * x)
 
 
-def test_bs_system_displayed_form(bs_model, bs_system):
-    # A = (x + mu y1, mu y2), B = eps (sigma y1, sigma y2 + x)
+def test_bs_system_displayed_form(bs_model):
+    # Y drift a_x y + a_theta = (x + mu y1, mu y2) and diffusion
+    # b_x y + b_theta = eps (sigma y1, sigma y2 + x)
     mu, sigma = THETA0
     for x, y in [(1.0, np.array([0.3, -0.7])), (2.5, np.array([0.0, 1.2]))]:
-        assert np.allclose(bs_system.A(x, y, THETA0), [x + mu * y[0], mu * y[1]])
-        assert np.allclose(
-            bs_system.B(x, y, THETA0), [EPS * sigma * y[0], EPS * (sigma * y[1] + x)]
-        )
-
-
-def test_linearity_in_y(ou_model, ou_system):
-    th = ou_model.theta0
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        x = rng.normal()
-        y1, y2 = rng.normal(size=3), rng.normal(size=3)
-        a0 = ou_system.A(x, np.zeros(3), th)
-        lhs = ou_system.A(x, y1 + y2, th) - a0
-        rhs = (ou_system.A(x, y1, th) - a0) + (ou_system.A(x, y2, th) - a0)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        z = rng.normal()
-        c0 = ou_system.C(x, np.zeros(3), z, th)
-        lhs_c = ou_system.C(x, y1 + y2, z, th) - c0
-        rhs_c = (ou_system.C(x, y1, z, th) - c0) + (ou_system.C(x, y2, z, th) - c0)
-        assert np.allclose(lhs_c, rhs_c, atol=1e-12)
-
-
-def test_missing_derivative_names_gap(bs_model):
-    broken = JumpDiffusionModel(
-        **{
-            **{f: getattr(bs_model, f) for f in bs_model.__dataclass_fields__},
-            "drift_dtheta": None,
-        }
-    )
-    with pytest.raises(ValueError, match="drift_dtheta"):
-        build_derivative_system(broken)
+        _, _, a_x, b_x, a_th, b_th = bs_model.coefficients(x, THETA0)
+        drift_y = [a_x * y[j] + a_th[j] for j in range(2)]
+        diff_y = [b_x * y[j] + b_th[j] for j in range(2)]
+        assert np.allclose(drift_y, [x + mu * y[0], mu * y[1]])
+        assert np.allclose(diff_y, [EPS * sigma * y[0], EPS * (sigma * y[1] + x)])
 
 
 def theta_free_model():
@@ -81,12 +56,7 @@ def theta_free_model():
         param_names=("a", "b"),
         initial=lambda th: 1.0,
         initial_grad=lambda th: np.array([0.4, -0.2]),
-        drift=lambda x, th: 0.1 + 0.0 * np.asarray(x, dtype=float),
-        diffusion=lambda x, th: 0.2 + 0.0 * np.asarray(x, dtype=float),
-        drift_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        diffusion_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dtheta=lambda x, th: grad_stack(x, 0.0, 0.0),
-        diffusion_dtheta=lambda x, th: grad_stack(x, 0.0, 0.0),
+        coefficients=lambda x, th: (0.1, 0.2, 0.0, 0.0, (0.0, 0.0), (0.0, 0.0)),
         param_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         growth_const=1.0,
         theta0=np.zeros(2),
@@ -95,17 +65,15 @@ def theta_free_model():
 
 def test_theta_free_model_keeps_initial_gradient():
     m = theta_free_model()
-    system = build_derivative_system(m)
     b = sample_noise(TimeGrid(1.0, 32), NO_JUMPS, path_seed(2, 2))
-    cp = coupled_paths(m, system, np.zeros(2), np.zeros(2), b)
+    cp = coupled_paths(m, np.zeros(2), np.zeros(2), b)
     assert np.allclose(cp.y, np.tile([0.4, -0.2], (33, 1)))
 
 
 def test_levy_derivative_is_time_brownian_jumpsum(levy):
-    system = build_derivative_system(levy)
     grid = TimeGrid(1.0, 100)
     b = sample_noise(grid, levy.jump, path_seed(19, 3))
-    cp = coupled_paths(levy, system, levy.theta0, np.zeros(3), b)
+    cp = coupled_paths(levy, levy.theta0, np.zeros(3), b)
     t = grid.times()
     w = np.concatenate([[0.0], np.cumsum(b.brownian_increments)])
     s = np.zeros(grid.steps + 1)
@@ -116,18 +84,54 @@ def test_levy_derivative_is_time_brownian_jumpsum(levy):
     assert np.max(np.abs(cp.y[:, 2] - s)) < 1e-12
 
 
-def test_euler_y_is_derivative_of_euler_x(bs_model, bs_system):
+def test_euler_y_is_derivative_of_euler_x(bs_model):
     # central difference of the Euler map in theta reproduces Euler Y to O(h^2)
     b = sample_noise(TimeGrid(1.0, 64), NO_JUMPS, path_seed(23, 1))
     h = 1e-4
-    cp = coupled_paths(bs_model, bs_system, THETA0, np.zeros(2), b)
+    cp = coupled_paths(bs_model, THETA0, np.zeros(2), b)
     for i in range(2):
         u = np.zeros(2)
         u[i] = h
-        up = coupled_paths(bs_model, bs_system, THETA0, u, b).x_shift
-        um = coupled_paths(bs_model, bs_system, THETA0, -u, b).x_shift
+        up = coupled_paths(bs_model, THETA0, u, b).x_shift
+        um = coupled_paths(bs_model, THETA0, -u, b).x_shift
         fd = (up - um) / (2 * h)
         assert np.max(np.abs(fd - cp.y[:, i])) < 1e-6
+
+
+PROPERTY_MODELS = {
+    "bs": bs_small_noise_model(0.2, 1.0, EPS, 1.0),
+    "ou": ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0),
+    "levy": levy_model(0.1, 0.3, 0.5, 1.0),
+}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(PROPERTY_MODELS)),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_y_is_derivative_of_euler_x_at_random_theta(name, unit, seed):
+    # At a random theta in the box, on one shared noise bundle, Y equals the
+    # central difference in theta of the X-only Euler path.  With
+    # h = 1e-5 max(1, |box|) the truncation error (h^2 times a third
+    # derivative) and the rounding error (1e-16 |X| / h) stay below 1e-8 of
+    # the scale of Y, so the 1e-6 relative tolerance leaves a wide margin.
+    model = PROPERTY_MODELS[name]
+    box = model.param_box
+    h = 1e-5 * np.maximum(1.0, np.abs(box).max(axis=1))
+    lo, hi = box[:, 0] + 2.0 * h, box[:, 1] - 2.0 * h
+    theta = lo + np.asarray(unit[: model.p]) * (hi - lo)
+    noise = sample_noise(TimeGrid(1.0, 50), model.jump, path_seed(seed, 0))
+    y = coupled_paths(model, theta, np.zeros(model.p), noise).y
+    scale = 1.0 + np.max(np.abs(y))
+    for i in range(model.p):
+        step = np.zeros(model.p)
+        step[i] = h[i]
+        up = euler_path(model, theta + step, noise).values
+        down = euler_path(model, theta - step, noise).values
+        fd = (up - down) / (2.0 * h[i])
+        assert np.max(np.abs(fd - y[:, i])) <= 1e-6 * scale, (name, theta, i)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ def test_ou_silent_noise_keeps_y3_null():
     assert abs(vals.mean() - target) < 3 * se + 2.0 / grid.steps
 
 
-def test_ou_closed_form_cross_checks_euler_system(ou_model, ou_system):
+def test_ou_closed_form_cross_checks_euler_system(ou_model):
     # two independent computations agree at O(1/n) in sup-norm RMS
     theta = ou_model.theta0
     rms = {}
@@ -175,7 +179,7 @@ def test_ou_closed_form_cross_checks_euler_system(ou_model, ou_system):
         diffs = []
         for i in range(60):
             b = sample_noise(grid, ou_model.jump, path_seed(37, i))
-            cp = coupled_paths(ou_model, ou_system, theta, np.zeros(3), b)
+            cp = coupled_paths(ou_model, theta, np.zeros(3), b)
             ycf = ou_derivative_closed_form(theta, b, 1.0)
             diffs.append(np.max(np.abs(cp.y - ycf)))
         rms[n] = np.sqrt(np.mean(np.square(diffs)))
@@ -191,24 +195,21 @@ def test_ou_closed_form_cross_checks_euler_system(ou_model, ou_system):
 # ---------------------------------------------------------------------------
 
 
-def test_order_check_bs_slope_four(bs_model, bs_system):
+def test_order_check_bs_slope_four(bs_model):
     grid = TimeGrid(1.0, 128)
     for direction in (0, 1):
-        res = order_check(
-            bs_model, bs_system, THETA0, grid, direction, root_seed=47, n_paths=200
-        )
+        res = order_check(bs_model, THETA0, grid, direction, root_seed=47, n_paths=200)
         assert 3.4 < res.slope < 4.6, (direction, res.slope)
 
 
-def test_order_check_ou_mu_slope_four(ou_model, ou_system):
+def test_order_check_ou_mu_slope_four(ou_model):
     res = order_check(
-        ou_model, ou_system, ou_model.theta0, TimeGrid(1.0, 128), 0, root_seed=53,
-        n_paths=200,
+        ou_model, ou_model.theta0, TimeGrid(1.0, 128), 0, root_seed=53, n_paths=200
     )
     assert 3.4 < res.slope < 4.6, res.slope
 
 
-def test_ou_affine_directions_are_exact(ou_model, ou_system):
+def test_ou_affine_directions_are_exact(ou_model):
     # sigma and eta enter affinely: the coupling residual vanishes
     grid = TimeGrid(1.0, 128)
     for direction in (1, 2):
@@ -216,13 +217,13 @@ def test_ou_affine_directions_are_exact(ou_model, ou_system):
         u[direction] = 0.05
         for i in range(10):
             b = sample_noise(grid, ou_model.jump, path_seed(59, i))
-            cp = coupled_paths(ou_model, ou_system, ou_model.theta0, u, b)
+            cp = coupled_paths(ou_model, ou_model.theta0, u, b)
             assert cp.residual_sup_norm(u) < 1e-10
 
 
-def test_order_check_csv_emission(bs_model, bs_system):
+def test_order_check_csv_emission(bs_model):
     res = order_check(
-        bs_model, bs_system, THETA0, TimeGrid(1.0, 32), 0, root_seed=61, n_paths=100,
+        bs_model, THETA0, TimeGrid(1.0, 32), 0, root_seed=61, n_paths=100,
         exponents=range(3, 6),
     )
     text = order_check_csv([res])

@@ -18,7 +18,7 @@ from plugmc import (
     path_seed,
     sample_noise,
 )
-from plugmc.models import JumpDiffusionModel, grad_stack
+from plugmc.models import JumpDiffusionModel
 
 from conftest import EPS, N_OBS, THETA0
 
@@ -94,7 +94,7 @@ def test_drift_argmin_matches_weighted_least_squares():
     model, obs = simulate_observations(2)
     x_prev = obs.samples[:-1]
     dx = np.diff(obs.samples)
-    bt = model.unit_diffusion(x_prev, THETA0)
+    bt = model.coefficients(x_prev, THETA0)[1] / model.epsilon
     a_dot = x_prev  # d drift / d mu
     dt = obs.grid.dt
     mu_wls = np.sum(dx * a_dot / bt**2) / (dt * np.sum(a_dot**2 / bt**2))
@@ -198,14 +198,15 @@ def test_fisher_matches_closed_form_estimator_info():
 
 def test_fisher_doubling_drift_gradient_quadruples_entry():
     base = bs_small_noise_model(0.2, 1.0, EPS, 1.0)
+
+    def doubled_drift(x, th):
+        _, b, _, b_x, _, b_th = base.coefficients(x, th)
+        return (2.0 * th[0] * x, b, 2.0 * th[0], b_x, (2.0 * x, 0.0), b_th)
+
     scaled = JumpDiffusionModel(
         **{
             **{f: getattr(base, f) for f in base.__dataclass_fields__},
-            "drift": lambda x, th: 2.0 * th[0] * np.asarray(x, dtype=float),
-            "drift_dx": lambda x, th: 2.0 * th[0] + 0.0 * np.asarray(x, dtype=float),
-            "drift_dtheta": lambda x, th: grad_stack(
-                x, 2.0 * np.asarray(x, dtype=float), 0.0
-            ),
+            "coefficients": doubled_drift,
         }
     )
     driver = deterministic_path(base, THETA0, GRID)

@@ -210,3 +210,5 @@ def test_functional_from_config():
     g = functional_from_config({"kind": "discounted_integral", "T": 1.0, "delta": 0.05,
                                 "V": "identity"})
     assert g.discount == 0.05
+    with pytest.raises(ValueError, match="unknown integrand 'square'"):
+        functional_from_config({"kind": "discounted_integral", "T": 1.0, "V": "square"})

@@ -178,13 +178,13 @@ def test_unknown_kind_rejected():
         ("smoothed_call_average", {"strike": STRIKE, "rate": RATE, "eps_smooth": 1e-3}),
     ],
 )
-def test_batch_reductions_match_path_evaluations(ou_model, ou_system, kind, kwargs):
+def test_batch_reductions_match_path_evaluations(ou_model, kind, kwargs):
     # streaming accumulators agree with recorded-path evaluation per path
     f = Functional(kind=kind, horizon=1.0, **kwargs)
     grid = TimeGrid(1.0, 60)
     needs = f.needs()
     res = simulate_batch(
-        ou_model, ou_model.theta0, grid, 71, 6, system=ou_system,
+        ou_model, ou_model.theta0, grid, 71, 6, want_y=True,
         disc=needs["disc"], want_trap=needs["want_trap"],
     )
     h_batch = f.values_from_batch(res)
@@ -193,7 +193,7 @@ def test_batch_reductions_match_path_evaluations(ou_model, ou_system, kind, kwar
 
     for i in range(6):
         b = sample_noise(grid, ou_model.jump, path_seed(71, i))
-        cp = coupled_paths(ou_model, ou_system, ou_model.theta0, np.zeros(3), b)
+        cp = coupled_paths(ou_model, ou_model.theta0, np.zeros(3), b)
         path = make_path(cp.x)
         assert h_batch[i] == pytest.approx(eval_functional(f, path), rel=1e-10)
         assert np.allclose(g_batch[i], pathwise_gradient(f, path, cp.y), rtol=1e-10)

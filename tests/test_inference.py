@@ -5,11 +5,11 @@ import pytest
 
 from plugmc import (
     Functional,
+    InferenceReport,
     TimeGrid,
     asymptotic_variance,
     bs_call_closed_form,
     bs_small_noise_model,
-    build_derivative_system,
     build_report,
     confidence_interval,
     delta_method_variance,
@@ -138,9 +138,8 @@ def test_plugin_h_requires_enough_paths(bs_model, call_functional):
 
 def test_estimate_c_levy_terminal_identity(levy):
     # identity terminal payoff: C = E[(T, W_T, S_T)] = (T, 0, T)
-    system = build_derivative_system(levy)
     f = Functional(kind="terminal", horizon=1.0)
-    c, se = estimate_C(levy, system, f, levy.theta0, 20_000, 11, TimeGrid(1.0, 100))
+    c, se = estimate_C(levy, f, levy.theta0, 20_000, 11, TimeGrid(1.0, 100))
     assert c[0] == pytest.approx(1.0, abs=1e-10)
     assert abs(c[1]) < 3 * se[1]
     assert abs(c[2] - 1.0) < 3 * se[2]
@@ -150,7 +149,6 @@ def test_estimate_c_zero_for_theta_free_dynamics():
     from test_derivative import theta_free_model
 
     m = theta_free_model()
-    system = build_derivative_system(m)
     f = Functional(kind="time_average", horizon=1.0)
     # initial gradient is (0.4, -0.2) and dynamics add nothing; force a model
     # with zero initial gradient to get C identically zero
@@ -162,8 +160,7 @@ def test_estimate_c_zero_for_theta_free_dynamics():
             "initial_grad": lambda th: np.zeros(2),
         }
     )
-    system0 = build_derivative_system(m0)
-    c, se = estimate_C(m0, system0, f, np.zeros(2), 500, 3, TimeGrid(1.0, 20))
+    c, se = estimate_C(m0, f, np.zeros(2), 500, 3, TimeGrid(1.0, 20))
     assert np.all(c == 0.0) and np.all(se == 0.0)
 
 
@@ -244,11 +241,11 @@ def test_delta_method_linear_and_constant():
         delta_method_variance(lambda th: np.nan, THETA0, sigma)
 
 
-def test_gradient_consistency_common_random_numbers(bs_model, bs_system, call_functional):
+def test_gradient_consistency_common_random_numbers(bs_model, call_functional):
     # the pathwise C equals a central finite difference of the Monte Carlo
     # value computed from the same seeds: the simulated sensitivities are the
     # exact parameter derivatives of the simulated paths
-    c, c_se = estimate_C(bs_model, bs_system, call_functional, THETA0, 5_000, 31, GRID)
+    c, c_se = estimate_C(bs_model, call_functional, THETA0, 5_000, 31, GRID)
     h = 1e-4
     for i in range(2):
         u = np.zeros(2)
@@ -261,9 +258,9 @@ def test_gradient_consistency_common_random_numbers(bs_model, bs_system, call_fu
         assert abs(fd - c[i]) < 1e-4
 
 
-def test_route_agreement_quick(bs_model, bs_system, call_functional):
+def test_route_agreement_quick(bs_model, call_functional):
     # derivative-process variance vs delta method on the closed form
-    c, c_se = estimate_C(bs_model, bs_system, call_functional, THETA0, 20_000, 17, GRID)
+    c, c_se = estimate_C(bs_model, call_functional, THETA0, 20_000, 17, GRID)
     info_inv = np.diag([1.0, 0.5])
     v_pathwise = asymptotic_variance(c, info_inv)
     v_delta = delta_method_variance(
@@ -276,10 +273,9 @@ def test_route_agreement_quick(bs_model, bs_system, call_functional):
     assert abs(v_pathwise - v_delta) < 3 * dv + 0.01
 
 
-def test_build_report_fields(bs_model, bs_system, call_functional):
+def test_build_report_fields(bs_model, call_functional):
     report = build_report(
         bs_model,
-        bs_system,
         call_functional,
         THETA0,
         rates=np.array([EPS, 1 / np.sqrt(500)]),
@@ -297,3 +293,21 @@ def test_build_report_fields(bs_model, bs_system, call_functional):
         "theta", "H_hat", "H_se_mc", "C_hat", "C_se", "asy_var",
         "gamma_star", "alpha", "ci_low", "ci_high", "z_hat",
     }
+
+
+def test_report_names_non_finite_field():
+    # a NaN used to surface as "confidence interval must contain the point
+    # estimate"; the report now names the field that is not finite
+    good = dict(
+        theta=THETA0, h_hat=0.4, h_se_mc=0.01, c_hat=np.array([1.0, 0.0]),
+        c_se=np.array([0.1, 0.1]), asy_var=1.0, gamma_star=EPS, alpha=0.05,
+        ci=(0.3, 0.5),
+    )
+    assert InferenceReport(**good).h_hat == 0.4
+    for field, bad in [
+        ("h_hat", np.nan),
+        ("c_hat", np.array([1.0, np.nan])),
+        ("asy_var", np.inf),
+    ]:
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
+            InferenceReport(**{**good, field: bad})

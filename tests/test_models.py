@@ -16,7 +16,7 @@ from plugmc import (
     ou_jump_model,
     validate_model,
 )
-from plugmc.models import JumpDiffusionModel, grad_stack
+from plugmc.models import JumpDiffusionModel
 
 from conftest import EPS, THETA0
 
@@ -28,12 +28,7 @@ def zero_model():
         param_names=("c",),
         initial=lambda th: 1.0,
         initial_grad=lambda th: np.zeros(1),
-        drift=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        diffusion=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        diffusion_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dtheta=lambda x, th: grad_stack(x, 0.0),
-        diffusion_dtheta=lambda x, th: grad_stack(x, 0.0),
+        coefficients=lambda x, th: (0.0, 0.0, 0.0, 0.0, (0.0,), (0.0,)),
         param_box=np.array([[-1.0, 1.0]]),
         growth_const=1.0,
         theta0=np.zeros(1),
@@ -48,12 +43,7 @@ def quadratic_drift_model():
         param_names=("c",),
         initial=lambda th: 1.0,
         initial_grad=lambda th: np.zeros(1),
-        drift=lambda x, th: np.asarray(x, dtype=float) ** 2,
-        diffusion=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dx=lambda x, th: 2.0 * np.asarray(x, dtype=float),
-        diffusion_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dtheta=lambda x, th: grad_stack(x, 0.0),
-        diffusion_dtheta=lambda x, th: grad_stack(x, 0.0),
+        coefficients=lambda x, th: (x**2, 0.0, 2.0 * x, 0.0, (0.0,), (0.0,)),
         param_box=np.array([[-1.0, 1.0]]),
         growth_const=1.0,
         theta0=np.zeros(1),
@@ -71,8 +61,9 @@ def test_bs_probe_passes():
     report = validate_model(m, [(1.0, 0.5, THETA0)])
     assert report.ok
     # |a| = 0.2 at x = 1, against kappa (1 + |x|) with kappa = |mu| + eps sigma
-    assert abs(m.drift(1.0, THETA0)) == pytest.approx(0.2)
-    assert abs(m.drift(1.0, THETA0)) <= m.growth_const * 2.0
+    drift = m.coefficients(1.0, THETA0)[0]
+    assert abs(drift) == pytest.approx(0.2)
+    assert abs(drift) <= m.growth_const * 2.0
 
 
 def test_quadratic_drift_reports_growth_violation():
@@ -82,16 +73,30 @@ def test_quadratic_drift_reports_growth_violation():
     assert "exceeds" in report.violations[0]
 
 
+def _with_coefficients(m, coefficients):
+    fields = {f: getattr(m, f) for f in m.__dataclass_fields__}
+    return JumpDiffusionModel(**{**fields, "coefficients": coefficients})
+
+
 def test_nonfinite_coefficient_is_hard_failure():
     m = zero_model()
-    bad = JumpDiffusionModel(
-        **{
-            **{f: getattr(m, f) for f in m.__dataclass_fields__},
-            "drift": lambda x, th: np.asarray(x, dtype=float) * np.nan,
-        }
-    )
+    bad = _with_coefficients(m, lambda x, th: (x * np.nan, 0.0, 0.0, 0.0, (0.0,), (0.0,)))
     with pytest.raises(ValueError, match="drift"):
         validate_model(bad, [(1.0, 0.5, np.zeros(1))])
+    # a non-finite theta-gradient entry is named as well
+    bad = _with_coefficients(m, lambda x, th: (0.0, 0.0, 0.0, 0.0, (0.0,), (np.inf,)))
+    with pytest.raises(ValueError, match="diffusion_dtheta"):
+        validate_model(bad, [(1.0, 0.5, np.zeros(1))])
+
+
+def test_malformed_coefficients_are_named():
+    m = zero_model()
+    short = _with_coefficients(m, lambda x, th: (0.0, 0.0, 0.0, 0.0, (0.0,)))
+    with pytest.raises(ValueError, match="expected 6 entries"):
+        validate_model(short, [(1.0, 0.5, np.zeros(1))])
+    wide = _with_coefficients(m, lambda x, th: (0.0, 0.0, 0.0, 0.0, (0.0, 0.0), (0.0,)))
+    with pytest.raises(ValueError, match="drift_dtheta must have 1 entries"):
+        validate_model(wide, [(1.0, 0.5, np.zeros(1))])
 
 
 def test_builtins_pass_100_point_probe_grid():
@@ -117,12 +122,12 @@ def test_bs_factory_rejections():
 
 def test_bs_drift_identity():
     m = bs_small_noise_model(0.2, 1.0, EPS, 1.0)
-    assert m.drift(2.0, THETA0) == pytest.approx(0.4)
+    assert m.coefficients(2.0, THETA0)[0] == pytest.approx(0.4)
 
 
 def test_bs_degenerate_noise_allowed():
     m = bs_small_noise_model(0.0, 1.0, 0.0, 1.0)
-    assert m.diffusion(3.0, np.array([0.0, 1.0])) == 0.0
+    assert m.coefficients(3.0, np.array([0.0, 1.0]))[1] == 0.0
 
 
 def test_ou_factory_and_drift():
@@ -131,11 +136,15 @@ def test_ou_factory_and_drift():
     with pytest.raises(ValueError):
         ou_jump_model(1.0, 0.3, 0.5, -1.0, 1.0)
     m = ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0)
-    # compensated drift -mu x + lam eta
-    assert m.drift(1.0, m.theta0) == pytest.approx(-0.5)
+    # compensated drift -mu x + lam eta, plus the compensator triple
+    coef = m.coefficients(1.0, m.theta0)
+    assert len(coef) == 9
+    assert coef[0] == pytest.approx(-0.5)
     m0 = ou_jump_model(1.0, 0.3, 0.5, 0.0, 1.0)
-    assert not m0.has_jumps
-    assert m0.drift(1.0, m0.theta0) == pytest.approx(-1.0)
+    assert not m0.has_jumps and m0.jump_kernel is None
+    coef0 = m0.coefficients(1.0, m0.theta0)
+    assert len(coef0) == 6
+    assert coef0[0] == pytest.approx(-1.0)
 
 
 def test_levy_factory_and_x_independence():
@@ -144,9 +153,9 @@ def test_levy_factory_and_x_independence():
     m = levy_model(0.1, 0.3, 0.5, 1.0)
     th = m.theta0
     xs = np.array([-2.0, 0.0, 5.0])
-    assert np.all(m.drift_dx(xs, th) == 0.0)
-    assert np.all(m.diffusion_dx(xs, th) == 0.0)
-    assert np.all(m.jump_dx(xs, 0.7, th) == 0.0)
+    _, _, a_x, b_x, _, _, _, comp_x, _ = m.coefficients(xs, th)
+    assert np.all(a_x == 0.0) and np.all(b_x == 0.0) and np.all(comp_x == 0.0)
+    assert np.all(m.jump_kernel(xs, 0.7, th)[1] == 0.0)
     # unit-mean driving jumps: intensity * mean jump = 1
     assert m.jump.compensator_mean == pytest.approx(1.0)
 
@@ -171,6 +180,11 @@ def _fd_x(fn, x, theta, h=1e-6):
     return (fn(x + h, theta) - fn(x - h, theta)) / (2 * h)
 
 
+def _entry(k, fn):
+    # entry k of a fused call, as a function of (x, theta)
+    return lambda x, th: fn(x, th)[k]
+
+
 @pytest.mark.parametrize(
     "factory, theta",
     [
@@ -181,43 +195,44 @@ def _fd_x(fn, x, theta, h=1e-6):
 )
 def test_closed_form_derivatives_match_finite_differences(factory, theta):
     model = factory()
+    # (value, x-derivative, theta-gradient) positions in the fused call
+    triples = [(0, 2, 4), (1, 3, 5)] + ([(6, 7, 8)] if model.has_jumps else [])
     for x in (-1.3, 0.7, 2.5):
-        assert model.drift_dx(x, theta) == pytest.approx(
-            _fd_x(model.drift, x, theta), abs=1e-6
-        )
-        assert model.diffusion_dx(x, theta) == pytest.approx(
-            _fd_x(model.diffusion, x, theta), abs=1e-6
-        )
-        for i in range(model.p):
-            assert model.drift_dtheta(x, theta)[i] == pytest.approx(
-                _fd_theta(model.drift, x, theta, i), abs=1e-6
-            )
-            assert model.diffusion_dtheta(x, theta)[i] == pytest.approx(
-                _fd_theta(model.diffusion, x, theta, i), abs=1e-6
-            )
+        coef = model.coefficients(x, theta)
+        for value, dx, dtheta in triples:
+            fn = _entry(value, model.coefficients)
+            assert coef[dx] == pytest.approx(_fd_x(fn, x, theta), abs=1e-6)
+            for i in range(model.p):
+                assert coef[dtheta][i] == pytest.approx(
+                    _fd_theta(fn, x, theta, i), abs=1e-6
+                )
         if model.has_jumps:
             for z in (0.5, -1.0):
-                kern = lambda xx, th: model.jump_kernel(xx, z, th)
+                c, c_x, c_th = model.jump_kernel(x, z, theta)
+                kern = lambda xx, th: model.jump_kernel(xx, z, th)[0]
+                assert c_x == pytest.approx(_fd_x(kern, x, theta), abs=1e-6)
                 for i in range(model.p):
-                    assert model.jump_dtheta(x, z, theta)[i] == pytest.approx(
+                    assert c_th[i] == pytest.approx(
                         _fd_theta(kern, x, theta, i), abs=1e-6
                     )
 
 
 def test_jump_compensators_match_sampled_means(ou_model, levy):
-    # E[c(x, Z, theta)] over the size law times intensity equals jump_comp
+    # E[c(x, Z, theta)] over the size law times intensity equals the
+    # compensator, and likewise for its theta-gradient
     rng = np.random.default_rng(1234)
     for model in (ou_model, levy):
         th = model.theta0
         z = model.jump.sampler(rng, 400_000)
         for x in (0.5, 2.0):
-            mc = model.jump.intensity * np.mean(model.jump_kernel(x, z, th))
-            se = model.jump.intensity * np.std(model.jump_kernel(x, z, th)) / np.sqrt(z.size)
-            assert abs(mc - model.jump_comp(x, th)) < 4 * se + 1e-12
-            mc_g = model.jump.intensity * np.mean(model.jump_dtheta(x, z, th), axis=1)
-            assert np.allclose(
-                mc_g, model.jump_dtheta_comp(x, th), atol=4 * se + 1e-3
-            )
+            c, _, c_th = model.jump_kernel(x, z, th)
+            comp, _, comp_th = model.coefficients(x, th)[6:]
+            mc = model.jump.intensity * np.mean(c)
+            se = model.jump.intensity * np.std(c) / np.sqrt(z.size)
+            assert abs(mc - comp) < 4 * se + 1e-12
+            lam = model.jump.intensity
+            mc_g = [lam * np.mean(np.broadcast_to(g, z.shape)) for g in c_th]
+            assert np.allclose(mc_g, comp_th, atol=4 * se + 1e-3)
 
 
 def test_box_membership():

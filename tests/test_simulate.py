@@ -8,7 +8,6 @@ from plugmc import (
     TimeGrid,
     SimulationBlowup,
     bs_small_noise_model,
-    build_derivative_system,
     coupled_paths,
     coupling_residual_supnorms,
     euler_path,
@@ -18,7 +17,7 @@ from plugmc import (
     simulate_batch,
     sup_norm_moment,
 )
-from plugmc.models import JumpDiffusionModel, grad_stack
+from plugmc.models import JumpDiffusionModel
 
 from conftest import EPS, THETA0
 
@@ -94,12 +93,7 @@ def constant_model():
         param_names=("c",),
         initial=lambda th: 2.5,
         initial_grad=lambda th: np.zeros(1),
-        drift=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        diffusion=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        diffusion_dx=lambda x, th: 0.0 * np.asarray(x, dtype=float),
-        drift_dtheta=lambda x, th: grad_stack(x, 0.0),
-        diffusion_dtheta=lambda x, th: grad_stack(x, 0.0),
+        coefficients=lambda x, th: (0.0, 0.0, 0.0, 0.0, (0.0,), (0.0,)),
         param_box=np.array([[-1.0, 1.0]]),
         growth_const=1.0,
         theta0=np.zeros(1),
@@ -193,11 +187,11 @@ def test_blowup_reports_step_index():
     m = bs_small_noise_model(4.9, 1.0, 0.0, 1.0)
     # huge drift with big dt: x' = 4.9 x explodes only if state overflows;
     # force overflow with an absurd grid by scaling through a custom model
+    def exploding(x, th):
+        return (x**3 * 1e300,) + m.coefficients(x, th)[1:]
+
     expl = JumpDiffusionModel(
-        **{
-            **{f: getattr(m, f) for f in m.__dataclass_fields__},
-            "drift": lambda x, th: np.asarray(x, dtype=float) ** 3 * 1e300,
-        }
+        **{**{f: getattr(m, f) for f in m.__dataclass_fields__}, "coefficients": exploding}
     )
     b = sample_noise(TimeGrid(1.0, 8), NO_JUMPS, path_seed(3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,18 +200,52 @@ def test_blowup_reports_step_index():
     assert err.value.step >= 1
 
 
-def test_coupled_paths_u_zero_identical(bs_model, bs_system):
+def overflowing_sensitivity_model():
+    # dX = K X dt from X_0 = theta = 0: X stays at 0 while its theta-derivative
+    # grows by 1 + K dt per step and overflows on the second step
+    k = 1e200
+    return JumpDiffusionModel(
+        name="stiff",
+        p=1,
+        param_names=("x0",),
+        initial=lambda th: th[0],
+        initial_grad=lambda th: np.ones(1),
+        coefficients=lambda x, th: (k * x, 0.0, k, 0.0, (0.0,), (0.0,)),
+        param_box=np.array([[-1.0, 1.0]]),
+        growth_const=k,
+        theta0=np.zeros(1),
+    )
+
+
+def test_blowup_in_sensitivity_or_shift_names_step_and_path():
+    m = overflowing_sensitivity_model()
+    grid = TimeGrid(1.0, 8)
+    theta = np.zeros(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # X alone stays finite
+        assert np.all(simulate_batch(m, theta, grid, 3, 4).x_terminal == 0.0)
+        with pytest.raises(SimulationBlowup, match=r"step 2 in Y \(path index 0\)") as err:
+            simulate_batch(m, theta, grid, 3, 4, want_y=True)
+        assert err.value.step == 2
+        b = sample_noise(grid, NO_JUMPS, path_seed(3, 0))
+        with pytest.raises(SimulationBlowup, match="in Y"):
+            coupled_paths(m, theta, np.zeros(1), b)
+        # the shifted path starts at 0.5 and overflows the same way
+        with pytest.raises(SimulationBlowup, match=r"step 2 in X_shift \(path index 0\)"):
+            simulate_batch(m, theta, grid, 3, 4, theta_shift=[0.5])
+
+
+def test_coupled_paths_u_zero_identical(bs_model):
     b = sample_noise(TimeGrid(1.0, 64), NO_JUMPS, path_seed(7, 5))
-    cp = coupled_paths(bs_model, bs_system, THETA0, np.zeros(2), b)
+    cp = coupled_paths(bs_model, THETA0, np.zeros(2), b)
     assert np.array_equal(cp.x, cp.x_shift)
 
 
 def test_levy_coupling_residual_below_1e10(levy):
-    sys_l = build_derivative_system(levy)
     u = np.array([0.05, -0.03, 0.02])
     for i in range(20):
         b = sample_noise(TimeGrid(1.0, 128), levy.jump, path_seed(13, i))
-        cp = coupled_paths(levy, sys_l, levy.theta0, u, b)
+        cp = coupled_paths(levy, levy.theta0, u, b)
         assert cp.residual_sup_norm(u) < 1e-10
 
 
@@ -234,26 +262,24 @@ def test_sup_norm_moment_trivial_and_scaling():
         sup_norm_moment(vals, 3)
 
 
-def test_residual_moment_drops_16x_when_u_halves(bs_model, bs_system):
+def test_residual_moment_drops_16x_when_u_halves(bs_model):
     grid = TimeGrid(1.0, 128)
     est = {}
     for h in (0.1, 0.05):
         sups = coupling_residual_supnorms(
-            bs_model, bs_system, THETA0, np.array([h, 0.0]), grid, 41, 400
+            bs_model, THETA0, np.array([h, 0.0]), grid, 41, 400
         )
         est[h], _ = sup_norm_moment(sups, 2)
     assert est[0.1] / est[0.05] == pytest.approx(16.0, rel=0.25)
 
 
-def test_batch_matches_single_path_bitwise(ou_model, ou_system):
+def test_batch_matches_single_path_bitwise(ou_model):
     # same seeds, same stepper: terminal states agree exactly
     grid = TimeGrid(1.0, 50)
-    res = simulate_batch(
-        ou_model, ou_model.theta0, grid, 77, 5, system=ou_system, chunk_size=2
-    )
+    res = simulate_batch(ou_model, ou_model.theta0, grid, 77, 5, want_y=True, chunk_size=2)
     for i in range(5):
         b = sample_noise(grid, ou_model.jump, path_seed(77, i))
-        cp = coupled_paths(ou_model, ou_system, ou_model.theta0, np.zeros(3), b)
+        cp = coupled_paths(ou_model, ou_model.theta0, np.zeros(3), b)
         assert res.x_terminal[i] == cp.x[-1]
         assert np.array_equal(res.y_terminal[i], cp.y[-1])
 
@@ -283,3 +309,13 @@ def test_path_seed_validation():
     with pytest.raises(ValueError):
         path_seed(-1, 0)
     assert path_seed(1, 2) == (1 << 64) | 2
+    # a half wider than 64 bits would alias a smaller seed: rejected
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        path_seed(2**64 + 5, 0)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        path_seed(5, 2**64)
+    assert path_seed(2**64 - 1, 2**64 - 1) == (1 << 128) - 1
+    # numpy integers give the same seed as Python ints; floats are refused
+    assert path_seed(np.uint64(5), np.int64(3)) == path_seed(5, 3)
+    with pytest.raises(TypeError):
+        path_seed(5.0, 0)
