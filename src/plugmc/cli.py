@@ -59,7 +59,7 @@ def cmd_simulate(args) -> int:
     writer.writerow(["path_id", "t", "X"] + [f"Y{i + 1}" for i in range(model.p)])
     for i in range(args.paths):
         bundle = sample_noise(grid, model.jump, path_seed(args.seed, i))
-        cp = coupled_paths(model, theta, np.zeros(model.p), bundle)
+        cp = coupled_paths(model, theta, None, bundle)
         for k, t in enumerate(times):
             writer.writerow([i, _fmt(t), _fmt(cp.x[k])] + [_fmt(v) for v in cp.y[k]])
     return 0

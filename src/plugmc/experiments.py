@@ -35,6 +35,7 @@ from .inference import (
     central_difference_gradient,
     confidence_interval,
     estimate_C,
+    information_inverse,
     ou_discounted_value,
 )
 from .models import NO_JUMPS, JumpDiffusionModel, bs_small_noise_model, levy_model, ou_jump_model
@@ -91,6 +92,16 @@ class ExperimentConfig:
             raise ValueError("n_paths_price must be >= 1000")
         if self.n_paths_price > PRICING_STRIDE:
             raise ValueError(f"n_paths_price must be <= {PRICING_STRIDE}")
+        if self.n_paths_correction > IDX_OBSERVATION - IDX_CORRECTION:
+            raise ValueError(
+                f"n_paths_correction must be <= {IDX_OBSERVATION - IDX_CORRECTION}: "
+                "more correction paths would overlap the observation seed block"
+            )
+        if self.replications > IDX_PRICING - IDX_OBSERVATION:
+            raise ValueError(
+                f"replications must be <= {IDX_PRICING - IDX_OBSERVATION}: "
+                "more observation paths would overlap the pricing seed block"
+            )
         if self.resolved_epsilon() <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -181,7 +192,11 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     rates = np.array([eps, 1.0 / np.sqrt(config.n_obs)])
     gamma_star = float(np.max(rates))
 
-    # True-parameter ingredients of the normalization.
+    # True-parameter ingredients of the normalization; the information is
+    # inverted first so that an unidentified parameter fails before any
+    # Monte Carlo pass.
+    info0 = fisher_info(model, theta0, deterministic_path(model, theta0, grid_obs))
+    info0_inv = information_inverse(model, info0)
     c0, c0_se = estimate_C(
         model,
         functional,
@@ -191,8 +206,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
         grid_price,
         start_index=IDX_CORRECTION,
     )
-    info0 = fisher_info(model, theta0, deterministic_path(model, theta0, grid_obs))
-    var0 = asymptotic_variance(c0, np.linalg.inv(info0), rates=rates)
+    var0 = asymptotic_variance(c0, info0_inv, rates=rates)
     h0 = bs_call_closed_form(
         theta0, eps, config.x0, config.strike, config.rate, config.horizon
     )
@@ -212,6 +226,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
             theta_hat = est.theta
             if est.info is None:
                 raise ValueError("degenerate estimate: sigma_hat = 0")
+            info_inv = information_inverse(model, est.info)
             c_hat, _, h_hat, h_se = estimate_C(
                 model,
                 functional,
@@ -223,7 +238,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
                 return_h=True,
             )
             z = float((h_hat - h0) / (gamma_star * denom0))
-            var_hat = asymptotic_variance(c_hat, np.linalg.inv(est.info), rates=rates)
+            var_hat = asymptotic_variance(c_hat, info_inv, rates=rates)
             ci = confidence_interval(h_hat, var_hat, gamma_star, config.alpha)
             covered = bool(ci[0] <= h0 <= ci[1])
         except (ValueError, RuntimeError) as exc:

@@ -44,6 +44,7 @@ __all__ = [
     "confidence_interval",
     "central_difference_gradient",
     "delta_method_variance",
+    "information_inverse",
     "build_report",
 ]
 
@@ -254,6 +255,37 @@ def delta_method_variance(h_fn, theta, sigma) -> float:
     return float(max(grad @ sigma @ grad, 0.0))
 
 
+def information_inverse(model: JumpDiffusionModel, info) -> Array:
+    """Inverse of the estimator's information matrix, checked up front.
+
+    Callers invert before any Monte Carlo pass, so a parameter the
+    observations carry no information about (for example the jump mean
+    eta of the ou model at jump intensity 0) fails at once.  A singular
+    matrix raises a ValueError naming the parameters with a component in
+    its null space.
+    """
+    info = np.asarray(info, dtype=float)
+    if info.shape != (model.p, model.p):
+        raise ValueError(
+            f"information matrix must have shape ({model.p}, {model.p}), got {info.shape}"
+        )
+    if not np.all(np.isfinite(info)):
+        raise ValueError(f"information matrix is not finite: {info.tolist()}")
+    try:
+        return np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        pass
+    _, s, vt = np.linalg.svd(info)
+    null = vt[s <= max(s[-1], s[0] * model.p * np.finfo(float).eps)]
+    names = [
+        name for k, name in enumerate(model.param_names) if np.any(np.abs(null[:, k]) > 1e-8)
+    ]
+    raise ValueError(
+        f"{model.name}: singular information matrix, parameter(s) "
+        f"{', '.join(names)} not identified"
+    )
+
+
 @dataclass(frozen=True)
 class InferenceReport:
     """Plug-in estimate with its asymptotic error decomposition."""
@@ -320,10 +352,10 @@ def build_report(
     """
     theta = np.asarray(theta, dtype=float)
     rates = np.asarray(rates, dtype=float)
+    info_inv = information_inverse(model, info)
     c_hat, c_se, h_hat, h_se = estimate_C(
         model, functional, theta, n_paths, root_seed, grid, return_h=True
     )
-    info_inv = np.linalg.inv(np.asarray(info, dtype=float))
     asy_var = asymptotic_variance(c_hat, info_inv, rates=rates)
     gamma_star = float(np.max(rates))
     ci = confidence_interval(h_hat, asy_var, gamma_star, alpha)

@@ -6,6 +6,12 @@ root in the high 64 bits, path counter in the low 64), so Monte Carlo
 batches are reproducible regardless of chunking or evaluation order, and
 a single path's driving noise can be regenerated in isolation.
 
+A batch does not build one generator per path: it re-keys a single
+Philox generator through its state setter (key = path seed, counter 0,
+empty output buffer, no cached 32-bit half), which yields exactly the
+stream of Generator(Philox(key=seed)) without the cost of constructing
+it.  What the noise layer still costs is the normal draws themselves.
+
 The Euler step applied everywhere (single paths and vectorized batches
 share one stepper) is
 
@@ -109,14 +115,19 @@ class Path:
 
 @dataclass(frozen=True)
 class CoupledPaths:
-    """(X at theta, X at theta + u, sensitivity Y at theta) on one grid."""
+    """(X at theta, X at theta + u, sensitivity Y at theta) on one grid.
+
+    x_shift is None when no shift u was given.
+    """
 
     grid: TimeGrid
     x: Array
-    x_shift: Array
+    x_shift: Array | None
     y: Array  # shape (steps + 1, p)
 
     def residual(self, u: Array) -> Array:
+        if self.x_shift is None:
+            raise ValueError("no shifted copy was simulated (u was None)")
         return self.x_shift - self.x - self.y @ np.asarray(u, dtype=float)
 
     def residual_sup_norm(self, u: Array) -> float:
@@ -148,32 +159,64 @@ def path_seed(root_seed: int, index: int) -> int:
     return (root_seed << 64) | index
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+_MASK64 = (1 << 64) - 1
 
 
-def _draw_noise(gen: np.random.Generator, grid: TimeGrid, jump: JumpSpec):
-    """Fixed draw order shared by single-bundle and batch generation."""
-    increments = gen.normal(0.0, np.sqrt(grid.dt), grid.steps)
+class _PathStreams:
+    """One Generator(Philox) re-keyed to each path seed in turn.
+
+    The state written by `at` is that of a freshly keyed generator: key
+    [seed & (2**64 - 1), seed >> 64], counter 0, an empty 4-word output
+    buffer (buffer_pos 4) and no cached 32-bit half (has_uint32 0), so a
+    partly used block of the previous path never leaks into the next one
+    and the stream equals Generator(Philox(key=seed)) bit for bit.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, seed: int) -> np.random.Generator:
+        self._key[0] = seed & _MASK64
+        self._key[1] = seed >> 64
+        self._bits.state = self._state  # the setter copies, the dict stays as built
+        return self._gen
+
+
+def _draw_noise(gen: np.random.Generator, grid: TimeGrid, jump: JumpSpec, sd: float):
+    """The one draw order of a path, shared by sample_noise and batches.
+
+    Returns the grid's N(0, dt) Brownian increments (sd = sqrt(dt)) and,
+    for a jump law with positive intensity, the sorted jump times and
+    their sizes (None, None otherwise).
+    """
+    increments = gen.normal(0.0, sd, grid.steps)
     if jump.intensity > 0:
         count = int(gen.poisson(jump.intensity * grid.horizon))
         times = np.sort(gen.uniform(0.0, grid.horizon, count))
-        sizes = jump.sampler(gen, count)
-    else:
-        times = np.empty(0)
-        sizes = np.empty(0)
-    return increments, times, sizes
+        return increments, times, jump.sampler(gen, count)
+    return increments, None, None
 
 
 def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
     """Realize Brownian increments and compound-Poisson jumps for one path."""
-    increments, times, sizes = _draw_noise(_generator(seed), grid, jump)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    increments, times, sizes = _draw_noise(gen, grid, jump, np.sqrt(grid.dt))
     return NoiseBundle(
         seed=seed,
         grid=grid,
         brownian_increments=increments,
-        jump_times=times,
-        jump_sizes=sizes,
+        jump_times=np.empty(0) if times is None else times,
+        jump_sizes=np.empty(0) if sizes is None else sizes,
     )
 
 
@@ -219,7 +262,7 @@ def _step_block(
     model: JumpDiffusionModel,
     theta: Array,
     grid: TimeGrid,
-    increments: Array,  # (steps, m), one column per step after transpose
+    increments: Array,  # (steps, m), one column per path
     jumps,  # output of _flat_jumps or None
     *,
     want_y: bool = False,
@@ -384,10 +427,14 @@ def euler_path(model: JumpDiffusionModel, theta, noise: NoiseBundle) -> Path:
 
 
 def coupled_paths(model: JumpDiffusionModel, theta, u, noise: NoiseBundle) -> CoupledPaths:
-    """Advance (X at theta, X at theta + u, Y at theta) from one noise bundle."""
+    """Advance (X at theta, X at theta + u, Y at theta) from one noise bundle.
+
+    u=None advances X and Y alone; x_shift is then None.
+    """
     theta = model.require_theta(theta)
-    u = np.asarray(u, dtype=float)
-    theta_shift = model.require_theta(theta + u)
+    theta_shift = None
+    if u is not None:
+        theta_shift = model.require_theta(theta + np.asarray(u, dtype=float))
     inc = noise.brownian_increments[:, None]
     _, recorded = _step_block(
         model,
@@ -401,7 +448,10 @@ def coupled_paths(model: JumpDiffusionModel, theta, u, noise: NoiseBundle) -> Co
     )
     rec_x, rec_xs, rec_y = recorded
     return CoupledPaths(
-        grid=noise.grid, x=rec_x[:, 0], x_shift=rec_xs[:, 0], y=rec_y[:, :, 0]
+        grid=noise.grid,
+        x=rec_x[:, 0],
+        x_shift=None if rec_xs is None else rec_xs[:, 0],
+        y=rec_y[:, :, 0],
     )
 
 
@@ -430,30 +480,40 @@ def simulate_batch(
         theta_shift = model.require_theta(theta_shift)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    first_seed = path_seed(root_seed, start_index)
+    last_index = operator.index(start_index) + n_paths - 1
+    if last_index >> 64:
+        raise ValueError(f"path indices {start_index}..{last_index} run past 2**64 - 1")
 
+    streams = _PathStreams()
+    sd = np.sqrt(grid.dt)
+    jump = model.jump
+    has_jumps = model.has_jumps
+    # one column per path, reused by every chunk; the last one takes a view
+    buffer = np.empty((grid.steps, min(chunk_size, n_paths)))
     pieces: list[BatchResult] = []
     done = 0
     while done < n_paths:
         m = min(chunk_size, n_paths - done)
-        increments = np.empty((m, grid.steps))
+        increments = buffer[:, :m]
         times_list = []
         sizes_list = []
         for i in range(m):
-            gen = _generator(path_seed(root_seed, start_index + done + i))
-            inc, times, sizes = _draw_noise(gen, grid, model.jump)
-            increments[i] = inc
-            times_list.append(times)
-            sizes_list.append(sizes)
+            gen = streams.at(first_seed + done + i)
+            increments[:, i], times, sizes = _draw_noise(gen, grid, jump, sd)
+            if has_jumps:
+                times_list.append(times)
+                sizes_list.append(sizes)
         jumps = (
             _flat_jumps(times_list, sizes_list, grid.dt, grid.steps)
-            if model.has_jumps
+            if has_jumps
             else None
         )
         res, _ = _step_block(
             model,
             theta,
             grid,
-            np.ascontiguousarray(increments.T),
+            increments,
             jumps,
             want_y=want_y,
             theta_shift=theta_shift,

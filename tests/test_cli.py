@@ -139,6 +139,31 @@ def test_price_with_external_estimator_inputs(tmp_path, capsys):
     assert out["asy_var"] == pytest.approx(expected_var, rel=1e-9)
 
 
+def test_price_unidentified_parameter_fails_before_simulating(tmp_path, monkeypatch):
+    # at jump intensity 0 the ou observations say nothing about eta; this
+    # used to simulate every path and then die in a bare LinAlgError
+    import plugmc.inference
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before the information was checked")
+
+    monkeypatch.setattr(plugmc.inference, "simulate_batch", no_simulation)
+    cfg = {
+        "model": "ou",
+        "params": [1.0, 0.3, 0.5],
+        "x0": 1.0,
+        "epsilon": 0.1,
+        "jump": {"intensity": 0.0},
+        "functional": {"kind": "discounted_integral", "T": 1.0, "delta": 0.05},
+        "B": 1000,
+        "n": 50,
+    }
+    path = tmp_path / "ou_no_jumps.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=r"parameter\(s\) eta not identified"):
+        main(["price", "--config", str(path)])
+
+
 @pytest.fixture
 def experiment_config(tmp_path):
     cfg = {

@@ -69,6 +69,32 @@ def test_config_validation():
         ExperimentConfig.from_dict({"theta0": [0.2, 1.0], "nope": 3})
 
 
+def test_config_rejects_overlapping_seed_blocks():
+    from plugmc.experiments import IDX_OBSERVATION, IDX_PRICING
+
+    # correction paths take indices 0.., observation paths 2**40 + r
+    ExperimentConfig(theta0=(0.2, 1.0), n_paths_correction=IDX_OBSERVATION)
+    with pytest.raises(ValueError, match="overlap the observation seed block"):
+        ExperimentConfig(theta0=(0.2, 1.0), n_paths_correction=IDX_OBSERVATION + 1)
+    ExperimentConfig(theta0=(0.2, 1.0), replications=IDX_PRICING - IDX_OBSERVATION)
+    with pytest.raises(ValueError, match="overlap the pricing seed block"):
+        ExperimentConfig(
+            theta0=(0.2, 1.0), replications=IDX_PRICING - IDX_OBSERVATION + 1
+        )
+
+
+def test_bs_experiment_singular_information_fails_before_monte_carlo(monkeypatch):
+    import plugmc.experiments as exp
+
+    def no_pricing(*args, **kwargs):
+        raise AssertionError("Monte Carlo pass started before the information was checked")
+
+    monkeypatch.setattr(exp, "fisher_info", lambda *args: np.diag([1.0, 0.0]))
+    monkeypatch.setattr(exp, "estimate_C", no_pricing)
+    with pytest.raises(ValueError, match=r"parameter\(s\) sigma not identified"):
+        run_bs_experiment(ExperimentConfig(**FAST))
+
+
 def test_bs_experiment_rows_and_summary():
     cfg = ExperimentConfig(**FAST)
     out = run_bs_experiment(cfg)

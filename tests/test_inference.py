@@ -311,3 +311,25 @@ def test_report_names_non_finite_field():
     ]:
         with pytest.raises(ValueError, match=f"{field} is not finite"):
             InferenceReport(**{**good, field: bad})
+
+
+def test_build_report_checks_information_before_monte_carlo(bs_model, call_functional, monkeypatch):
+    import plugmc.inference
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before the information was checked")
+
+    monkeypatch.setattr(plugmc.inference, "simulate_batch", no_simulation)
+    args = (bs_model, call_functional, THETA0, np.array([EPS, 1 / np.sqrt(500)]))
+    rest = dict(n_paths=1_000, root_seed=1, grid=GRID)
+    for info, names in [
+        (np.diag([1.0, 0.0]), "sigma"),
+        (np.zeros((2, 2)), "mu, sigma"),
+        (np.ones((2, 2)), "mu, sigma"),  # only mu + sigma is identified
+    ]:
+        with pytest.raises(ValueError, match=rf"parameter\(s\) {names} not identified"):
+            build_report(*args, info, **rest)
+    with pytest.raises(ValueError, match="shape"):
+        build_report(*args, np.eye(3), **rest)
+    with pytest.raises(ValueError, match="not finite"):
+        build_report(*args, np.diag([1.0, np.nan]), **rest)

@@ -1,8 +1,12 @@
 """Noise sampling, Euler stepping, coupling and batch consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import plugmc.simulate
 from plugmc import (
     NO_JUMPS,
     TimeGrid,
@@ -11,13 +15,15 @@ from plugmc import (
     coupled_paths,
     coupling_residual_supnorms,
     euler_path,
+    levy_model,
     ou_jump_model,
     path_seed,
     sample_noise,
     simulate_batch,
     sup_norm_moment,
 )
-from plugmc.models import JumpDiffusionModel
+from plugmc.models import JumpDiffusionModel, JumpSpec
+from plugmc.simulate import NoiseBundle
 
 from conftest import EPS, THETA0
 
@@ -319,3 +325,115 @@ def test_path_seed_validation():
     assert path_seed(np.uint64(5), np.int64(3)) == path_seed(5, 3)
     with pytest.raises(TypeError):
         path_seed(5.0, 0)
+
+
+def test_coupled_paths_without_shift(ou_model):
+    # u=None skips X_shift; X and Y are those of the coupled run
+    b = sample_noise(TimeGrid(1.0, 32), ou_model.jump, path_seed(7, 5))
+    full = coupled_paths(ou_model, ou_model.theta0, np.zeros(3), b)
+    bare = coupled_paths(ou_model, ou_model.theta0, None, b)
+    assert bare.x_shift is None
+    assert np.array_equal(bare.x, full.x) and np.array_equal(bare.y, full.y)
+    with pytest.raises(ValueError, match="no shifted copy"):
+        bare.residual(np.zeros(3))
+
+
+def test_batch_index_range_checked_before_any_draw(bs_model, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("noise drawn before the index range was checked")
+
+    monkeypatch.setattr(plugmc.simulate, "_draw_noise", no_draw)
+    grid = TimeGrid(1.0, 4)
+    # the last path index would be 2**64: rejected up front
+    with pytest.raises(ValueError, match=r"run past 2\*\*64 - 1"):
+        simulate_batch(bs_model, THETA0, grid, 1, 5, start_index=2**64 - 4)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        simulate_batch(bs_model, THETA0, grid, 2**64, 1)
+
+
+def _odd_uint32_sizes(rng, count):
+    # 2 * count + 1 float32 uniforms: an odd number of 32-bit draws, so
+    # every path ends with half a 64-bit word cached in the generator
+    u = rng.random(2 * count + 1, dtype=np.float32)
+    return u[:count].astype(float) - 0.5
+
+
+PROPERTY_MODELS = {
+    "bs": bs_small_noise_model(0.2, 1.0, 0.1, 1.0),
+    "ou": ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0),
+    "levy": levy_model(0.1, 0.3, 0.5, 1.0),
+    "ou_uint32": replace(
+        ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0),
+        jump=JumpSpec(intensity=2.0, mean=0.0, sampler=_odd_uint32_sizes),
+    ),
+}
+
+
+def _recording(model, counts):
+    if not model.has_jumps:
+        return model
+    sampler = model.jump.sampler
+
+    def record(rng, count):
+        counts.append(count)
+        return sampler(rng, count)
+
+    return replace(model, jump=replace(model.jump, sampler=record))
+
+
+def _fresh_generator_path(model, grid, seed):
+    # path from its own Generator(Philox(key=seed)) in the documented draw
+    # order: increments, then jump count, sorted times and sizes
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    increments = gen.normal(0.0, np.sqrt(grid.dt), grid.steps)
+    times = sizes = np.empty(0)
+    if model.has_jumps:
+        count = int(gen.poisson(model.jump.intensity * grid.horizon))
+        times = np.sort(gen.uniform(0.0, grid.horizon, count))
+        sizes = model.jump.sampler(gen, count)
+    bundle = NoiseBundle(seed, grid, increments, times, sizes)
+    return coupled_paths(model, model.theta0, None, bundle), times.size
+
+
+@st.composite
+def batch_layouts(draw):
+    n_paths = draw(st.integers(1, 12))
+    start = draw(
+        st.one_of(
+            st.integers(0, 2**40),
+            st.integers(2**64 - n_paths - 3, 2**64 - n_paths),
+        )
+    )
+    return n_paths, start, draw(st.integers(1, 8))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(PROPERTY_MODELS)),
+    layout=batch_layouts(),
+    root=st.integers(0, 2**64 - 1),
+    steps=st.integers(1, 12),
+)
+@example(name="ou_uint32", layout=(7, 2**64 - 7, 3), root=2**64 - 1, steps=5)
+def test_rekeyed_batch_matches_fresh_generator_per_path(name, layout, root, steps):
+    # One re-keyed generator per batch gives each path exactly the stream of
+    # its own fresh Philox generator, at any chunking and any start index up
+    # to the top of the 64-bit counter.  A buffered word or a cached 32-bit
+    # half left over from the previous path would change X, Y or the jumps.
+    n_paths, start, chunk_size = layout
+    counts = []
+    model = _recording(PROPERTY_MODELS[name], counts)
+    grid = TimeGrid(1.0, steps)
+    res = simulate_batch(
+        model, model.theta0, grid, root, n_paths,
+        start_index=start, want_y=True, chunk_size=chunk_size,
+    )
+    batch_counts = list(counts)
+    ref_counts = []
+    for i in range(n_paths):
+        cp, n_jumps = _fresh_generator_path(model, grid, path_seed(root, start + i))
+        assert res.x_terminal[i] == cp.x[-1]
+        assert np.array_equal(res.y_terminal[i], cp.y[-1])
+        ref_counts.append(n_jumps)
+    if model.has_jumps:
+        assert batch_counts == ref_counts
