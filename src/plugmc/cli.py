@@ -37,6 +37,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -59,7 +66,7 @@ def cmd_simulate(args) -> int:
     writer.writerow(["path_id", "t", "X"] + [f"Y{i + 1}" for i in range(model.p)])
     for i in range(args.paths):
         bundle = sample_noise(grid, model.jump, path_seed(args.seed, i))
-        cp = coupled_paths(model, theta, None, bundle)
+        cp = coupled_paths(model, theta, bundle)
         for k, t in enumerate(times):
             writer.writerow([i, _fmt(t), _fmt(cp.x[k])] + [_fmt(v) for v in cp.y[k]])
     return 0
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=500)
     p_sim.add_argument("--T", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--paths", type=int, default=1)
+    p_sim.add_argument("--paths", type=_positive_int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate parameters from a CSV path")

@@ -8,10 +8,10 @@ X, with coefficients
 
 and initial value equal to the theta-gradient of the initial condition.
 All of them come from the model's `coefficients` and `jump_kernel` calls,
-and the Euler stepper in `simulate` advances Y with X.  Simulating (X, Y)
-jointly on one noise bundle makes X^{theta+u} - X^theta - u.Y small
-pathwise (order |u|^2 in sup norm), which is what the order check below
-measures.
+and the Euler stepper in `simulate` advances Y with X.  On shared noise,
+X^{theta+u} - X^theta - u.Y is small pathwise (order |u|^2 in sup norm);
+the order check below measures it from two recorded batches on the same
+seeds, (X, Y) at theta and X alone at theta + u.
 
 For the mean-reverting jump model the system solves in closed form; that
 solution, discretized on the simulation grid, is the cross-validation
@@ -20,8 +20,6 @@ oracle for the Euler-coupled route.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +33,6 @@ __all__ = [
     "ou_derivative_closed_form",
     "order_check",
     "OrderCheckResult",
-    "order_check_csv",
 ]
 
 
@@ -105,12 +102,6 @@ class OrderCheckResult:
     stderrs: Array
     slope: float
 
-    def rows(self):
-        return [
-            (float(u), float(m), float(s))
-            for u, m, s in zip(self.magnitudes, self.moments, self.stderrs)
-        ]
-
 
 def order_check(
     model: JumpDiffusionModel,
@@ -142,13 +133,3 @@ def order_check(
         direction=direction, magnitudes=mags, moments=moments, stderrs=stderrs, slope=slope
     )
 
-
-def order_check_csv(results) -> str:
-    """CSV rows (direction, |u|, moment estimate, stderr) for order checks."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["direction", "u_abs", "moment", "stderr"])
-    for res in results:
-        for u, m, s in res.rows():
-            writer.writerow([res.direction, repr(u), repr(m), repr(s)])
-    return buf.getvalue()

@@ -104,6 +104,8 @@ class ExperimentConfig:
             )
         if self.resolved_epsilon() <= 0:
             raise ValueError("epsilon must be positive")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def resolved_epsilon(self) -> float:
         if isinstance(self.epsilon, str):
@@ -428,10 +430,24 @@ def write_experiment_outputs(output: ExperimentOutput, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_PARAM_NAMES = {
+    "bs": ("mu", "sigma"),
+    "ou": ("mu", "sigma", "eta"),
+    "levy": ("mu", "sigma", "eta"),
+}
+
+
 def model_from_config(raw: dict) -> JumpDiffusionModel:
     """Build a model from {model, params, epsilon, x0, jump:{intensity, mean}}."""
     name = raw.get("model")
+    if name not in _PARAM_NAMES:
+        raise ValueError(f"unknown model {name!r} (expected bs, ou or levy)")
     params = [float(v) for v in raw.get("params", ())]
+    if len(params) != len(_PARAM_NAMES[name]):
+        raise ValueError(
+            f"model {name!r} takes {len(_PARAM_NAMES[name])} params "
+            f"({', '.join(_PARAM_NAMES[name])}), got {len(params)}"
+        )
     x0 = float(raw.get("x0", 1.0))
     jump = raw.get("jump", {})
     if name == "bs":
@@ -443,10 +459,8 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
         if mean is not None and float(mean) != eta:
             raise ValueError("jump.mean must equal the eta parameter for the ou model")
         return ou_jump_model(mu, sigma, eta, float(jump.get("intensity", 1.0)), x0)
-    if name == "levy":
-        mu, sigma, eta = params
-        return levy_model(mu, sigma, eta, x0)
-    raise ValueError(f"unknown model {name!r} (expected bs, ou or levy)")
+    mu, sigma, eta = params
+    return levy_model(mu, sigma, eta, x0)
 
 
 def functional_from_config(raw: dict) -> Functional:

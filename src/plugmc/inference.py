@@ -341,17 +341,21 @@ def build_report(
     *,
     alpha: float = 0.05,
     h_true: float | None = None,
-    true_denominator: float | None = None,
 ) -> InferenceReport:
     """Assemble the plug-in report at theta.
 
     The correction vector is estimated from the same seeded paths as the
     plug-in mean (common random numbers).  z_hat is filled when the true
-    functional value is supplied; its denominator defaults to the
-    theta-based variance unless a fixed true-parameter one is given.
+    functional value is supplied, with the theta-based variance in its
+    denominator.  The rates, alpha and the information are checked before
+    any Monte Carlo pass.
     """
     theta = np.asarray(theta, dtype=float)
     rates = np.asarray(rates, dtype=float)
+    if rates.shape != (model.p,):
+        raise ValueError(f"rates must have shape ({model.p},), got {rates.shape}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     info_inv = information_inverse(model, info)
     c_hat, c_se, h_hat, h_se = estimate_C(
         model, functional, theta, n_paths, root_seed, grid, return_h=True
@@ -361,8 +365,7 @@ def build_report(
     ci = confidence_interval(h_hat, asy_var, gamma_star, alpha)
     z_hat = None
     if h_true is not None:
-        denom = true_denominator if true_denominator is not None else np.sqrt(asy_var)
-        z_hat = float((h_hat - h_true) / (gamma_star * denom))
+        z_hat = float((h_hat - h_true) / (gamma_star * np.sqrt(asy_var)))
     return InferenceReport(
         theta=theta,
         h_hat=h_hat,

@@ -31,6 +31,11 @@ same noise by differentiating that step, one generic line per term:
 with every coefficient from one `model.coefficients` call per step, so
 the Euler iterates of Y are the exact theta-derivatives of the Euler
 iterates of X.
+
+The stepper advances one theta at a time.  A run can record its full
+paths; the coupling residual X^{theta+u} - X^theta - u.Y comes from two
+recorded runs on the same seeds, (X, Y) at theta and X alone at
+theta + u.
 """
 
 from __future__ import annotations
@@ -115,23 +120,11 @@ class Path:
 
 @dataclass(frozen=True)
 class CoupledPaths:
-    """(X at theta, X at theta + u, sensitivity Y at theta) on one grid.
-
-    x_shift is None when no shift u was given.
-    """
+    """(X, sensitivity Y) at one theta on one grid; y has shape (steps + 1, p)."""
 
     grid: TimeGrid
     x: Array
-    x_shift: Array | None
-    y: Array  # shape (steps + 1, p)
-
-    def residual(self, u: Array) -> Array:
-        if self.x_shift is None:
-            raise ValueError("no shifted copy was simulated (u was None)")
-        return self.x_shift - self.x - self.y @ np.asarray(u, dtype=float)
-
-    def residual_sup_norm(self, u: Array) -> float:
-        return float(np.max(np.abs(self.residual(u))))
+    y: Array
 
 
 class SimulationBlowup(RuntimeError):
@@ -229,8 +222,9 @@ def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
 class BatchResult:
     """Streaming per-path reductions over a batch of simulated paths.
 
-    Arrays are per path; Y-blocks have shape (B, p).  Fields are None when
-    the corresponding quantity was not requested.
+    Arrays are per path; Y-blocks have shape (B, p).  x_path (steps + 1, B)
+    and y_path (steps + 1, p, B) are the recorded paths.  Fields are None
+    when the corresponding quantity was not requested.
     """
 
     x_terminal: Array
@@ -239,8 +233,8 @@ class BatchResult:
     y_terminal: Array | None = None
     trap_y: Array | None = None
     disc_vy: Array | None = None
-    x_shift_terminal: Array | None = None
-    residual_sup: Array | None = None
+    x_path: Array | None = None
+    y_path: Array | None = None
 
 
 def _flat_jumps(times_list, sizes_list, dt, n_steps):
@@ -266,18 +260,16 @@ def _step_block(
     jumps,  # output of _flat_jumps or None
     *,
     want_y: bool = False,
-    theta_shift: Array | None = None,
     disc: float | None = None,  # discount rate delta of int e^{-delta t} X dt
     want_trap: bool = False,
     record: bool = False,
     path_offset: int = 0,
-):
+) -> BatchResult:
     """Advance a block of m paths over the full grid.
 
-    Returns (BatchResult, recorded) where recorded is (x, x_shift, y) full
-    path arrays when record=True (small blocks only), y of shape
-    (steps + 1, p, m).  Raises SimulationBlowup at the first step where X,
-    Y or X_shift turns non-finite.
+    record=True keeps the full paths in x_path and y_path (small blocks
+    only).  Raises SimulationBlowup at the first step where X or Y turns
+    non-finite.
     """
     n, m = increments.shape
     dt = grid.dt
@@ -289,9 +281,6 @@ def _step_block(
     if want_y:
         y0 = np.asarray(model.initial_grad(theta), dtype=float)
         y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
-    xs = None
-    if theta_shift is not None:
-        xs = np.full(m, float(model.initial(theta_shift)))
 
     if want_trap:
         trap_x = x * (0.5 * dt)
@@ -301,22 +290,13 @@ def _step_block(
         disc_v = disc_w[0] * x * (0.5 * dt)
         disc_vy = disc_w[0] * y * (0.5 * dt) if y is not None else None
 
-    res_sup = None
-    if xs is not None and y is not None:
-        u = theta_shift - theta
-        res_sup = np.abs(xs - x - u @ y)
-
+    rec_x = rec_y = None
     if record:
         rec_x = np.empty((n + 1, m))
         rec_x[0] = x
-        rec_y = None
         if y is not None:
             rec_y = np.empty((n + 1, p, m))
             rec_y[0] = y
-        rec_xs = None
-        if xs is not None:
-            rec_xs = np.empty((n + 1, m))
-            rec_xs[0] = xs
 
     for k in range(n):
         dw = increments[k]
@@ -338,28 +318,18 @@ def _step_block(
                     row = row - (comp_x * yp[j] + comp_th[j]) * dt
                 y[j] = row
 
-        if xs is not None:
-            xs_prev = xs
-            coef_s = model.coefficients(xs_prev, theta_shift)
-            xs = xs_prev + coef_s[0] * dt + coef_s[1] * dw
-            if has_jumps:
-                xs = xs - coef_s[6] * dt
-
         if jumps is not None:
             steps_j, paths_j, sizes_j, bounds = jumps
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:
                 pj = paths_j[lo:hi]
-                zj = sizes_j[lo:hi]
-                c, c_x, c_th = model.jump_kernel(x_prev[pj], zj, theta)
+                c, c_x, c_th = model.jump_kernel(x_prev[pj], sizes_j[lo:hi], theta)
                 np.add.at(x, pj, c)
                 if y is not None:
                     for j in range(p):
                         np.add.at(y[j], pj, c_x * yp[j, pj] + c_th[j])
-                if xs is not None:
-                    np.add.at(xs, pj, model.jump_kernel(xs_prev[pj], zj, theta_shift)[0])
 
-        for label, state in (("X", x), ("Y", y), ("X_shift", xs)):
+        for label, state in (("X", x), ("Y", y)):
             if state is not None and not np.isfinite(state).all():
                 finite = np.isfinite(state).reshape(-1, m).all(axis=0)
                 bad = int(np.flatnonzero(~finite)[0])
@@ -377,35 +347,27 @@ def _step_block(
             disc_v = disc_v + w * x
             if disc_vy is not None:
                 disc_vy = disc_vy + w * y
-        if res_sup is not None:
-            np.maximum(res_sup, np.abs(xs - x - u @ y), out=res_sup)
 
         if record:
             rec_x[k + 1] = x
             if rec_y is not None:
                 rec_y[k + 1] = y
-            if rec_xs is not None:
-                rec_xs[k + 1] = xs
 
     def per_path(block):
         # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
         # summation order of the reductions over paths (mean(axis=0))
         return None if block is None else np.ascontiguousarray(block.T)
 
-    result = BatchResult(
+    return BatchResult(
         x_terminal=x,
         trap_x=trap_x if want_trap else None,
         trap_y=per_path(trap_y) if want_trap else None,
         disc_v=disc_v if disc is not None else None,
         disc_vy=per_path(disc_vy) if disc is not None else None,
         y_terminal=per_path(y),
-        x_shift_terminal=xs,
-        residual_sup=res_sup,
+        x_path=rec_x,
+        y_path=rec_y,
     )
-    recorded = None
-    if record:
-        recorded = (rec_x, rec_xs, rec_y)
-    return result, recorded
 
 
 def _bundle_jumps(bundle: NoiseBundle):
@@ -416,43 +378,24 @@ def _bundle_jumps(bundle: NoiseBundle):
     )
 
 
+def _step_bundle(model: JumpDiffusionModel, theta, noise: NoiseBundle, want_y: bool):
+    theta = model.require_theta(theta)
+    inc = noise.brownian_increments[:, None]
+    return _step_block(
+        model, theta, noise.grid, inc, _bundle_jumps(noise), want_y=want_y, record=True
+    )
+
+
 def euler_path(model: JumpDiffusionModel, theta, noise: NoiseBundle) -> Path:
     """Euler-Maruyama path of X under theta on the bundle's grid."""
-    theta = model.require_theta(theta)
-    inc = noise.brownian_increments[:, None]
-    _, recorded = _step_block(
-        model, theta, noise.grid, inc, _bundle_jumps(noise), record=True
-    )
-    return Path(grid=noise.grid, values=recorded[0][:, 0])
+    res = _step_bundle(model, theta, noise, want_y=False)
+    return Path(grid=noise.grid, values=res.x_path[:, 0])
 
 
-def coupled_paths(model: JumpDiffusionModel, theta, u, noise: NoiseBundle) -> CoupledPaths:
-    """Advance (X at theta, X at theta + u, Y at theta) from one noise bundle.
-
-    u=None advances X and Y alone; x_shift is then None.
-    """
-    theta = model.require_theta(theta)
-    theta_shift = None
-    if u is not None:
-        theta_shift = model.require_theta(theta + np.asarray(u, dtype=float))
-    inc = noise.brownian_increments[:, None]
-    _, recorded = _step_block(
-        model,
-        theta,
-        noise.grid,
-        inc,
-        _bundle_jumps(noise),
-        want_y=True,
-        theta_shift=theta_shift,
-        record=True,
-    )
-    rec_x, rec_xs, rec_y = recorded
-    return CoupledPaths(
-        grid=noise.grid,
-        x=rec_x[:, 0],
-        x_shift=None if rec_xs is None else rec_xs[:, 0],
-        y=rec_y[:, :, 0],
-    )
+def coupled_paths(model: JumpDiffusionModel, theta, noise: NoiseBundle) -> CoupledPaths:
+    """Advance X and its sensitivity Y at theta from one noise bundle."""
+    res = _step_bundle(model, theta, noise, want_y=True)
+    return CoupledPaths(grid=noise.grid, x=res.x_path[:, 0], y=res.y_path[:, :, 0])
 
 
 def simulate_batch(
@@ -464,7 +407,7 @@ def simulate_batch(
     *,
     start_index: int = 0,
     want_y: bool = False,
-    theta_shift=None,
+    record: bool = False,
     disc: float | None = None,
     want_trap: bool = False,
     chunk_size: int = 4096,
@@ -472,12 +415,10 @@ def simulate_batch(
     """Simulate n_paths seeded paths and return streaming reductions.
 
     Path i uses seed path_seed(root_seed, start_index + i); results are
-    identical for any chunk_size.  want_y adds the sensitivity Y; see
-    _step_block for what else is tracked.
+    identical for any chunk_size.  want_y adds the sensitivity Y; record
+    keeps the full paths (small batches only); see _step_block.
     """
     theta = model.require_theta(theta)
-    if theta_shift is not None:
-        theta_shift = model.require_theta(theta_shift)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     first_seed = path_seed(root_seed, start_index)
@@ -509,24 +450,24 @@ def simulate_batch(
             if has_jumps
             else None
         )
-        res, _ = _step_block(
+        res = _step_block(
             model,
             theta,
             grid,
             increments,
             jumps,
             want_y=want_y,
-            theta_shift=theta_shift,
             disc=disc,
             want_trap=want_trap,
+            record=record,
             path_offset=done,
         )
         pieces.append(res)
         done += m
 
-    def cat(attr):
+    def cat(attr, axis=0):
         vals = [getattr(p, attr) for p in pieces]
-        return None if vals[0] is None else np.concatenate(vals)
+        return None if vals[0] is None else np.concatenate(vals, axis=axis)
 
     return BatchResult(
         x_terminal=cat("x_terminal"),
@@ -535,29 +476,26 @@ def simulate_batch(
         y_terminal=cat("y_terminal"),
         trap_y=cat("trap_y"),
         disc_vy=cat("disc_vy"),
-        x_shift_terminal=cat("x_shift_terminal"),
-        residual_sup=cat("residual_sup"),
+        x_path=cat("x_path", axis=-1),
+        y_path=cat("y_path", axis=-1),
     )
 
 
 def coupling_residual_supnorms(
     model: JumpDiffusionModel, theta, u, grid: TimeGrid, root_seed: int, n_paths: int
 ) -> Array:
-    """Sup-norm over grid nodes of X^{theta+u} - X^theta - u.Y per path."""
+    """Sup-norm over grid nodes of X^{theta+u} - X^theta - u.Y per path.
+
+    Two recorded batches on the same seeds: (X, Y) at theta, X at theta + u.
+    """
     if n_paths < 100:
         raise ValueError("need at least 100 paths for a usable moment estimate")
     theta = np.asarray(theta, dtype=float)
     u = np.asarray(u, dtype=float)
-    res = simulate_batch(
-        model,
-        theta,
-        grid,
-        root_seed,
-        n_paths,
-        want_y=True,
-        theta_shift=theta + u,
-    )
-    return res.residual_sup
+    base = simulate_batch(model, theta, grid, root_seed, n_paths, want_y=True, record=True)
+    shifted = simulate_batch(model, theta + u, grid, root_seed, n_paths, record=True)
+    residual = shifted.x_path - base.x_path - u @ base.y_path  # (steps + 1, B)
+    return np.max(np.abs(residual), axis=0)
 
 
 def sup_norm_moment(residual_sup_norms: Array, p: float) -> tuple[float, float]:

@@ -6,6 +6,8 @@ from plugmc import (
     TimeGrid,
     Path,
     bs_small_noise_model,
+    coupled_paths,
+    euler_path,
     levy_model,
     ou_jump_model,
 )
@@ -49,3 +51,10 @@ def call_functional():
 def make_path(values, horizon=1.0):
     values = np.asarray(values, dtype=float)
     return Path(grid=TimeGrid(horizon, values.size - 1), values=values)
+
+
+def coupling_residual_sup(model, theta, u, noise):
+    """Sup norm of X^{theta+u} - X^theta - u.Y on one noise bundle."""
+    cp = coupled_paths(model, theta, noise)
+    shifted = euler_path(model, np.asarray(theta) + u, noise).values
+    return float(np.max(np.abs(shifted - cp.x - cp.y @ u)))

@@ -38,7 +38,6 @@ from plugmc import (
     bs_call_closed_form,
     bs_closed_form,
     bs_small_noise_model,
-    coupled_paths,
     delta_method_variance,
     estimate_C,
     euler_path,
@@ -53,6 +52,8 @@ from plugmc import (
     run_ou_oracle,
     sample_noise,
 )
+
+from conftest import coupling_residual_sup
 
 THETA0 = np.array([0.2, 1.0])
 N_OBS = 500
@@ -260,8 +261,7 @@ def test_criterion_4_ou_slope_and_exact_directions():
         u[d] = 2.0**-3
         for i in range(50):
             b = sample_noise(grid, model.jump, path_seed(59, i))
-            cp = coupled_paths(model, model.theta0, u, b)
-            worst = max(worst, cp.residual_sup_norm(u))
+            worst = max(worst, coupling_residual_sup(model, model.theta0, u, b))
     ok = abs(slope - 4.0) <= 0.6 and worst < 1e-10
     report("4 (ou order)", bool(ok), f"mu-slope={slope:.3f}, affine residual={worst:.2e}")
     assert abs(slope - 4.0) <= 0.6
@@ -275,8 +275,7 @@ def test_criterion_4_levy_exact():
     worst = 0.0
     for i in range(50):
         b = sample_noise(grid, model.jump, path_seed(61, i))
-        cp = coupled_paths(model, model.theta0, u, b)
-        worst = max(worst, cp.residual_sup_norm(u))
+        worst = max(worst, coupling_residual_sup(model, model.theta0, u, b))
     ok = worst < 1e-10
     report("4 (levy exact)", bool(ok), f"residual={worst:.2e} (<1e-10)")
     assert worst < 1e-10

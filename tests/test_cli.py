@@ -46,6 +46,15 @@ def test_simulate_ou_has_three_sensitivities(capsys):
     assert out.split("\n")[0] == "path_id,t,X,Y1,Y2,Y3"
 
 
+@pytest.mark.parametrize("paths", ["0", "-2"])
+def test_simulate_rejects_nonpositive_paths(paths, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(SIM_ARGS[:-1] + [paths])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert f"argument --paths: must be >= 1, got {int(paths)}" in captured.err
+
+
 def test_estimate_round_trip(tmp_path, capsys):
     data = run_cli(
         ["simulate", "--model", "bs", "--params", "0.2,1.0",

@@ -17,10 +17,9 @@ from plugmc import (
     path_seed,
     sample_noise,
 )
-from plugmc.derivative import order_check_csv
 from plugmc.models import JumpDiffusionModel
 
-from conftest import EPS, THETA0
+from conftest import EPS, THETA0, coupling_residual_sup
 
 
 def test_composition_matches_independent_expressions(bs_model):
@@ -66,14 +65,14 @@ def theta_free_model():
 def test_theta_free_model_keeps_initial_gradient():
     m = theta_free_model()
     b = sample_noise(TimeGrid(1.0, 32), NO_JUMPS, path_seed(2, 2))
-    cp = coupled_paths(m, np.zeros(2), np.zeros(2), b)
+    cp = coupled_paths(m, np.zeros(2), b)
     assert np.allclose(cp.y, np.tile([0.4, -0.2], (33, 1)))
 
 
 def test_levy_derivative_is_time_brownian_jumpsum(levy):
     grid = TimeGrid(1.0, 100)
     b = sample_noise(grid, levy.jump, path_seed(19, 3))
-    cp = coupled_paths(levy, levy.theta0, np.zeros(3), b)
+    cp = coupled_paths(levy, levy.theta0, b)
     t = grid.times()
     w = np.concatenate([[0.0], np.cumsum(b.brownian_increments)])
     s = np.zeros(grid.steps + 1)
@@ -88,12 +87,12 @@ def test_euler_y_is_derivative_of_euler_x(bs_model):
     # central difference of the Euler map in theta reproduces Euler Y to O(h^2)
     b = sample_noise(TimeGrid(1.0, 64), NO_JUMPS, path_seed(23, 1))
     h = 1e-4
-    cp = coupled_paths(bs_model, THETA0, np.zeros(2), b)
+    cp = coupled_paths(bs_model, THETA0, b)
     for i in range(2):
         u = np.zeros(2)
         u[i] = h
-        up = coupled_paths(bs_model, THETA0, u, b).x_shift
-        um = coupled_paths(bs_model, THETA0, -u, b).x_shift
+        up = euler_path(bs_model, THETA0 + u, b).values
+        um = euler_path(bs_model, THETA0 - u, b).values
         fd = (up - um) / (2 * h)
         assert np.max(np.abs(fd - cp.y[:, i])) < 1e-6
 
@@ -123,7 +122,7 @@ def test_y_is_derivative_of_euler_x_at_random_theta(name, unit, seed):
     lo, hi = box[:, 0] + 2.0 * h, box[:, 1] - 2.0 * h
     theta = lo + np.asarray(unit[: model.p]) * (hi - lo)
     noise = sample_noise(TimeGrid(1.0, 50), model.jump, path_seed(seed, 0))
-    y = coupled_paths(model, theta, np.zeros(model.p), noise).y
+    y = coupled_paths(model, theta, noise).y
     scale = 1.0 + np.max(np.abs(y))
     for i in range(model.p):
         step = np.zeros(model.p)
@@ -179,7 +178,7 @@ def test_ou_closed_form_cross_checks_euler_system(ou_model):
         diffs = []
         for i in range(60):
             b = sample_noise(grid, ou_model.jump, path_seed(37, i))
-            cp = coupled_paths(ou_model, theta, np.zeros(3), b)
+            cp = coupled_paths(ou_model, theta, b)
             ycf = ou_derivative_closed_form(theta, b, 1.0)
             diffs.append(np.max(np.abs(cp.y - ycf)))
         rms[n] = np.sqrt(np.mean(np.square(diffs)))
@@ -217,18 +216,5 @@ def test_ou_affine_directions_are_exact(ou_model):
         u[direction] = 0.05
         for i in range(10):
             b = sample_noise(grid, ou_model.jump, path_seed(59, i))
-            cp = coupled_paths(ou_model, ou_model.theta0, u, b)
-            assert cp.residual_sup_norm(u) < 1e-10
+            assert coupling_residual_sup(ou_model, ou_model.theta0, u, b) < 1e-10
 
-
-def test_order_check_csv_emission(bs_model):
-    res = order_check(
-        bs_model, THETA0, TimeGrid(1.0, 32), 0, root_seed=61, n_paths=100,
-        exponents=range(3, 6),
-    )
-    text = order_check_csv([res])
-    lines = text.strip().split("\n")
-    assert lines[0] == "direction,u_abs,moment,stderr"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.125

@@ -67,6 +67,11 @@ def test_config_validation():
     assert cfg.resolved_epsilon() == pytest.approx(0.05)
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"theta0": [0.2, 1.0], "nope": 3})
+    # alpha = 1.5 used to run the correction and every pricing pass, then
+    # fail with "30 of 30 replications failed"
+    for alpha in (0.0, 1.0, 1.5, -0.05, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            ExperimentConfig(theta0=(0.2, 1.0), alpha=alpha)
 
 
 def test_config_rejects_overlapping_seed_blocks():
@@ -225,6 +230,16 @@ def test_model_from_config_variants():
     assert levy.name == "levy"
     with pytest.raises(ValueError, match="unknown model"):
         model_from_config({"model": "heston", "params": []})
+    # a wrong count used to end in a bare "not enough values to unpack"
+    for name, params, expected in [
+        ("bs", [0.2], "model 'bs' takes 2 params (mu, sigma), got 1"),
+        ("bs", [0.2, 1.0, 0.5], "model 'bs' takes 2 params (mu, sigma), got 3"),
+        ("ou", [1.0, 0.3], "model 'ou' takes 3 params (mu, sigma, eta), got 2"),
+        ("levy", [], "model 'levy' takes 3 params (mu, sigma, eta), got 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            model_from_config({"model": name, "params": params, "epsilon": 0.05})
+        assert str(err.value) == expected
 
 
 def test_functional_from_config():

@@ -193,7 +193,7 @@ def test_batch_reductions_match_path_evaluations(ou_model, kind, kwargs):
 
     for i in range(6):
         b = sample_noise(grid, ou_model.jump, path_seed(71, i))
-        cp = coupled_paths(ou_model, ou_model.theta0, np.zeros(3), b)
+        cp = coupled_paths(ou_model, ou_model.theta0, b)
         path = make_path(cp.x)
         assert h_batch[i] == pytest.approx(eval_functional(f, path), rel=1e-10)
         assert np.allclose(g_batch[i], pathwise_gradient(f, path, cp.y), rtol=1e-10)

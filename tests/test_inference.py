@@ -333,3 +333,25 @@ def test_build_report_checks_information_before_monte_carlo(bs_model, call_funct
         build_report(*args, np.eye(3), **rest)
     with pytest.raises(ValueError, match="not finite"):
         build_report(*args, np.diag([1.0, np.nan]), **rest)
+
+
+def test_build_report_checks_rates_and_alpha_before_monte_carlo(
+    bs_model, call_functional, monkeypatch
+):
+    # a rates vector of the wrong length, or alpha outside (0, 1), used to
+    # simulate every path first and fail afterwards
+    import plugmc.inference
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before rates and alpha were checked")
+
+    monkeypatch.setattr(plugmc.inference, "simulate_batch", no_simulation)
+    rest = dict(n_paths=1_000, root_seed=1, grid=GRID)
+    info = np.eye(2)
+    for rates in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match=r"rates must have shape \(2,\)"):
+            build_report(bs_model, call_functional, THETA0, np.array(rates), info, **rest)
+    rates = np.array([EPS, 1 / np.sqrt(500)])
+    for alpha in (0.0, 1.0, 1.5, -0.05, np.nan):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            build_report(bs_model, call_functional, THETA0, rates, info, alpha=alpha, **rest)

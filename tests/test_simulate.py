@@ -25,7 +25,7 @@ from plugmc import (
 from plugmc.models import JumpDiffusionModel, JumpSpec
 from plugmc.simulate import NoiseBundle
 
-from conftest import EPS, THETA0
+from conftest import EPS, THETA0, coupling_residual_sup
 
 
 def test_grid_validation():
@@ -223,7 +223,7 @@ def overflowing_sensitivity_model():
     )
 
 
-def test_blowup_in_sensitivity_or_shift_names_step_and_path():
+def test_blowup_in_sensitivity_names_step_and_path():
     m = overflowing_sensitivity_model()
     grid = TimeGrid(1.0, 8)
     theta = np.zeros(1)
@@ -235,24 +235,14 @@ def test_blowup_in_sensitivity_or_shift_names_step_and_path():
         assert err.value.step == 2
         b = sample_noise(grid, NO_JUMPS, path_seed(3, 0))
         with pytest.raises(SimulationBlowup, match="in Y"):
-            coupled_paths(m, theta, np.zeros(1), b)
-        # the shifted path starts at 0.5 and overflows the same way
-        with pytest.raises(SimulationBlowup, match=r"step 2 in X_shift \(path index 0\)"):
-            simulate_batch(m, theta, grid, 3, 4, theta_shift=[0.5])
-
-
-def test_coupled_paths_u_zero_identical(bs_model):
-    b = sample_noise(TimeGrid(1.0, 64), NO_JUMPS, path_seed(7, 5))
-    cp = coupled_paths(bs_model, THETA0, np.zeros(2), b)
-    assert np.array_equal(cp.x, cp.x_shift)
+            coupled_paths(m, theta, b)
 
 
 def test_levy_coupling_residual_below_1e10(levy):
     u = np.array([0.05, -0.03, 0.02])
     for i in range(20):
         b = sample_noise(TimeGrid(1.0, 128), levy.jump, path_seed(13, i))
-        cp = coupled_paths(levy, levy.theta0, u, b)
-        assert cp.residual_sup_norm(u) < 1e-10
+        assert coupling_residual_sup(levy, levy.theta0, u, b) < 1e-10
 
 
 def test_sup_norm_moment_trivial_and_scaling():
@@ -279,13 +269,39 @@ def test_residual_moment_drops_16x_when_u_halves(bs_model):
     assert est[0.1] / est[0.05] == pytest.approx(16.0, rel=0.25)
 
 
+def test_batch_residuals_match_single_paths(ou_model):
+    # two recorded batches on shared seeds give each path's single-path residual
+    grid = TimeGrid(1.0, 32)
+    u = np.array([0.05, 0.0, 0.0])
+    sups = coupling_residual_supnorms(ou_model, ou_model.theta0, u, grid, 43, 100)
+    assert sups.shape == (100,) and np.all(sups > 0)
+    for i in range(5):
+        b = sample_noise(grid, ou_model.jump, path_seed(43, i))
+        assert sups[i] == pytest.approx(
+            coupling_residual_sup(ou_model, ou_model.theta0, u, b), rel=1e-9
+        )
+
+
+def test_recorded_batch_matches_single_paths_across_chunks(ou_model):
+    grid = TimeGrid(1.0, 20)
+    res = simulate_batch(
+        ou_model, ou_model.theta0, grid, 77, 5, want_y=True, record=True, chunk_size=2
+    )
+    assert res.x_path.shape == (21, 5) and res.y_path.shape == (21, 3, 5)
+    for i in range(5):
+        b = sample_noise(grid, ou_model.jump, path_seed(77, i))
+        cp = coupled_paths(ou_model, ou_model.theta0, b)
+        assert np.array_equal(res.x_path[:, i], cp.x)
+        assert np.array_equal(res.y_path[:, :, i], cp.y)
+
+
 def test_batch_matches_single_path_bitwise(ou_model):
     # same seeds, same stepper: terminal states agree exactly
     grid = TimeGrid(1.0, 50)
     res = simulate_batch(ou_model, ou_model.theta0, grid, 77, 5, want_y=True, chunk_size=2)
     for i in range(5):
         b = sample_noise(grid, ou_model.jump, path_seed(77, i))
-        cp = coupled_paths(ou_model, ou_model.theta0, np.zeros(3), b)
+        cp = coupled_paths(ou_model, ou_model.theta0, b)
         assert res.x_terminal[i] == cp.x[-1]
         assert np.array_equal(res.y_terminal[i], cp.y[-1])
 
@@ -325,17 +341,6 @@ def test_path_seed_validation():
     assert path_seed(np.uint64(5), np.int64(3)) == path_seed(5, 3)
     with pytest.raises(TypeError):
         path_seed(5.0, 0)
-
-
-def test_coupled_paths_without_shift(ou_model):
-    # u=None skips X_shift; X and Y are those of the coupled run
-    b = sample_noise(TimeGrid(1.0, 32), ou_model.jump, path_seed(7, 5))
-    full = coupled_paths(ou_model, ou_model.theta0, np.zeros(3), b)
-    bare = coupled_paths(ou_model, ou_model.theta0, None, b)
-    assert bare.x_shift is None
-    assert np.array_equal(bare.x, full.x) and np.array_equal(bare.y, full.y)
-    with pytest.raises(ValueError, match="no shifted copy"):
-        bare.residual(np.zeros(3))
 
 
 def test_batch_index_range_checked_before_any_draw(bs_model, monkeypatch):
@@ -392,7 +397,7 @@ def _fresh_generator_path(model, grid, seed):
         times = np.sort(gen.uniform(0.0, grid.horizon, count))
         sizes = model.jump.sampler(gen, count)
     bundle = NoiseBundle(seed, grid, increments, times, sizes)
-    return coupled_paths(model, model.theta0, None, bundle), times.size
+    return coupled_paths(model, model.theta0, bundle), times.size
 
 
 @st.composite
