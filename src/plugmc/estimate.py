@@ -242,13 +242,15 @@ def deterministic_path(model: JumpDiffusionModel, theta, grid: TimeGrid) -> Path
 def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
     """Information matrix of the contrast along the noise-free limit path.
 
-    Diagonal with entries (per parameter k)
+    The full p x p matrix
 
-        I_kk = int (da/dtheta_k / btilde)^2 ds
-               + 1/2 int (d btilde^2/dtheta_k / btilde^2)^2 ds,
+        I = int a_theta a_theta^T / btilde^2 ds
+            + 2 int btilde_theta btilde_theta^T / btilde^2 ds,
 
-    integrated by the trapezoid rule over the driver path; a parameter
-    entering only the drift or only the diffusion picks up one term.
+    integrated entry by entry by the trapezoid rule over the driver path.
+    Parameters whose gradients are linearly dependent along the path (two
+    parameters entering the drift identically, say) give a singular matrix;
+    `inference.information_inverse` names them.
     """
     theta = np.asarray(theta, dtype=float)
     x = driver.values
@@ -256,9 +258,13 @@ def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
     _, btilde, a_th, b_dot = _unit_coefficients(model, x, theta)
     if np.any(btilde == 0):
         raise ValueError("diffusion coefficient vanishes along the driver path")
-    entries = np.empty(model.p)
+    drift = [g / btilde for g in a_th]
+    diff = [2.0 * g / btilde for g in b_dot]
+    info = np.empty((model.p, model.p))
     for k in range(model.p):
-        drift_part = np.trapezoid((a_th[k] / btilde) ** 2, t)
-        diff_part = 0.5 * np.trapezoid((2.0 * b_dot[k] / btilde) ** 2, t)
-        entries[k] = drift_part + diff_part
-    return np.diag(entries)
+        for j in range(k, model.p):
+            info[k, j] = info[j, k] = (
+                np.trapezoid(drift[k] * drift[j], t)
+                + 0.5 * np.trapezoid(diff[k] * diff[j], t)
+            )
+    return info

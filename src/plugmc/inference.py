@@ -260,9 +260,12 @@ def information_inverse(model: JumpDiffusionModel, info) -> Array:
 
     Callers invert before any Monte Carlo pass, so a parameter the
     observations carry no information about (for example the jump mean
-    eta of the ou model at jump intensity 0) fails at once.  A singular
-    matrix raises a ValueError naming the parameters with a component in
-    its null space.
+    eta of the ou model at jump intensity 0, or mu and eta of the levy
+    model, which enter the drift identically) fails at once.  A matrix
+    that is singular to working precision (a singular value at or below
+    p * machine epsilon times the largest) raises a ValueError naming the
+    parameters with a component in its null space; inverting it instead
+    would give a variance made of rounding error.
     """
     info = np.asarray(info, dtype=float)
     if info.shape != (model.p, model.p):
@@ -271,12 +274,10 @@ def information_inverse(model: JumpDiffusionModel, info) -> Array:
         )
     if not np.all(np.isfinite(info)):
         raise ValueError(f"information matrix is not finite: {info.tolist()}")
-    try:
-        return np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        pass
     _, s, vt = np.linalg.svd(info)
-    null = vt[s <= max(s[-1], s[0] * model.p * np.finfo(float).eps)]
+    null = vt[s <= s[0] * model.p * np.finfo(float).eps]
+    if not len(null):
+        return np.linalg.inv(info)
     names = [
         name for k, name in enumerate(model.param_names) if np.any(np.abs(null[:, k]) > 1e-8)
     ]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from plugmc import (
     NO_JUMPS,
@@ -14,10 +15,13 @@ from plugmc import (
     deterministic_path,
     euler_path,
     fisher_info,
+    levy_model,
     minimize_contrast,
+    ou_jump_model,
     path_seed,
     sample_noise,
 )
+from plugmc.inference import information_inverse
 from plugmc.models import JumpDiffusionModel
 
 from conftest import EPS, N_OBS, THETA0
@@ -214,6 +218,49 @@ def test_fisher_doubling_drift_gradient_quadruples_entry():
     i_scaled = fisher_info(scaled, THETA0, driver)
     assert i_scaled[0, 0] == pytest.approx(4 * i_base[0, 0], rel=1e-12)
     assert i_scaled[1, 1] == pytest.approx(i_base[1, 1], rel=1e-12)
+
+
+def _quadrature_info(a_th, b_th, btilde, horizon):
+    # entry by entry, int a_k a_j / btilde^2 + 2 int b_k b_j / btilde^2 on
+    # [0, horizon]; each argument is a function of time
+    p = len(a_th)
+    info = np.empty((p, p))
+    for k in range(p):
+        for j in range(p):
+            info[k, j] = quad(
+                lambda t: (a_th[k](t) * a_th[j](t) + 2.0 * b_th[k](t) * b_th[j](t))
+                / btilde(t) ** 2,
+                0.0,
+                horizon,
+            )[0]
+    return info
+
+
+def test_fisher_full_matrix_matches_quadrature_of_outer_product():
+    # ou: a_theta = (-x, 0, lam) couples mu and eta through the drift; the
+    # limit path is the exact ODE solution, so the Euler-path trapezoid
+    # agrees to O(dt)
+    mu, sigma, eta, lam = 1.0, 0.3, 0.5, 1.0
+    ou = ou_jump_model(mu, sigma, eta, lam, 1.0)
+    level = lam * eta / mu
+    x = lambda t: level + (1.0 - level) * np.exp(-mu * t)  # noqa: E731
+    zero, one = (lambda t: 0.0), (lambda t: 1.0)
+    exact = _quadrature_info(
+        (lambda t: -x(t), zero, lambda t: lam), (zero, one, zero), lambda t: sigma, 1.0
+    )
+    info = fisher_info(ou, ou.theta0, deterministic_path(ou, ou.theta0, GRID))
+    assert exact[0, 2] == pytest.approx(-9.07, abs=0.01)
+    np.testing.assert_allclose(info, exact, rtol=5e-3, atol=1e-12)
+    assert np.min(np.linalg.eigvalsh(info)) == pytest.approx(0.055, abs=0.002)
+
+    # levy: a_theta = (1, 0, 1) makes the matrix exactly singular, which
+    # the diagonal alone hid
+    levy = levy_model(0.1, sigma, eta, 1.0)
+    exact = _quadrature_info((one, zero, one), (zero, one, zero), lambda t: sigma, 1.0)
+    info = fisher_info(levy, levy.theta0, deterministic_path(levy, levy.theta0, GRID))
+    np.testing.assert_allclose(info, exact, rtol=1e-12)
+    with pytest.raises(ValueError, match=r"parameter\(s\) mu, eta not identified"):
+        information_inverse(levy, info)
 
 
 def test_zero_diffusion_rejected():
