@@ -6,7 +6,10 @@ Subcommands:
   price       plug-in Monte Carlo value with confidence interval, JSON out
   experiment  replicated study driver, writes CSV/JSON artifacts
 
-All outputs are deterministic given the config and seed.
+All outputs are deterministic given the config and seed.  An input the
+program rejects (a ValueError raised by a command) is reported as
+`plugmc <command>: error: <message>` on standard error, with exit code 2,
+the code argparse uses for its own usage errors.
 """
 
 from __future__ import annotations
@@ -50,10 +53,12 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.epsilon is not None and args.model != "bs":
+        raise ValueError(f"model {args.model!r} takes no --epsilon (only bs has a noise scale)")
     config = {
         "model": args.model,
         "params": [float(v) for v in args.params.split(",")],
-        "epsilon": args.epsilon,
+        "epsilon": 1.0 if args.epsilon is None else args.epsilon,
         "x0": args.x0,
     }
     if args.jump_intensity is not None:
@@ -175,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="emit seeded (X, Y) paths as CSV")
     p_sim.add_argument("--model", required=True, choices=["bs", "ou", "levy"])
     p_sim.add_argument("--params", required=True, help="comma-separated theta")
-    p_sim.add_argument("--epsilon", type=float, default=1.0)
+    p_sim.add_argument("--epsilon", type=float, default=None, help="bs noise scale (1.0)")
     p_sim.add_argument("--x0", type=float, default=1.0)
     p_sim.add_argument("--jump-intensity", type=float, default=None)
     p_sim.add_argument("--n", type=int, default=500)
@@ -209,7 +214,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.out = sys.stdout
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"plugmc {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

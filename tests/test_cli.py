@@ -55,6 +55,35 @@ def test_simulate_rejects_nonpositive_paths(paths, capsys):
     assert f"argument --paths: must be >= 1, got {int(paths)}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--params", "0.2"], "model 'bs' takes 2 params (mu, sigma), got 1"),
+        (["--params", "0.2,1.0", "--n", "0"], "steps must be >= 1, got 0"),
+    ],
+)
+def test_simulate_input_error_exits_2_without_traceback(args, message, capsys):
+    assert main(["simulate", "--model", "bs"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"plugmc simulate: error: {message}\n"
+
+
+@pytest.mark.parametrize("model", ["ou", "levy"])
+def test_simulate_rejects_epsilon_for_models_without_noise_scale(model, capsys):
+    base = ["simulate", "--model", model, "--params", "1.0,0.3,0.5", "--n", "5"]
+    assert main(base + ["--epsilon", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"plugmc simulate: error: model '{model}' takes no --epsilon" in captured.err
+    assert run_cli(base, capsys).startswith("path_id,t,X,Y1,Y2,Y3\n")
+
+
+def test_simulate_bs_epsilon_defaults_to_one(capsys):
+    base = ["simulate", "--model", "bs", "--params", "0.2,1.0", "--n", "5", "--seed", "3"]
+    assert run_cli(base, capsys) == run_cli(base + ["--epsilon", "1.0"], capsys)
+
+
 def test_estimate_round_trip(tmp_path, capsys):
     data = run_cli(
         ["simulate", "--model", "bs", "--params", "0.2,1.0",
@@ -148,7 +177,7 @@ def test_price_with_external_estimator_inputs(tmp_path, capsys):
     assert out["asy_var"] == pytest.approx(expected_var, rel=1e-9)
 
 
-def test_price_unidentified_parameter_fails_before_simulating(tmp_path, monkeypatch):
+def test_price_unidentified_parameter_fails_before_simulating(tmp_path, monkeypatch, capsys):
     # at jump intensity 0 the ou observations say nothing about eta; this
     # used to simulate every path and then die in a bare LinAlgError
     import plugmc.inference
@@ -169,8 +198,13 @@ def test_price_unidentified_parameter_fails_before_simulating(tmp_path, monkeypa
     }
     path = tmp_path / "ou_no_jumps.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(ValueError, match=r"parameter\(s\) eta not identified"):
-        main(["price", "--config", str(path)])
+    assert main(["price", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "plugmc price: error: ou_jump: singular information matrix, "
+        "parameter(s) eta not identified\n"
+    )
 
 
 @pytest.fixture

@@ -20,8 +20,6 @@ import hashlib
 import io
 import json
 
-import pytest
-
 from plugmc.cli import main
 
 EPS = "0.04472135954999579"
@@ -103,11 +101,14 @@ def _outputs(tmp_path) -> dict:
     levy_price = {"model": "levy", "params": [0.1, 0.3, 0.5], "x0": 1.0,
                   "B": 1000, "seed": 4, "n": 100,
                   "functional": {"kind": "terminal", "T": 1.0}}
-    with pytest.raises(
-        ValueError,
-        match=r"^levy: singular information matrix, parameter\(s\) mu, eta not identified$",
-    ):
-        main(["price", "--config", _write_json(tmp_path / "levy.json", levy_price)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["price", "--config", _write_json(tmp_path / "levy.json", levy_price)])
+    assert code == 2
+    assert err.getvalue() == (
+        "plugmc price: error: levy: singular information matrix, "
+        "parameter(s) mu, eta not identified\n"
+    )
 
     study = {"kind": "bs", "theta0": [0.2, 1.0], "n_obs": 50,
              "n_paths_price": 1000, "n_paths_correction": 2000,
