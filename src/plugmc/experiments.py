@@ -40,7 +40,7 @@ from .inference import (
 )
 from .models import NO_JUMPS, JumpDiffusionModel, bs_small_noise_model, levy_model, ou_jump_model
 from .normal import norm_cdf, norm_ppf
-from .simulate import TimeGrid, euler_path, path_seed, sample_noise
+from .simulate import BLOCK_PATHS, TimeGrid, euler_path, path_seed, sample_noise
 
 Array = np.ndarray
 
@@ -61,6 +61,26 @@ IDX_CORRECTION = 0
 IDX_OBSERVATION = 1 << 40
 IDX_PRICING = 1 << 41
 PRICING_STRIDE = 1 << 21  # max pricing paths per replication
+
+
+def _check_block_alignment(block_paths: int) -> None:
+    """Raise unless every seed block starts on a noise-block boundary.
+
+    Then each study batch starts at row 0 of a noise block and draws no
+    rows that belong to another seed block.
+    """
+    for name, value in (
+        ("IDX_OBSERVATION", IDX_OBSERVATION),
+        ("IDX_PRICING", IDX_PRICING),
+        ("PRICING_STRIDE", PRICING_STRIDE),
+    ):
+        if value % block_paths:
+            raise ValueError(
+                f"{name} = {value} is not a multiple of the noise block size {block_paths}"
+            )
+
+
+_check_block_alignment(BLOCK_PATHS)
 
 
 @dataclass(frozen=True)

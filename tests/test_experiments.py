@@ -16,12 +16,17 @@ from plugmc import (
     write_experiment_outputs,
 )
 from plugmc.experiments import (
+    IDX_OBSERVATION,
+    IDX_PRICING,
+    PRICING_STRIDE,
+    _check_block_alignment,
     functional_from_config,
     histogram_csv,
     model_from_config,
     qq_csv,
     replications_csv,
 )
+from plugmc.simulate import BLOCK_PATHS
 
 FAST = dict(
     theta0=(0.2, 1.0),
@@ -253,3 +258,11 @@ def test_functional_from_config():
     assert g.discount == 0.05
     with pytest.raises(ValueError, match="unknown integrand 'square'"):
         functional_from_config({"kind": "discounted_integral", "T": 1.0, "V": "square"})
+
+
+def test_seed_blocks_align_to_noise_blocks():
+    for value in (IDX_OBSERVATION, IDX_PRICING, PRICING_STRIDE):
+        assert value % BLOCK_PATHS == 0
+    _check_block_alignment(BLOCK_PATHS)
+    with pytest.raises(ValueError, match="IDX_OBSERVATION = 1099511627776 is not a multiple"):
+        _check_block_alignment(3)

@@ -13,6 +13,11 @@ information matrix is singular.
 The digests belong to one floating-point environment (numpy 2.x on
 x86-64); a different libm or BLAS may legitimately change the last bits.
 A change of the random bitstreams must re-record them once, on purpose.
+They were last re-recorded for the block-keyed noise layout (path i is
+row i mod BLOCK_PATHS of a Philox block stream, jumps drawn per block)
+together with the factored tangent step for Y.  `estimate_bs` kept its
+digest: it reads only X of path 0, which is row 0 of block 0 and draws
+the same normals as before.
 """
 
 import contextlib
@@ -25,19 +30,19 @@ from plugmc.cli import main
 EPS = "0.04472135954999579"
 
 GOLDEN = {
-    "simulate_bs": "558177b40c84880fbf53d2b7ece94012931dd14918c179685d6e757e17030ad3",
-    "simulate_ou_jumps": "19647cdfa0c97a606056efec55a2b238bc83c3c5b9503b998358941e19d19878",
-    "simulate_levy": "6cd61f5290b0a16c761ebc3e650be2cae290471cc741b8096250ff5cd0b313f6",
+    "simulate_bs": "d9f3f866e37eeb71012891153e151a36bf50c589efa11f4d686ca51fb580a42f",
+    "simulate_ou_jumps": "f54e933393f812ed15aec5ea3ba53d3b58a3b64d5880f2fa5de4829668f0892e",
+    "simulate_levy": "94ae01ba2a53a023589f120ba63a1c92a5383e3e94ed81e0155a76e42d709eee",
     "estimate_bs": "789a3e74e84ee45a611d3cc6a4c63afa3746483c895af9447ebbd2052494e101",
-    "price_bs_call": "9cec76e973db75a55ed4c5351452a703c5b7fbdfa0c3a0a4006ea9d66aa3eda2",
-    "price_bs_average_call": "ae73587bfcbe61e8b9d96252922263009142dabede657356060a9845b94cab4f",
-    "price_ou_discounted": "b904fcb6e299f9266d9cca0c880851febf08103ef6fc1318a2d72764a4a02373",
-    "experiment_bs_stdout": "87ff4c8789655403ef00fc0b838859542c2bba6a74d565cfe4d98a59fedd7aba",
-    "experiment_bs_replications.csv": "29c54eccd73e9ff142dde38896e648700263c6a7d088c3564ab2fe2feaf9e22d",
-    "experiment_bs_summary.json": "87ff4c8789655403ef00fc0b838859542c2bba6a74d565cfe4d98a59fedd7aba",
-    "experiment_bs_qq.csv": "63d15cf2c0ad454380f1b8d96191bca25cae6cc55037cf5beba64ca481cc2328",
-    "experiment_bs_histogram.csv": "a2d92a4733f5483e4718f89bcf6af89959ccb2432901e09f17f160ba8a1724b0",
-    "experiment_ou_oracle": "4d7e4761bc6d7d4a128a519eeb1ace30f7c528f736fab120008737c042cebcff",
+    "price_bs_call": "a33ea553440a5e606475bcb18b97545be05cc075783733b33c6d98aa8fca714e",
+    "price_bs_average_call": "1dc6ec3bba34022a008e667641d70b7798d3d0d5ba2a0bc9ae52ee09abc05b16",
+    "price_ou_discounted": "87b355bb83edd9738bc44cdfeec78f2897e87db26617dbe07f15d63641b35aa8",
+    "experiment_bs_stdout": "ab5936b6049f778b888ed111bb1a85b28c890bfc7da43e64150e8efc1f12f7c5",
+    "experiment_bs_replications.csv": "9f4f6ed71206bbfdbf453b5e935f7bc19db42dd90793f6399c66645977ff031e",
+    "experiment_bs_summary.json": "ab5936b6049f778b888ed111bb1a85b28c890bfc7da43e64150e8efc1f12f7c5",
+    "experiment_bs_qq.csv": "958e1458a64609dc15c525bc909c0be74efb98124f1afd394b257d3fe5f50b2a",
+    "experiment_bs_histogram.csv": "707a7463302fdd86abd41c2c238f6440c002b50ff9af2e24f39648f45fd95a7b",
+    "experiment_ou_oracle": "62b092a6aa056c9506e47f3dd091e739fab7ce8d4aac8659c214d4493a9b5ee3",
 }
 
 

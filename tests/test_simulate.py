@@ -23,7 +23,7 @@ from plugmc import (
     sup_norm_moment,
 )
 from plugmc.models import JumpDiffusionModel, JumpSpec
-from plugmc.simulate import NoiseBundle
+from plugmc.simulate import BLOCK_PATHS, NoiseBundle
 
 from conftest import EPS, THETA0, coupling_residual_sup
 
@@ -347,7 +347,7 @@ def test_batch_index_range_checked_before_any_draw(bs_model, monkeypatch):
     def no_draw(*args):
         raise AssertionError("noise drawn before the index range was checked")
 
-    monkeypatch.setattr(plugmc.simulate, "_draw_noise", no_draw)
+    monkeypatch.setattr(plugmc.simulate, "_draw_block", no_draw)
     grid = TimeGrid(1.0, 4)
     # the last path index would be 2**64: rejected up front
     with pytest.raises(ValueError, match=r"run past 2\*\*64 - 1"):
@@ -358,7 +358,8 @@ def test_batch_index_range_checked_before_any_draw(bs_model, monkeypatch):
 
 def _odd_uint32_sizes(rng, count):
     # 2 * count + 1 float32 uniforms: an odd number of 32-bit draws, so
-    # every path ends with half a 64-bit word cached in the generator
+    # every block's jump draws end with half a 64-bit word cached in the
+    # generator
     u = rng.random(2 * count + 1, dtype=np.float32)
     return u[:count].astype(float) - 0.5
 
@@ -386,30 +387,45 @@ def _recording(model, counts):
     return replace(model, jump=replace(model.jump, sampler=record))
 
 
-def _fresh_generator_path(model, grid, seed):
-    # path from its own Generator(Philox(key=seed)) in the documented draw
-    # order: increments, then jump count, sorted times and sizes
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    increments = gen.normal(0.0, np.sqrt(grid.dt), grid.steps)
+def _fresh_block_jumps(model, grid, key):
+    # a block's jumps from a fresh Generator(Philox(key, counter=2**128)):
+    # BLOCK_PATHS counts, then every time, then every size
+    gen = np.random.Generator(np.random.Philox(key=key, counter=2**128))
+    counts = gen.poisson(model.jump.intensity * grid.horizon, BLOCK_PATHS)
+    times = gen.uniform(0.0, grid.horizon, counts.sum())
+    return counts, times, model.jump.sampler(gen, counts.sum())
+
+
+def _fresh_generator_path(model, grid, root, index):
+    # path `index` from fresh generators keyed to its block, in the
+    # documented draw order: row index % BLOCK_PATHS of the block's
+    # (BLOCK_PATHS, steps) increments, and that row's segment of the
+    # block's jumps with its times sorted
+    block, row = divmod(index, BLOCK_PATHS)
+    key = path_seed(root, block)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    increments = gen.normal(0.0, np.sqrt(grid.dt), (BLOCK_PATHS, grid.steps))[row]
     times = sizes = np.empty(0)
     if model.has_jumps:
-        count = int(gen.poisson(model.jump.intensity * grid.horizon))
-        times = np.sort(gen.uniform(0.0, grid.horizon, count))
-        sizes = model.jump.sampler(gen, count)
-    bundle = NoiseBundle(seed, grid, increments, times, sizes)
-    return coupled_paths(model, model.theta0, bundle), times.size
+        counts, all_times, all_sizes = _fresh_block_jumps(model, grid, key)
+        lo = counts[:row].sum()
+        segment = slice(lo, lo + counts[row])
+        times, sizes = np.sort(all_times[segment]), all_sizes[segment]
+    bundle = NoiseBundle(path_seed(root, index), grid, increments, times, sizes)
+    return coupled_paths(model, model.theta0, bundle)
 
 
 @st.composite
 def batch_layouts(draw):
-    n_paths = draw(st.integers(1, 12))
+    n_paths = draw(st.integers(1, 2 * BLOCK_PATHS + 10))
     start = draw(
         st.one_of(
             st.integers(0, 2**40),
             st.integers(2**64 - n_paths - 3, 2**64 - n_paths),
         )
     )
-    return n_paths, start, draw(st.integers(1, 8))
+    chunk_size = draw(st.integers(1, 3 * BLOCK_PATHS).filter(lambda c: BLOCK_PATHS % c))
+    return n_paths, start, chunk_size
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -420,11 +436,14 @@ def batch_layouts(draw):
     steps=st.integers(1, 12),
 )
 @example(name="ou_uint32", layout=(7, 2**64 - 7, 3), root=2**64 - 1, steps=5)
+@example(name="ou_uint32", layout=(2 * BLOCK_PATHS + 3, 5, 37), root=12345, steps=4)
 def test_rekeyed_batch_matches_fresh_generator_per_path(name, layout, root, steps):
-    # One re-keyed generator per batch gives each path exactly the stream of
-    # its own fresh Philox generator, at any chunking and any start index up
-    # to the top of the 64-bit counter.  A buffered word or a cached 32-bit
-    # half left over from the previous path would change X, Y or the jumps.
+    # One re-keyed generator per batch gives each path exactly its row of
+    # the block drawn by a fresh Philox generator, at any chunking (chunk
+    # sizes that cut blocks apart) and any start index up to the top of
+    # the 64-bit counter.  A buffered word or a cached 32-bit half left
+    # over from the previous block, or a misplaced row or jump segment,
+    # would change X, Y or the jumps.
     n_paths, start, chunk_size = layout
     counts = []
     model = _recording(PROPERTY_MODELS[name], counts)
@@ -434,11 +453,32 @@ def test_rekeyed_batch_matches_fresh_generator_per_path(name, layout, root, step
         start_index=start, want_y=True, chunk_size=chunk_size,
     )
     batch_counts = list(counts)
-    ref_counts = []
     for i in range(n_paths):
-        cp, n_jumps = _fresh_generator_path(model, grid, path_seed(root, start + i))
+        cp = _fresh_generator_path(model, grid, root, start + i)
         assert res.x_terminal[i] == cp.x[-1]
         assert np.array_equal(res.y_terminal[i], cp.y[-1])
-        ref_counts.append(n_jumps)
     if model.has_jumps:
+        # one sampler call per block each chunk covers, for the whole block
+        ref_counts = []
+        for lo in range(start, start + n_paths, chunk_size):
+            hi = min(lo + chunk_size, start + n_paths)
+            for block in range(lo // BLOCK_PATHS, (hi - 1) // BLOCK_PATHS + 1):
+                key = path_seed(root, block)
+                ref_counts.append(_fresh_block_jumps(model, grid, key)[0].sum())
         assert batch_counts == ref_counts
+
+
+def test_sample_noise_matches_batch_column_at_block_edges(ou_model):
+    # single paths at block offsets 0 and BLOCK_PATHS - 1 and across a
+    # block boundary equal their batch columns, increments and jumps alike
+    grid = TimeGrid(1.0, 20)
+    for start, n_paths in ((0, 1), (2 * BLOCK_PATHS - 1, 3), (BLOCK_PATHS - 2, 5)):
+        res = simulate_batch(
+            ou_model, ou_model.theta0, grid, 91, n_paths, start_index=start,
+            want_y=True, record=True, chunk_size=2,
+        )
+        for i in range(n_paths):
+            b = sample_noise(grid, ou_model.jump, path_seed(91, start + i))
+            cp = coupled_paths(ou_model, ou_model.theta0, b)
+            assert np.array_equal(res.x_path[:, i], cp.x)
+            assert np.array_equal(res.y_path[:, :, i], cp.y)
