@@ -174,8 +174,10 @@ _MASK64 = (1 << 64) - 1
 # Paths per noise block.  Path i of a root seed is row i % BLOCK_PATHS of
 # block i // BLOCK_PATHS; a block's normals fill (BLOCK_PATHS, steps) in
 # one call, so the per-path generator set-up and call overhead of drawing
-# paths one at a time is paid once per block.  Chosen from measurement
-# (64 is the fastest of 16, 32 and 64 at 2 000 x 50 and 4 096 x 500).
+# paths one at a time is paid once per block.  Chosen from measurement:
+# a bs batch with Y took 2.7, 2.5 and 2.4 ms at 2 000 x 50 and 42.5, 41.9
+# and 41.4 ms at 4 096 x 500 for 16, 32 and 64 (2-vCPU x86-64 host).  A
+# larger block would make sample_noise of a high row dearer still.
 BLOCK_PATHS = 64
 
 
