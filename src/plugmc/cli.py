@@ -7,7 +7,8 @@ Subcommands:
   experiment  replicated study driver, writes CSV/JSON artifacts
 
 All outputs are deterministic given the config and seed.  An input the
-program rejects (a ValueError raised by a command) is reported as
+program rejects (an unreadable file, a config that lacks a required
+field, bad data: a ValueError raised by a command) is reported as
 `plugmc <command>: error: <message>` on standard error, with exit code 2,
 the code argparse uses for its own usage errors.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path as FsPath
@@ -47,9 +49,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(_read(path))
 
 
 def cmd_simulate(args) -> int:
@@ -78,22 +87,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    with open(args.data) as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    try:
-        t_col, x_col = header.index("t"), header.index("X")
-    except ValueError:
-        raise SystemExit("data CSV must have 't' and 'X' columns")
+    if args.model != "bs":
+        raise ValueError(f"estimation is implemented for the bs model, not {args.model!r}")
+    rows = list(csv.reader(io.StringIO(_read(args.data))))
+    header = rows[0] if rows else []
+    if "t" not in header or "X" not in header:
+        raise ValueError("data CSV must have 't' and 'X' columns")
+    t_col, x_col = header.index("t"), header.index("X")
     t = np.array([float(r[t_col]) for r in rows[1:]])
     x = np.array([float(r[x_col]) for r in rows[1:]])
     if t.size < 2 or abs(t[0]) > 1e-12:
-        raise SystemExit("data must start at t = 0 with at least 2 samples")
+        raise ValueError("data must start at t = 0 with at least 2 samples")
     grid = TimeGrid(float(t[-1]), t.size - 1)
     if not np.allclose(t, grid.times(), atol=1e-9):
-        raise SystemExit("data must be sampled on a uniform grid")
-    if args.model != "bs":
-        raise SystemExit("estimation is implemented for the bs model")
+        raise ValueError("data must be sampled on a uniform grid")
     # construction parameters are only a reference point; theta is estimated
     model = bs_small_noise_model(0.0, 1.0, args.epsilon, float(x[0]))
     obs = Observations(grid=grid, samples=x, eps=args.epsilon)
@@ -116,6 +123,8 @@ def cmd_estimate(args) -> int:
 def cmd_price(args) -> int:
     raw = _load_json(args.config)
     model = model_from_config(raw)
+    if "functional" not in raw:
+        raise ValueError("config lacks 'functional'")
     functional = functional_from_config(raw["functional"])
     theta = np.asarray([float(v) for v in raw["params"]])
     n_paths = args.B if args.B is not None else int(raw.get("B", 10_000))
@@ -150,13 +159,15 @@ def cmd_price(args) -> int:
 def cmd_experiment(args) -> int:
     raw = _load_json(args.config)
     kind = raw.pop("kind", "bs")
+    if kind not in ("bs", "ou_oracle"):
+        raise ValueError(f"unknown experiment kind {kind!r} (expected bs or ou_oracle)")
     config = ExperimentConfig.from_dict(raw)
     if kind == "bs":
         output = run_bs_experiment(config)
         if args.out_dir:
             write_experiment_outputs(output, args.out_dir)
         json.dump(output.summary, args.out, sort_keys=True, indent=2)
-    elif kind == "ou_oracle":
+    else:
         report = run_ou_oracle(config)
         if args.out_dir:
             FsPath(args.out_dir).mkdir(parents=True, exist_ok=True)
@@ -164,8 +175,6 @@ def cmd_experiment(args) -> int:
                 json.dumps(report, sort_keys=True, indent=2) + "\n"
             )
         json.dump(report, args.out, sort_keys=True, indent=2)
-    else:
-        raise SystemExit(f"unknown experiment kind {kind!r}")
     args.out.write("\n")
     return 0
 

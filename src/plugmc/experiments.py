@@ -149,10 +149,9 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "theta0" in raw:
-            raw = dict(raw)
-            raw["theta0"] = tuple(raw["theta0"])
-        return cls(**raw)
+        if "theta0" not in raw:
+            raise ValueError("config lacks 'theta0'")
+        return cls(**{**raw, "theta0": tuple(raw["theta0"])})
 
 
 @dataclass(frozen=True)
@@ -472,6 +471,8 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
     jump = raw.get("jump", {})
     if name == "bs":
         mu, sigma = params
+        if "epsilon" not in raw:
+            raise ValueError("bs model config lacks 'epsilon'")
         return bs_small_noise_model(mu, sigma, float(raw["epsilon"]), x0)
     if name == "ou":
         mu, sigma, eta = params
@@ -491,6 +492,9 @@ def functional_from_config(raw: dict) -> Functional:
     integrand = raw.get("V", "identity")
     if integrand != "identity":
         raise ValueError(f"unknown integrand {integrand!r}")
+    for key in ("kind", "T"):
+        if key not in raw:
+            raise ValueError(f"functional config lacks {key!r}")
     return Functional(
         kind=raw["kind"],
         horizon=float(raw["T"]),

@@ -17,7 +17,8 @@ The European call payoff is handled through a smooth approximation
 
 which sandwiches the discounted hockey stick within e^{-rT} d / 2
 uniformly in x, so the smoothing width d trades bias against the kink
-at a known rate.  All grid integrals use the trapezoid rule.
+at a known rate.  All grid integrals use the trapezoid rule; a batch
+gets its weights (Functional.weights) and keeps one weighted path sum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import BatchResult, Path
+from .simulate import BatchResult, Path, TimeGrid
 
 Array = np.ndarray
 
@@ -37,6 +38,8 @@ KINDS = (
     "smoothed_call_terminal",
     "smoothed_call_average",
 )
+_TERMINAL = ("terminal", "smoothed_call_terminal")
+_AVERAGE = ("time_average", "smoothed_call_average")
 
 __all__ = [
     "Functional",
@@ -84,6 +87,9 @@ class Functional:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown functional kind {self.kind!r}")
+        for name in ("horizon", "strike", "rate", "eps_smooth", "discount"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.kind.startswith("smoothed_call") and self.eps_smooth < 0:
@@ -120,9 +126,9 @@ class Functional:
         k = self._check_grid(path.grid)
         x = path.values[: k + 1]
         t = path.grid.times()[: k + 1]
-        if self.kind in ("terminal", "smoothed_call_terminal"):
+        if self.kind in _TERMINAL:
             return float(x[-1])
-        if self.kind in ("time_average", "smoothed_call_average"):
+        if self.kind in _AVERAGE:
             return float(np.trapezoid(x, t) / self.horizon)
         return float(np.trapezoid(np.exp(-self.discount * t) * x, t))
 
@@ -131,43 +137,49 @@ class Functional:
         k = self._check_grid(x_path.grid)
         y = y_values[: k + 1]
         t = x_path.grid.times()[: k + 1]
-        if self.kind in ("terminal", "smoothed_call_terminal"):
+        if self.kind in _TERMINAL:
             return np.asarray(y[-1], dtype=float)
-        if self.kind in ("time_average", "smoothed_call_average"):
+        if self.kind in _AVERAGE:
             return np.trapezoid(y, t, axis=0) / self.horizon
         w = np.exp(-self.discount * t)
         return np.trapezoid(w[:, None] * y, t, axis=0)
 
     # -- batch variants on streaming reductions ----------------------------
 
-    def needs(self) -> dict:
-        """Accumulators the batch engine must track for this functional."""
+    def weights(self, grid: TimeGrid) -> Array | None:
+        """Trapezoid weights of the batch path sum (None for terminal kinds).
+
+        The grid must span [0, horizon]; e^{-delta t_k} weighs the discounted
+        integral, and the averages divide the sum by the horizon.
+        """
+        if abs(grid.horizon - self.horizon) > 1e-9:
+            raise ValueError(
+                f"batch grid horizon {grid.horizon} must equal functional horizon "
+                f"{self.horizon}"
+            )
+        if self.kind in _TERMINAL:
+            return None
+        w = np.full(grid.steps + 1, grid.dt)
+        w[[0, -1]] = 0.5 * grid.dt
         if self.kind == "discounted_integral":
-            return {"disc": self.discount, "want_trap": False}
-        if self.kind in ("time_average", "smoothed_call_average"):
-            return {"disc": None, "want_trap": True}
-        return {"disc": None, "want_trap": False}
+            w = np.exp(-self.discount * grid.times()) * w
+        return w
 
     def values_from_batch(self, res: BatchResult) -> Array:
-        return self.payoff(self._x_star_from_batch(res))
+        return self.payoff(self._from_batch(res.x_terminal, res.x_sum))
 
     def gradients_from_batch(self, res: BatchResult) -> Array:
         """Per-path pathwise gradients, shape (B, p)."""
-        phi_prime = self.payoff_deriv(self._x_star_from_batch(res))
-        if self.kind in ("terminal", "smoothed_call_terminal"):
-            ytilde = res.y_terminal
-        elif self.kind in ("time_average", "smoothed_call_average"):
-            ytilde = res.trap_y / self.horizon
-        else:
-            ytilde = res.disc_vy
-        return phi_prime[:, None] * ytilde
+        phi_prime = self.payoff_deriv(self._from_batch(res.x_terminal, res.x_sum))
+        return phi_prime[:, None] * self._from_batch(res.y_terminal, res.y_sum)
 
-    def _x_star_from_batch(self, res: BatchResult) -> Array:
-        if self.kind in ("terminal", "smoothed_call_terminal"):
-            return res.x_terminal
-        if self.kind in ("time_average", "smoothed_call_average"):
-            return res.trap_x / self.horizon
-        return res.disc_v
+    def _from_batch(self, terminal: Array, weighted_sum: Array) -> Array:
+        """The reduction (X_* or Ytilde) from a batch's terminal value and sum."""
+        if self.kind in _TERMINAL:
+            return terminal
+        if self.kind in _AVERAGE:
+            return weighted_sum / self.horizon
+        return weighted_sum
 
 
 def eval_functional(functional: Functional, path: Path) -> float:

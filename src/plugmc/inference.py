@@ -49,14 +49,6 @@ __all__ = [
 ]
 
 
-def _check_grid(functional: Functional, grid: TimeGrid) -> None:
-    if abs(grid.horizon - functional.horizon) > 1e-9:
-        raise ValueError(
-            f"batch grid horizon {grid.horizon} must equal functional horizon "
-            f"{functional.horizon}"
-        )
-
-
 def plugin_H(
     model: JumpDiffusionModel,
     functional: Functional,
@@ -70,8 +62,6 @@ def plugin_H(
     """Monte Carlo mean and standard error of the functional at theta."""
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
-    _check_grid(functional, grid)
-    needs = functional.needs()
     res = simulate_batch(
         model,
         theta,
@@ -79,8 +69,7 @@ def plugin_H(
         root_seed,
         n_paths,
         start_index=start_index,
-        disc=needs["disc"],
-        want_trap=needs["want_trap"],
+        weights=functional.weights(grid),
     )
     h = functional.values_from_batch(res)
     se = float(np.std(h, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -106,8 +95,6 @@ def estimate_C(
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
-    _check_grid(functional, grid)
-    needs = functional.needs()
     res = simulate_batch(
         model,
         theta,
@@ -116,8 +103,7 @@ def estimate_C(
         n_paths,
         start_index=start_index,
         want_y=True,
-        disc=needs["disc"],
-        want_trap=needs["want_trap"],
+        weights=functional.weights(grid),
     )
     g = functional.gradients_from_batch(res)  # (B, p)
     c_hat = g.mean(axis=0)

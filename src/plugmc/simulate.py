@@ -49,6 +49,10 @@ coefficient comes from one `model.coefficients` call per step, so the
 Euler iterates of Y are the exact theta-derivatives of the Euler iterates
 of X, up to rounding.
 
+A batch keeps, per path, the terminal (X, Y) and one weighted sum over
+the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
+(a functional's trapezoid rule, see Functional.weights).
+
 The stepper advances one theta at a time.  A run can record its full
 paths; the coupling residual X^{theta+u} - X^theta - u.Y comes from two
 recorded runs on the same seeds, (X, Y) at theta and X alone at
@@ -58,7 +62,7 @@ theta + u.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,19 +124,18 @@ class NoiseBundle:
 
     def jump_step_indices(self) -> Array:
         """Step k such that the jump time lies in (t_k, t_{k+1}]."""
-        if self.jump_times.size == 0:
-            return np.empty(0, dtype=np.int64)
-        k = np.ceil(self.jump_times / self.grid.dt).astype(np.int64) - 1
-        return np.clip(k, 0, self.grid.steps - 1)
+        return _jump_steps(self.jump_times, self.grid)
+
+
+def _jump_steps(times: Array, grid: TimeGrid) -> Array:
+    """Step k of each jump time, t_k < time <= t_{k+1}, clipped to the grid."""
+    return np.clip(np.ceil(times / grid.dt).astype(np.int64) - 1, 0, grid.steps - 1)
 
 
 @dataclass(frozen=True)
 class Path:
     grid: TimeGrid
     values: Array
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
@@ -274,22 +277,21 @@ def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
 class BatchResult:
     """Streaming per-path reductions over a batch of simulated paths.
 
-    Arrays are per path; Y-blocks have shape (B, p).  x_path (steps + 1, B)
+    Arrays are per path; Y-blocks have shape (B, p).  x_sum and y_sum are
+    sum_k weights[k] X_{t_k} and the same for Y.  x_path (steps + 1, B)
     and y_path (steps + 1, p, B) are the recorded paths.  Fields are None
     when the corresponding quantity was not requested.
     """
 
     x_terminal: Array
-    trap_x: Array | None = None
-    disc_v: Array | None = None
+    x_sum: Array | None = None
     y_terminal: Array | None = None
-    trap_y: Array | None = None
-    disc_vy: Array | None = None
+    y_sum: Array | None = None
     x_path: Array | None = None
     y_path: Array | None = None
 
 
-def _flat_jumps(paths: Array, times: Array, sizes: Array, dt: float, n_steps: int):
+def _flat_jumps(paths: Array, times: Array, sizes: Array, grid: TimeGrid):
     """Step-sorted parallel arrays of jumps; paths holds each jump's column.
 
     The jumps come in column order and by time within a column, and the
@@ -297,10 +299,10 @@ def _flat_jumps(paths: Array, times: Array, sizes: Array, dt: float, n_steps: in
     """
     if times.size == 0:
         return None
-    steps = np.clip(np.ceil(times / dt).astype(np.int64) - 1, 0, n_steps - 1)
+    steps = _jump_steps(times, grid)
     order = np.argsort(steps, kind="stable")
     steps = steps[order]
-    return steps, paths[order], sizes[order], np.searchsorted(steps, np.arange(n_steps + 1))
+    return steps, paths[order], sizes[order], np.searchsorted(steps, np.arange(grid.steps + 1))
 
 
 def _step_block(
@@ -311,16 +313,15 @@ def _step_block(
     jumps,  # output of _flat_jumps or None
     *,
     want_y: bool = False,
-    disc: float | None = None,  # discount rate delta of int e^{-delta t} X dt
-    want_trap: bool = False,
+    weights: Array | None = None,  # (steps + 1,), one per grid node
     record: bool = False,
     path_offset: int = 0,
 ) -> BatchResult:
     """Advance a block of m paths over the full grid.
 
-    record=True keeps the full paths in x_path and y_path (small blocks
-    only).  Raises SimulationBlowup at the first step where X or Y turns
-    non-finite.
+    weights adds the weighted sums x_sum (and y_sum); record=True keeps
+    the full paths in x_path and y_path (small blocks only).  Raises
+    SimulationBlowup at the first step where X or Y turns non-finite.
     """
     n, m = increments.shape
     dt = grid.dt
@@ -334,13 +335,11 @@ def _step_block(
         y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
         y_next = np.empty_like(y)  # the two swap each step
 
-    if want_trap:
-        trap_x = x * (0.5 * dt)
-        trap_y = y * (0.5 * dt) if y is not None else None
-    if disc is not None:
-        disc_w = np.exp(-disc * grid.times())  # e^{-delta t_k}, k = 0..n
-        disc_v = disc_w[0] * x * (0.5 * dt)
-        disc_vy = disc_w[0] * y * (0.5 * dt) if y is not None else None
+    x_sum = y_sum = None
+    if weights is not None:
+        x_sum = weights[0] * x
+        if y is not None:
+            y_sum = weights[0] * y
 
     rec_x = rec_y = None
     if record:
@@ -393,16 +392,10 @@ def _step_block(
                     k + 1, detail=f" in {label} (path index {path_offset + bad})"
                 )
 
-        last = k == n - 1
-        if want_trap:
-            trap_x = trap_x + x * (0.5 * dt if last else dt)
-            if trap_y is not None:
-                trap_y = trap_y + y * (0.5 * dt if last else dt)
-        if disc is not None:
-            w = disc_w[k + 1] * (0.5 * dt if last else dt)
-            disc_v = disc_v + w * x
-            if disc_vy is not None:
-                disc_vy = disc_vy + w * y
+        if x_sum is not None:
+            x_sum = x_sum + weights[k + 1] * x
+            if y_sum is not None:
+                y_sum = y_sum + weights[k + 1] * y
 
         if record:
             rec_x[k + 1] = x
@@ -416,29 +409,20 @@ def _step_block(
 
     return BatchResult(
         x_terminal=x,
-        trap_x=trap_x if want_trap else None,
-        trap_y=per_path(trap_y) if want_trap else None,
-        disc_v=disc_v if disc is not None else None,
-        disc_vy=per_path(disc_vy) if disc is not None else None,
+        x_sum=x_sum,
         y_terminal=per_path(y),
+        y_sum=per_path(y_sum),
         x_path=rec_x,
         y_path=rec_y,
     )
 
 
-def _bundle_jumps(bundle: NoiseBundle):
-    column = np.zeros(bundle.jump_times.size, dtype=np.int64)
-    return _flat_jumps(
-        column, bundle.jump_times, bundle.jump_sizes, bundle.grid.dt, bundle.grid.steps
-    )
-
-
 def _step_bundle(model: JumpDiffusionModel, theta, noise: NoiseBundle, want_y: bool):
     theta = model.require_theta(theta)
+    column = np.zeros(noise.jump_times.size, dtype=np.int64)  # a block of one path
+    jumps = _flat_jumps(column, noise.jump_times, noise.jump_sizes, noise.grid)
     inc = noise.brownian_increments[:, None]
-    return _step_block(
-        model, theta, noise.grid, inc, _bundle_jumps(noise), want_y=want_y, record=True
-    )
+    return _step_block(model, theta, noise.grid, inc, jumps, want_y=want_y, record=True)
 
 
 def euler_path(model: JumpDiffusionModel, theta, noise: NoiseBundle) -> Path:
@@ -463,19 +447,23 @@ def simulate_batch(
     start_index: int = 0,
     want_y: bool = False,
     record: bool = False,
-    disc: float | None = None,
-    want_trap: bool = False,
+    weights: Array | None = None,
     chunk_size: int = 4096,
 ) -> BatchResult:
     """Simulate n_paths seeded paths and return streaming reductions.
 
     Path i uses seed path_seed(root_seed, start_index + i); results are
-    identical for any chunk_size.  want_y adds the sensitivity Y; record
+    identical for any chunk_size.  want_y adds the sensitivity Y; weights
+    (one per grid node) adds the weighted sums x_sum and y_sum; record
     keeps the full paths (small batches only); see _step_block.
     """
     theta = model.require_theta(theta)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if weights is not None and np.shape(weights) != (grid.steps + 1,):
+        raise ValueError(
+            f"weights must have shape ({grid.steps + 1},), got {np.shape(weights)}"
+        )
     start_index = operator.index(start_index)
     path_seed(root_seed, start_index)  # rejects a bad root or start index up front
     last_index = start_index + n_paths - 1
@@ -511,8 +499,7 @@ def simulate_batch(
             col += hi - lo
         jumps = (
             _flat_jumps(
-                np.concatenate(paths), np.concatenate(times), np.concatenate(sizes),
-                grid.dt, grid.steps,
+                np.concatenate(paths), np.concatenate(times), np.concatenate(sizes), grid
             )
             if paths
             else None
@@ -524,28 +511,19 @@ def simulate_batch(
             increments,
             jumps,
             want_y=want_y,
-            disc=disc,
-            want_trap=want_trap,
+            weights=weights,
             record=record,
             path_offset=done,
         )
         pieces.append(res)
         done += m
 
-    def cat(attr, axis=0):
-        vals = [getattr(p, attr) for p in pieces]
+    def cat(name):
+        vals = [getattr(p, name) for p in pieces]
+        axis = -1 if name.endswith("_path") else 0  # recorded paths end in B
         return None if vals[0] is None else np.concatenate(vals, axis=axis)
 
-    return BatchResult(
-        x_terminal=cat("x_terminal"),
-        trap_x=cat("trap_x"),
-        disc_v=cat("disc_v"),
-        y_terminal=cat("y_terminal"),
-        trap_y=cat("trap_y"),
-        disc_vy=cat("disc_vy"),
-        x_path=cat("x_path", axis=-1),
-        y_path=cat("y_path", axis=-1),
-    )
+    return BatchResult(**{f.name: cat(f.name) for f in fields(BatchResult)})
 
 
 def coupling_residual_supnorms(

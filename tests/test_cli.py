@@ -260,3 +260,59 @@ def test_experiment_ou_oracle_kind(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["kind"] == "ou_oracle"
     assert parsed["H_closed_form"] == pytest.approx(0.79726, abs=1e-4)
+
+
+PRICE_CFG = {
+    "model": "bs", "params": [0.2, 1.0], "epsilon": 0.05,
+    "functional": {"kind": "smoothed_call_terminal", "K": 0.75, "T": 1.0},
+    "B": 1000, "n": 20,
+}
+OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, extra, message",
+    [
+        ("experiment", {"n_obs": 50}, [], "config lacks 'theta0'"),
+        ("experiment", {"kind": "nope", "theta0": [0.2, 1.0]}, [],
+         "unknown experiment kind 'nope' (expected bs or ou_oracle)"),
+        ("price", None, [], "cannot read {file}: No such file or directory"),
+        ("price", {k: v for k, v in PRICE_CFG.items() if k != "functional"}, [],
+         "config lacks 'functional'"),
+        ("price", {**PRICE_CFG, "functional": {"T": 1.0}}, [],
+         "functional config lacks 'kind'"),
+        ("price", {k: v for k, v in PRICE_CFG.items() if k != "epsilon"}, [],
+         "bs model config lacks 'epsilon'"),
+        ("price", {**PRICE_CFG, "functional": {**PRICE_CFG["functional"],
+                                               "epsilon_smooth": float("nan")}}, [],
+         "eps_smooth must be finite, got nan"),
+        ("estimate", "s,Y\n0.0,1.0\n1.0,1.2\n", [], "data CSV must have 't' and 'X' columns"),
+        ("estimate", "t,X\n0.0,1.0\n0.3,1.1\n1.0,1.2\n", [],
+         "data must be sampled on a uniform grid"),
+        ("estimate", OBS_CSV, ["--model", "ou"],
+         "estimation is implemented for the bs model, not 'ou'"),
+    ],
+)
+def test_config_and_data_errors_exit_2(
+    command, content, extra, message, tmp_path, monkeypatch, capsys
+):
+    # each used to escape as a traceback or as a bare SystemExit with exit 1
+    import plugmc.inference
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before the input was checked")
+
+    monkeypatch.setattr(plugmc.inference, "simulate_batch", no_simulation)
+    path = tmp_path / "input"
+    if isinstance(content, dict):
+        path.write_text(json.dumps(content))
+    elif content is not None:
+        path.write_text(content)
+    if command == "estimate":
+        argv = ["estimate", "--data", str(path), "--epsilon", "0.1"]
+    else:
+        argv = [command, "--config", str(path)]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"plugmc {command}: error: {message.format(file=path)}\n"

@@ -168,6 +168,26 @@ def test_unknown_kind_rejected():
         Functional(kind="lookback", horizon=1.0)
 
 
+@pytest.mark.parametrize("name", ["horizon", "strike", "rate", "eps_smooth", "discount"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_constants_rejected(name, bad):
+    # a NaN smoothing width used to run a whole Monte Carlo pass before
+    # failing on a NaN estimate
+    kwargs = {"horizon": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Functional(kind="smoothed_call_average", **kwargs)
+
+
+def test_batch_weights_are_the_trapezoid_rule():
+    grid = TimeGrid(2.0, 4)
+    assert Functional(kind="terminal", horizon=2.0).weights(grid) is None
+    trapezoid = [0.25, 0.5, 0.5, 0.5, 0.25]
+    for kind in ("time_average", "smoothed_call_average"):
+        assert Functional(kind=kind, horizon=2.0).weights(grid).tolist() == trapezoid
+    f = Functional(kind="discounted_integral", horizon=2.0, discount=0.3)
+    assert np.allclose(f.weights(grid), np.exp(-0.3 * grid.times()) * trapezoid, rtol=1e-15)
+
+
 @pytest.mark.parametrize(
     "kind, kwargs",
     [
@@ -182,10 +202,8 @@ def test_batch_reductions_match_path_evaluations(ou_model, kind, kwargs):
     # streaming accumulators agree with recorded-path evaluation per path
     f = Functional(kind=kind, horizon=1.0, **kwargs)
     grid = TimeGrid(1.0, 60)
-    needs = f.needs()
     res = simulate_batch(
-        ou_model, ou_model.theta0, grid, 71, 6, want_y=True,
-        disc=needs["disc"], want_trap=needs["want_trap"],
+        ou_model, ou_model.theta0, grid, 71, 6, want_y=True, weights=f.weights(grid)
     )
     h_batch = f.values_from_batch(res)
     g_batch = f.gradients_from_batch(res)

@@ -136,6 +136,25 @@ def test_plugin_h_requires_enough_paths(bs_model, call_functional):
         plugin_H(bs_model, call_functional, THETA0, 50, 7, GRID)
 
 
+@pytest.mark.parametrize(
+    "functional",
+    [
+        Functional(kind="smoothed_call_terminal", horizon=1.0, strike=STRIKE, rate=RATE),
+        Functional(kind="discounted_integral", horizon=1.0, discount=0.05),
+    ],
+    ids=["terminal", "weighted"],
+)
+@pytest.mark.parametrize("horizon", [0.5, 2.0])
+def test_batch_grid_must_span_the_functional_horizon(bs_model, functional, horizon):
+    grid = TimeGrid(horizon, 50)
+    for route in (plugin_H, estimate_C):
+        with pytest.raises(
+            ValueError,
+            match=f"batch grid horizon {horizon} must equal functional horizon 1.0",
+        ):
+            route(bs_model, functional, THETA0, 200, 7, grid)
+
+
 def test_estimate_c_levy_terminal_identity(levy):
     # identity terminal payoff: C = E[(T, W_T, S_T)] = (T, 0, T)
     f = Functional(kind="terminal", horizon=1.0)

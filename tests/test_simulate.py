@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import plugmc.simulate
 from plugmc import (
     NO_JUMPS,
+    Functional,
     TimeGrid,
     SimulationBlowup,
     bs_small_noise_model,
@@ -308,10 +309,26 @@ def test_batch_matches_single_path_bitwise(ou_model):
 
 def test_batch_chunk_size_invariance(bs_model):
     grid = TimeGrid(1.0, 40)
-    a = simulate_batch(bs_model, THETA0, grid, 99, 37, chunk_size=5, want_trap=True)
-    b = simulate_batch(bs_model, THETA0, grid, 99, 37, chunk_size=64, want_trap=True)
+    weights = Functional(kind="time_average", horizon=1.0).weights(grid)
+    a = simulate_batch(bs_model, THETA0, grid, 99, 37, chunk_size=5, weights=weights)
+    b = simulate_batch(bs_model, THETA0, grid, 99, 37, chunk_size=64, weights=weights)
     assert np.array_equal(a.x_terminal, b.x_terminal)
-    assert np.array_equal(a.trap_x, b.trap_x)
+    assert np.array_equal(a.x_sum, b.x_sum)
+
+
+def test_batch_weighted_sums_match_recorded_paths(ou_model):
+    # any node weights: x_sum and y_sum are the weighted sums of the paths
+    grid = TimeGrid(1.0, 30)
+    weights = np.random.default_rng(3).uniform(size=31)
+    res = simulate_batch(
+        ou_model, ou_model.theta0, grid, 8, 7, want_y=True, record=True,
+        weights=weights, chunk_size=3,
+    )
+    assert np.allclose(res.x_sum, weights @ res.x_path, rtol=1e-13, atol=0)
+    y_sum = np.einsum("k,kpb->bp", weights, res.y_path)
+    assert np.allclose(res.y_sum, y_sum, rtol=1e-13, atol=1e-15)
+    with pytest.raises(ValueError, match=r"weights must have shape \(31,\)"):
+        simulate_batch(ou_model, ou_model.theta0, grid, 8, 7, weights=weights[:-1])
 
 
 def test_batch_start_index_offsets_paths(bs_model):
