@@ -18,6 +18,15 @@ row i mod BLOCK_PATHS of a Philox block stream, jumps drawn per block)
 together with the factored tangent step for Y.  `estimate_bs` kept its
 digest: it reads only X of path 0, which is row 0 of block 0 and draws
 the same normals as before.
+
+Three digests were re-recorded once more when the normal CDF and quantile
+moved from scipy's ndtr/ndtri to the standard library (math.erfc and
+statistics.NormalDist.inv_cdf), which differ in the last bits:
+`price_ou_discounted` (one ci_low, through z_{alpha/2}),
+`experiment_bs_replications.csv` (interval ends, through z_{alpha/2})
+and `experiment_bs_qq.csv` (the theoretical quantiles).  No number in
+them moved by more than 8.9e-16; the bitstreams are unchanged and every
+other digest, the study's summary included, kept its value.
 """
 
 import contextlib
@@ -36,11 +45,11 @@ GOLDEN = {
     "estimate_bs": "789a3e74e84ee45a611d3cc6a4c63afa3746483c895af9447ebbd2052494e101",
     "price_bs_call": "a33ea553440a5e606475bcb18b97545be05cc075783733b33c6d98aa8fca714e",
     "price_bs_average_call": "1dc6ec3bba34022a008e667641d70b7798d3d0d5ba2a0bc9ae52ee09abc05b16",
-    "price_ou_discounted": "87b355bb83edd9738bc44cdfeec78f2897e87db26617dbe07f15d63641b35aa8",
+    "price_ou_discounted": "f479060643d259dafc0c1eacd2ca3e0ba7ec906528f83d1c3b8b1defd080f1cf",
     "experiment_bs_stdout": "ab5936b6049f778b888ed111bb1a85b28c890bfc7da43e64150e8efc1f12f7c5",
-    "experiment_bs_replications.csv": "9f4f6ed71206bbfdbf453b5e935f7bc19db42dd90793f6399c66645977ff031e",
+    "experiment_bs_replications.csv": "296cd71469fc45253c7632a09af051152d40d098a1f42fc5517ea11c6f9aeb91",
     "experiment_bs_summary.json": "ab5936b6049f778b888ed111bb1a85b28c890bfc7da43e64150e8efc1f12f7c5",
-    "experiment_bs_qq.csv": "958e1458a64609dc15c525bc909c0be74efb98124f1afd394b257d3fe5f50b2a",
+    "experiment_bs_qq.csv": "8e770737abd42ac2845218a31565ecea4e17d4db9676a2d7da49ac0f46701a47",
     "experiment_bs_histogram.csv": "707a7463302fdd86abd41c2c238f6440c002b50ff9af2e24f39648f45fd95a7b",
     "experiment_ou_oracle": "62b092a6aa056c9506e47f3dd091e739fab7ce8d4aac8659c214d4493a9b5ee3",
 }
