@@ -189,8 +189,9 @@ def bs_closed_form(obs: Observations) -> EstimatorResult:
                        / (eps^2 T)
 
     Requires strictly positive samples.  The returned theta is
-    (mu_hat, sigma_hat); the information matrix is evaluated at theta via
-    the limit-path integral (None when sigma_hat = 0).
+    (mu_hat, sigma_hat); the information matrix is fisher_info's at theta
+    in closed form, diag(T / sigma_hat^2, 2 / sigma_hat^2) (None when
+    sigma_hat = 0).
     """
     x = obs.samples
     if np.any(x <= 0):
@@ -207,7 +208,7 @@ def bs_closed_form(obs: Observations) -> EstimatorResult:
     sigma_hat = float(np.sqrt(sigma_sq))
     info = None
     if sigma_hat > 0:
-        info = np.diag([sigma_hat**-2, 2.0 * sigma_hat**-2])
+        info = np.diag([horizon * sigma_hat**-2, 2.0 * sigma_hat**-2])
     theta = np.array([mu_hat, sigma_hat])
     value = np.inf
     if sigma_hat > 0:
@@ -244,10 +245,15 @@ def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
 
     The full p x p matrix
 
-        I = int a_theta a_theta^T / btilde^2 ds
-            + 2 int btilde_theta btilde_theta^T / btilde^2 ds,
+        I = int_0^T a_theta a_theta^T / btilde^2 ds
+            + (2 / T) int_0^T btilde_theta btilde_theta^T / btilde^2 ds,
 
     integrated entry by entry by the trapezoid rule over the driver path.
+    Each block is in the units of its rate: eps for drift parameters,
+    whose information grows with the horizon, and 1/sqrt(n) for diffusion
+    parameters, whose n increments carry the same information whatever
+    the horizon, hence the time average.  For bs this is
+    diag(T / sigma^2, 2 / sigma^2).
     Parameters whose gradients are linearly dependent along the path (two
     parameters entering the drift identically, say) give a singular matrix;
     `inference.information_inverse` names them.
@@ -255,6 +261,7 @@ def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
     theta = np.asarray(theta, dtype=float)
     x = driver.values
     t = driver.grid.times()
+    horizon = driver.grid.horizon
     _, btilde, a_th, b_dot = _unit_coefficients(model, x, theta)
     if np.any(btilde == 0):
         raise ValueError("diffusion coefficient vanishes along the driver path")
@@ -265,6 +272,6 @@ def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
         for j in range(k, model.p):
             info[k, j] = info[j, k] = (
                 np.trapezoid(drift[k] * drift[j], t)
-                + 0.5 * np.trapezoid(diff[k] * diff[j], t)
+                + 0.5 * np.trapezoid(diff[k] * diff[j], t) / horizon
             )
     return info

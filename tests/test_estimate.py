@@ -200,6 +200,27 @@ def test_fisher_matches_closed_form_estimator_info():
     assert np.allclose(fisher_info(model, res.theta, driver), res.info, rtol=1e-9)
 
 
+@pytest.mark.parametrize("horizon", [0.5, 2.0])
+def test_fisher_bs_scales_drift_block_with_horizon(horizon):
+    # drift information accumulates over [0, T]; the diffusion block is a
+    # time average, since its rate 1/sqrt(n) does not depend on T
+    grid = TimeGrid(horizon, N_OBS)
+    model = bs_small_noise_model(*THETA0, EPS, 1.0)
+    info = fisher_info(model, THETA0, deterministic_path(model, THETA0, grid))
+    sigma = THETA0[1]
+    np.testing.assert_allclose(
+        info, np.diag([horizon / sigma**2, 2.0 / sigma**2]), rtol=1e-9, atol=1e-12
+    )
+
+    path = euler_path(model, THETA0, sample_noise(grid, NO_JUMPS, path_seed(1000, 8)))
+    res = bs_closed_form(Observations(grid=grid, samples=path.values, eps=EPS))
+    fitted = bs_small_noise_model(*res.theta, EPS, 1.0)
+    driver = deterministic_path(fitted, res.theta, grid)
+    np.testing.assert_allclose(
+        res.info, fisher_info(fitted, res.theta, driver), rtol=1e-9, atol=1e-12
+    )
+
+
 def test_fisher_doubling_drift_gradient_quadruples_entry():
     base = bs_small_noise_model(0.2, 1.0, EPS, 1.0)
 
@@ -221,14 +242,15 @@ def test_fisher_doubling_drift_gradient_quadruples_entry():
 
 
 def _quadrature_info(a_th, b_th, btilde, horizon):
-    # entry by entry, int a_k a_j / btilde^2 + 2 int b_k b_j / btilde^2 on
-    # [0, horizon]; each argument is a function of time
+    # entry by entry, int a_k a_j / btilde^2 + (2 / horizon) int b_k b_j /
+    # btilde^2 on [0, horizon]; each argument is a function of time
     p = len(a_th)
     info = np.empty((p, p))
     for k in range(p):
         for j in range(p):
             info[k, j] = quad(
-                lambda t: (a_th[k](t) * a_th[j](t) + 2.0 * b_th[k](t) * b_th[j](t))
+                lambda t: (a_th[k](t) * a_th[j](t)
+                           + 2.0 * b_th[k](t) * b_th[j](t) / horizon)
                 / btilde(t) ** 2,
                 0.0,
                 horizon,
