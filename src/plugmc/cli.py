@@ -7,8 +7,9 @@ Subcommands:
   experiment  replicated study driver, writes CSV/JSON artifacts
 
 All outputs are deterministic given the config and seed.  An input the
-program rejects (an unreadable file, a config that lacks a required
-field, bad data: a ValueError raised by a command) is reported as
+program rejects (an unreadable file, a config that is not a JSON object,
+lacks a required field or holds a value of the wrong type, bad data: a
+ValueError raised by a command) is reported as
 `plugmc <command>: error: <message>` on standard error, with exit code 2,
 the code argparse uses for its own usage errors.
 """
@@ -58,7 +59,10 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(_read(path))
+    raw = json.loads(_read(path))
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def cmd_simulate(args) -> int:
@@ -94,6 +98,12 @@ def cmd_estimate(args) -> int:
     if "t" not in header or "X" not in header:
         raise ValueError("data CSV must have 't' and 'X' columns")
     t_col, x_col = header.index("t"), header.index("X")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) < len(header):
+            raise ValueError(
+                f"data CSV line {line} has fewer fields than the header "
+                f"({len(row)} < {len(header)})"
+            )
     t = np.array([float(r[t_col]) for r in rows[1:]])
     x = np.array([float(r[x_col]) for r in rows[1:]])
     if t.size < 2 or abs(t[0]) > 1e-12:

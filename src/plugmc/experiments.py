@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -81,6 +82,16 @@ def _check_block_alignment(block_paths: int) -> None:
 
 
 _check_block_alignment(BLOCK_PATHS)
+
+# JSON value types a config field of each annotated type accepts, and how
+# an error names them; a bool is never a number
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list,), "a list"),
+    type(None): ((type(None),), "null"),
+}
 
 
 @dataclass(frozen=True)
@@ -145,12 +156,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Config from a JSON object: theta0 (a list) is required, the other
+        fields are optional, and each value must have its field's JSON type."""
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "theta0" not in raw:
             raise ValueError("config lacks 'theta0'")
+        hints = typing.get_type_hints(cls)
+        for name, value in raw.items():
+            kinds = typing.get_args(hints[name]) or (hints[name],)
+            accepted = tuple(t for k in kinds for t in _JSON_TYPES[k][0])
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                expected = " or ".join(_JSON_TYPES[k][1] for k in kinds)
+                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
         return cls(**{**raw, "theta0": tuple(raw["theta0"])})
 
 

@@ -291,6 +291,12 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "data must be sampled on a uniform grid"),
         ("estimate", OBS_CSV, ["--model", "ou"],
          "estimation is implemented for the bs model, not 'ou'"),
+        ("estimate", "t,X\n0.0,1.0\n0.5\n1.0,1.2\n", [],
+         "data CSV line 3 has fewer fields than the header (1 < 2)"),
+        ("experiment", {"theta0": 0.2}, [], "config field 'theta0' must be a list, got 0.2"),
+        ("experiment", {"theta0": [0.2, 1.0], "replications": "30"}, [],
+         "config field 'replications' must be an integer, got '30'"),
+        ("price", [PRICE_CFG], [], "config {file} must be a JSON object, got list"),
     ],
 )
 def test_config_and_data_errors_exit_2(
@@ -304,7 +310,7 @@ def test_config_and_data_errors_exit_2(
 
     monkeypatch.setattr(plugmc.inference, "simulate_batch", no_simulation)
     path = tmp_path / "input"
-    if isinstance(content, dict):
+    if isinstance(content, (dict, list)):
         path.write_text(json.dumps(content))
     elif content is not None:
         path.write_text(content)

@@ -79,6 +79,25 @@ def test_config_validation():
             ExperimentConfig(theta0=(0.2, 1.0), alpha=alpha)
 
 
+def test_config_from_dict_checks_json_types():
+    # an int is a number, null fills an optional field, a string names an
+    # epsilon rule; a bool is never a number
+    cfg = ExperimentConfig.from_dict(
+        {"theta0": [0.2, 1], "x0": 1, "epsilon": 0.1, "n_grid_price": None}
+    )
+    assert cfg.theta0 == (0.2, 1) and cfg.x0 == 1 and cfg.n_grid_price is None
+    assert ExperimentConfig.from_dict({"theta0": [0.2, 1.0], "epsilon": "1/sqrt(n)"})
+    for key, value, expected in [
+        ("n_obs", 50.0, "an integer"),
+        ("n_obs", True, "an integer"),
+        ("alpha", "0.05", "a number"),
+        ("epsilon", None, "a number or a string"),
+        ("n_grid_price", "100", "an integer or null"),
+    ]:
+        with pytest.raises(ValueError, match=f"config field '{key}' must be {expected}, got"):
+            ExperimentConfig.from_dict({"theta0": [0.2, 1.0], key: value})
+
+
 def test_config_rejects_overlapping_seed_blocks():
     from plugmc.experiments import IDX_OBSERVATION, IDX_PRICING
 
