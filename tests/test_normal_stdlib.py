@@ -68,7 +68,7 @@ def test_ppf_array_carries_edges():
 
 
 def test_import_does_not_load_scipy():
-    # a fresh interpreter, running the same copy of plugmc as this session
+    # a fresh interpreter, running the same copy of plugmc as these tests
     root = os.path.dirname(os.path.dirname(os.path.abspath(plugmc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
