@@ -47,6 +47,7 @@ from .estimate import (
     EstimatorResult,
     contrast,
     contrast_gradient,
+    contrast_rates,
     minimize_contrast,
     bs_closed_form,
     fisher_info,

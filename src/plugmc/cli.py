@@ -25,9 +25,10 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .estimate import Observations, minimize_contrast
+from .estimate import Observations, contrast_rates, minimize_contrast
 from .experiments import (
     ExperimentConfig,
+    check_json_types,
     functional_from_config,
     model_from_config,
     run_bs_experiment,
@@ -37,6 +38,13 @@ from .experiments import (
 from .inference import build_report
 from .models import bs_small_noise_model
 from .simulate import TimeGrid, coupled_paths, path_seed, sample_noise
+
+
+# JSON types of the price config fields that cmd_price reads itself
+_PRICE_FIELDS = {
+    "functional": (dict,), "B": (int,), "seed": (int,), "n": (int,),
+    "rates": (tuple,), "fisher": (tuple,), "alpha": (float,),
+}
 
 
 def _fmt(x: float) -> str:
@@ -71,9 +79,10 @@ def cmd_simulate(args) -> int:
     config = {
         "model": args.model,
         "params": [float(v) for v in args.params.split(",")],
-        "epsilon": 1.0 if args.epsilon is None else args.epsilon,
         "x0": args.x0,
     }
+    if args.model == "bs":
+        config["epsilon"] = 1.0 if args.epsilon is None else args.epsilon
     if args.jump_intensity is not None:
         config["jump"] = {"intensity": args.jump_intensity}
     model = model_from_config(config)
@@ -132,19 +141,19 @@ def cmd_estimate(args) -> int:
 
 def cmd_price(args) -> int:
     raw = _load_json(args.config)
+    check_json_types(raw, _PRICE_FIELDS)
     model = model_from_config(raw)
     if "functional" not in raw:
         raise ValueError("config lacks 'functional'")
     functional = functional_from_config(raw["functional"])
     theta = np.asarray([float(v) for v in raw["params"]])
-    n_paths = args.B if args.B is not None else int(raw.get("B", 10_000))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    n_steps = int(raw.get("n", 500))
+    n_paths = args.B if args.B is not None else raw.get("B", 10_000)
+    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    n_steps = raw.get("n", 500)
     grid = TimeGrid(functional.horizon, n_steps)
     rates = raw.get("rates")
     if rates is None:
-        eps = float(raw.get("epsilon", 1.0))
-        rates = [eps, 1.0 / np.sqrt(n_steps)] + [eps] * (model.p - 2)
+        rates = contrast_rates(model.epsilon, n_steps, model.p)
     info = raw.get("fisher")
     if info is None:
         from .estimate import deterministic_path, fisher_info

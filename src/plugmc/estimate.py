@@ -36,6 +36,7 @@ __all__ = [
     "EstimatorResult",
     "contrast",
     "contrast_gradient",
+    "contrast_rates",
     "minimize_contrast",
     "bs_closed_form",
     "fisher_info",
@@ -70,7 +71,7 @@ class Observations:
 @dataclass(frozen=True)
 class EstimatorResult:
     theta: Array
-    rates: Array  # diagonal of Gamma_n, e.g. (eps, 1/sqrt(n))
+    rates: Array  # diagonal of Gamma_n, see contrast_rates
     info: Array | None  # estimated information matrix, PSD
     converged: bool
     contrast_value: float
@@ -118,6 +119,13 @@ def contrast_gradient(obs: Observations, theta, model: JumpDiffusionModel) -> Ar
         term_diff = diff_weight * b_dot[j]
         grad[j] = np.sum(term_drift + term_diff)
     return grad
+
+
+def contrast_rates(eps: float, n: int, p: int) -> Array:
+    """Per-coordinate rates of the contrast minimizer, [eps, 1/sqrt(n)] +
+    [eps] * (p - 2): the second coordinate is the diffusion parameter, the
+    others enter the drift or the jumps."""
+    return np.array([eps, 1.0 / np.sqrt(n)] + [eps] * (p - 2))
 
 
 def minimize_contrast(
@@ -173,7 +181,7 @@ def minimize_contrast(
         pass
     return EstimatorResult(
         theta=theta,
-        rates=np.array([obs.eps, 1.0 / np.sqrt(obs.grid.steps)]),
+        rates=contrast_rates(obs.eps, obs.grid.steps, model.p),
         info=info,
         converged=converged,
         contrast_value=contrast(obs, theta, model),
@@ -196,7 +204,6 @@ def bs_closed_form(obs: Observations) -> EstimatorResult:
     x = obs.samples
     if np.any(x <= 0):
         raise ValueError("closed-form estimator requires strictly positive samples")
-    n = obs.grid.steps
     dt = obs.grid.dt
     horizon = obs.grid.horizon
     x_prev = x[:-1]
@@ -220,7 +227,7 @@ def bs_closed_form(obs: Observations) -> EstimatorResult:
         )
     return EstimatorResult(
         theta=theta,
-        rates=np.array([obs.eps, 1.0 / np.sqrt(n)]),
+        rates=contrast_rates(obs.eps, obs.grid.steps, 2),
         info=info,
         converged=True,
         contrast_value=value,

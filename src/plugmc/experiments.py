@@ -28,15 +28,13 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .estimate import Observations, bs_closed_form, deterministic_path, fisher_info
+from .estimate import Observations, bs_closed_form, contrast_rates, deterministic_path, fisher_info
 from .functionals import Functional
 from .inference import (
-    asymptotic_variance,
     bs_call_closed_form,
+    build_report,
     central_difference_gradient,
-    confidence_interval,
     estimate_C,
-    information_inverse,
     ou_discounted_value,
 )
 from .models import NO_JUMPS, JumpDiffusionModel, bs_small_noise_model, levy_model, ou_jump_model
@@ -55,6 +53,7 @@ __all__ = [
     "write_experiment_outputs",
     "model_from_config",
     "functional_from_config",
+    "check_json_types",
 ]
 
 # Disjoint per-path seed-counter blocks (low 64 key bits).
@@ -90,8 +89,21 @@ _JSON_TYPES = {
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
     tuple: ((list,), "a list"),
+    dict: ((dict,), "an object"),
     type(None): ((type(None),), "null"),
 }
+
+
+def check_json_types(raw: dict, kinds: dict, what: str = "config") -> None:
+    """Raise a ValueError naming the first field of raw whose value has none
+    of the types that kinds lists for it; fields kinds omits pass."""
+    for name, value in raw.items():
+        if name not in kinds:
+            continue
+        accepted = tuple(t for k in kinds[name] for t in _JSON_TYPES[k][0])
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            expected = " or ".join(_JSON_TYPES[k][1] for k in kinds[name])
+            raise ValueError(f"{what} field {name!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -165,12 +177,7 @@ class ExperimentConfig:
         if "theta0" not in raw:
             raise ValueError("config lacks 'theta0'")
         hints = typing.get_type_hints(cls)
-        for name, value in raw.items():
-            kinds = typing.get_args(hints[name]) or (hints[name],)
-            accepted = tuple(t for k in kinds for t in _JSON_TYPES[k][0])
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                expected = " or ".join(_JSON_TYPES[k][1] for k in kinds)
-                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
+        check_json_types(raw, {k: typing.get_args(t) or (t,) for k, t in hints.items()})
         return cls(**{**raw, "theta0": tuple(raw["theta0"])})
 
 
@@ -230,32 +237,25 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     )
     grid_price = config.price_grid()
     grid_obs = TimeGrid(config.obs_horizon, config.n_obs)
-    rates = np.array([eps, 1.0 / np.sqrt(config.n_obs)])
-    gamma_star = float(np.max(rates))
+    rates = contrast_rates(eps, config.n_obs, model.p)
 
-    # True-parameter ingredients of the normalization; the information is
-    # inverted first so that an unidentified parameter fails before any
-    # Monte Carlo pass.
+    def report(theta, info, n_paths, start_index):
+        return build_report(
+            model, functional, theta, rates, info, n_paths, root, grid_price,
+            alpha=config.alpha, start_index=start_index,
+        )
+
+    # The true-parameter report over the correction paths gives the
+    # normalization; an unidentified parameter fails before any Monte Carlo
+    # pass.
     info0 = fisher_info(model, theta0, deterministic_path(model, theta0, grid_obs))
-    info0_inv = information_inverse(model, info0)
-    c0, c0_se = estimate_C(
-        model,
-        functional,
-        theta0,
-        config.n_paths_correction,
-        root,
-        grid_price,
-        start_index=IDX_CORRECTION,
-    )
-    var0 = asymptotic_variance(c0, info0_inv, rates=rates)
+    at_theta0 = report(theta0, info0, config.n_paths_correction, IDX_CORRECTION)
     h0 = bs_call_closed_form(
         theta0, eps, config.x0, config.strike, config.rate, config.horizon
     )
-    denom0 = float(np.sqrt(var0))
+    denom0 = float(np.sqrt(at_theta0.asy_var))
 
     rows = []
-    z_values = []
-    covered_count = 0
     failures = []
     for r in range(config.replications):
         try:
@@ -264,39 +264,25 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
             est = bs_closed_form(
                 Observations(grid=grid_obs, samples=obs_path.values, eps=eps)
             )
-            theta_hat = est.theta
             if est.info is None:
                 raise ValueError("degenerate estimate: sigma_hat = 0")
-            info_inv = information_inverse(model, est.info)
-            c_hat, _, h_hat, h_se = estimate_C(
-                model,
-                functional,
-                theta_hat,
-                config.n_paths_price,
-                root,
-                grid_price,
-                start_index=IDX_PRICING + r * PRICING_STRIDE,
-                return_h=True,
+            priced = report(
+                est.theta, est.info, config.n_paths_price, IDX_PRICING + r * PRICING_STRIDE
             )
-            z = float((h_hat - h0) / (gamma_star * denom0))
-            var_hat = asymptotic_variance(c_hat, info_inv, rates=rates)
-            ci = confidence_interval(h_hat, var_hat, gamma_star, config.alpha)
-            covered = bool(ci[0] <= h0 <= ci[1])
         except (ValueError, RuntimeError) as exc:
             failures.append((r, str(exc)))
             continue
-        covered_count += covered
-        z_values.append(z)
+        lo, hi = priced.ci
         rows.append(
             ReplicationRow(
                 replication=r,
-                theta_hat=tuple(float(v) for v in theta_hat),
-                h_hat=h_hat,
-                h_se=h_se,
-                z_hat=z,
-                ci_low=ci[0],
-                ci_high=ci[1],
-                covered=covered,
+                theta_hat=tuple(float(v) for v in est.theta),
+                h_hat=priced.h_hat,
+                h_se=priced.h_se_mc,
+                z_hat=float((priced.h_hat - h0) / (priced.gamma_star * denom0)),
+                ci_low=lo,
+                ci_high=hi,
+                covered=bool(lo <= h0 <= hi),
             )
         )
     if len(failures) > 0.05 * config.replications:
@@ -305,7 +291,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
             f"first: {failures[0]}"
         )
 
-    z_arr = np.asarray(z_values)
+    z_arr = np.asarray([row.z_hat for row in rows])
     summary = {
         "kind": "bs",
         "replications": config.replications,
@@ -313,14 +299,14 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
         "n_obs": config.n_obs,
         "epsilon": eps,
         "H_true": h0,
-        "C_theta0": [float(v) for v in c0],
-        "C_theta0_se": [float(v) for v in c0_se],
-        "asy_var_theta0": var0,
+        "C_theta0": [float(v) for v in at_theta0.c_hat],
+        "C_theta0_se": [float(v) for v in at_theta0.c_se],
+        "asy_var_theta0": at_theta0.asy_var,
         "asy_sd_theta0": denom0,
         "ks_statistic": ks_statistic(z_arr),
         "z_mean": float(np.mean(z_arr)),
         "z_sd": float(np.std(z_arr, ddof=1)),
-        "coverage": covered_count / len(rows) if rows else float("nan"),
+        "coverage": sum(row.covered for row in rows) / len(rows) if rows else float("nan"),
         "alpha": config.alpha,
     }
     return ExperimentOutput(
@@ -358,7 +344,6 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
         config.root_seed,
         grid,
         start_index=IDX_CORRECTION,
-        return_h=True,
     )
     h_closed = ou_discounted_value(
         mu, eta, lam, config.discount, config.horizon, config.x0
@@ -475,9 +460,24 @@ _PARAM_NAMES = {
     "levy": ("mu", "sigma", "eta"),
 }
 
+# JSON types of the fields model_from_config and functional_from_config read
+_MODEL_FIELDS = {
+    "model": (str,), "params": (tuple,), "epsilon": (float,), "x0": (float,), "jump": (dict,),
+}
+_JUMP_FIELDS = {"intensity": (float,), "mean": (float, type(None))}
+_FUNCTIONAL_FIELDS = {
+    "kind": (str,), "T": (float,), "K": (float,), "r": (float,), "delta": (float,),
+    "epsilon_smooth": (float,), "V": (str,),
+}
+
 
 def model_from_config(raw: dict) -> JumpDiffusionModel:
-    """Build a model from {model, params, epsilon, x0, jump:{intensity, mean}}."""
+    """Build a model from {model, params, epsilon, x0, jump:{intensity, mean}}.
+
+    epsilon, the noise scale, is required for bs and rejected for ou and
+    levy, which have none.
+    """
+    check_json_types(raw, _MODEL_FIELDS)
     name = raw.get("model")
     if name not in _PARAM_NAMES:
         raise ValueError(f"unknown model {name!r} (expected bs, ou or levy)")
@@ -489,11 +489,14 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
         )
     x0 = float(raw.get("x0", 1.0))
     jump = raw.get("jump", {})
+    check_json_types(jump, _JUMP_FIELDS, "jump config")
     if name == "bs":
         mu, sigma = params
         if "epsilon" not in raw:
             raise ValueError("bs model config lacks 'epsilon'")
         return bs_small_noise_model(mu, sigma, float(raw["epsilon"]), x0)
+    if "epsilon" in raw:
+        raise ValueError(f"model {name!r} takes no 'epsilon' (only bs has a noise scale)")
     if name == "ou":
         mu, sigma, eta = params
         mean = jump.get("mean")
@@ -509,6 +512,7 @@ def functional_from_config(raw: dict) -> Functional:
 
     V, the integrand of the discounted integral, can only be "identity".
     """
+    check_json_types(raw, _FUNCTIONAL_FIELDS, "functional config")
     integrand = raw.get("V", "identity")
     if integrand != "identity":
         raise ValueError(f"unknown integrand {integrand!r}")

@@ -85,13 +85,12 @@ def estimate_C(
     grid: TimeGrid,
     *,
     start_index: int = 0,
-    return_h: bool = False,
-):
+) -> tuple[Array, Array, float, float]:
     """Monte Carlo estimate of the correction vector C(theta).
 
     Averages pathwise gradients over n_paths coupled (X, Y) paths; returns
-    (C, stderr) with shape (p,) each, plus the matching plug-in (H, se)
-    from the same paths when return_h is set (common random numbers).
+    (C, C_se), with shape (p,) each, and the plug-in (H, H_se) from the
+    same paths (common random numbers).
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -108,8 +107,6 @@ def estimate_C(
     g = functional.gradients_from_batch(res)  # (B, p)
     c_hat = g.mean(axis=0)
     c_se = g.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    if not return_h:
-        return c_hat, c_se
     h = functional.values_from_batch(res)
     return c_hat, c_se, float(np.mean(h)), float(np.std(h, ddof=1) / np.sqrt(n_paths))
 
@@ -328,14 +325,16 @@ def build_report(
     *,
     alpha: float = 0.05,
     h_true: float | None = None,
+    start_index: int = 0,
 ) -> InferenceReport:
     """Assemble the plug-in report at theta.
 
     The correction vector is estimated from the same seeded paths as the
-    plug-in mean (common random numbers).  z_hat is filled when the true
-    functional value is supplied, with the theta-based variance in its
-    denominator.  The rates, alpha and the information are checked before
-    any Monte Carlo pass.
+    plug-in mean (common random numbers): paths start_index onwards of
+    root_seed.  z_hat is filled when the true functional value is
+    supplied, with the theta-based variance in its denominator.  The
+    rates, alpha and the information are checked before any Monte Carlo
+    pass.
     """
     theta = np.asarray(theta, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -345,7 +344,7 @@ def build_report(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     info_inv = information_inverse(model, info)
     c_hat, c_se, h_hat, h_se = estimate_C(
-        model, functional, theta, n_paths, root_seed, grid, return_h=True
+        model, functional, theta, n_paths, root_seed, grid, start_index=start_index
     )
     asy_var = asymptotic_variance(c_hat, info_inv, rates=rates)
     gamma_star = float(np.max(rates))

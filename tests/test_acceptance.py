@@ -86,7 +86,7 @@ def c_fine(bs_setup):
     # correction vector at theta0 on a fine pricing grid (Euler bias ~ 1e-4)
     model = bs_setup
     t0 = time.time()
-    c, se = estimate_C(model, CALL, THETA0, 100_000, 808, TimeGrid(HORIZON, 2000))
+    c, se, _, _ = estimate_C(model, CALL, THETA0, 100_000, 808, TimeGrid(HORIZON, 2000))
     return c, se, time.time() - t0
 
 
@@ -114,7 +114,7 @@ def full_500():
 def test_criterion_1_reference_correction_vector(bs_setup):
     model = bs_setup
     t0 = time.time()
-    c, se = estimate_C(
+    c, se, _, _ = estimate_C(
         model, CALL, THETA0, 100_000, 808, TimeGrid(HORIZON, N_OBS)
     )
     elapsed = time.time() - t0

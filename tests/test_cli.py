@@ -190,7 +190,6 @@ def test_price_unidentified_parameter_fails_before_simulating(tmp_path, monkeypa
         "model": "ou",
         "params": [1.0, 0.3, 0.5],
         "x0": 1.0,
-        "epsilon": 0.1,
         "jump": {"intensity": 0.0},
         "functional": {"kind": "discounted_integral", "T": 1.0, "delta": 0.05},
         "B": 1000,
@@ -267,6 +266,11 @@ PRICE_CFG = {
     "functional": {"kind": "smoothed_call_terminal", "K": 0.75, "T": 1.0},
     "B": 1000, "n": 20,
 }
+OU_PRICE_CFG = {
+    "model": "ou", "params": [1.0, 0.3, 0.5], "jump": {"intensity": 1.0},
+    "functional": {"kind": "discounted_integral", "T": 1.0, "delta": 0.05},
+    "B": 1000, "n": 20,
+}
 OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
 
 
@@ -297,6 +301,21 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
         ("experiment", {"theta0": [0.2, 1.0], "replications": "30"}, [],
          "config field 'replications' must be an integer, got '30'"),
         ("price", [PRICE_CFG], [], "config {file} must be a JSON object, got list"),
+        ("price", {**OU_PRICE_CFG, "epsilon": 0.1}, [],
+         "model 'ou' takes no 'epsilon' (only bs has a noise scale)"),
+        ("price", {**OU_PRICE_CFG, "model": "levy", "epsilon": 0.1}, [],
+         "model 'levy' takes no 'epsilon' (only bs has a noise scale)"),
+        ("price", {**PRICE_CFG, "params": 0.2}, [], "config field 'params' must be a list, got 0.2"),
+        ("price", {**PRICE_CFG, "functional": [1]}, [],
+         "config field 'functional' must be an object, got [1]"),
+        ("price", {**OU_PRICE_CFG, "jump": [1]}, [], "config field 'jump' must be an object, got [1]"),
+        ("price", {**PRICE_CFG, "n": 2.5}, [], "config field 'n' must be an integer, got 2.5"),
+        ("price", {**PRICE_CFG, "B": 1000.0}, [], "config field 'B' must be an integer, got 1000.0"),
+        ("price", {**PRICE_CFG, "seed": 1.5}, [], "config field 'seed' must be an integer, got 1.5"),
+        ("price", {**PRICE_CFG, "functional": {**PRICE_CFG["functional"], "K": "0.75"}}, [],
+         "functional config field 'K' must be a number, got '0.75'"),
+        ("price", {**OU_PRICE_CFG, "jump": {"intensity": "1"}}, [],
+         "jump config field 'intensity' must be a number, got '1'"),
     ],
 )
 def test_config_and_data_errors_exit_2(

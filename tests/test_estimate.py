@@ -12,6 +12,7 @@ from plugmc import (
     bs_small_noise_model,
     contrast,
     contrast_gradient,
+    contrast_rates,
     deterministic_path,
     euler_path,
     fisher_info,
@@ -120,6 +121,21 @@ def test_newton_from_truth_converges_fast():
     model, obs = simulate_observations(3)
     result = minimize_contrast(obs, model, init=THETA0)
     assert result.converged and result.n_iter <= 3
+
+
+def test_estimators_return_one_rate_per_parameter():
+    # eps for the drift and jump parameters, 1/sqrt(n) for the diffusion
+    # parameter; the ou estimate used to carry two rates for three parameters
+    assert np.array_equal(contrast_rates(EPS, N_OBS, 3), [EPS, 1 / np.sqrt(N_OBS), EPS])
+    model, obs = simulate_observations(4)
+    assert np.array_equal(bs_closed_form(obs).rates, contrast_rates(EPS, N_OBS, 2))
+    ou = ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0)
+    grid = TimeGrid(1.0, 100)
+    path = euler_path(ou, ou.theta0, sample_noise(grid, ou.jump, path_seed(5, 0)))
+    obs = Observations(grid=grid, samples=path.values, eps=ou.epsilon)
+    result = minimize_contrast(obs, ou, init=ou.theta0)
+    assert result.rates.shape == (3,)
+    assert np.array_equal(result.rates, [1.0, 0.1, 1.0])
 
 
 def test_closed_form_on_constant_observations():

@@ -114,12 +114,13 @@ def test_config_rejects_overlapping_seed_blocks():
 
 def test_bs_experiment_singular_information_fails_before_monte_carlo(monkeypatch):
     import plugmc.experiments as exp
+    import plugmc.inference
 
     def no_pricing(*args, **kwargs):
         raise AssertionError("Monte Carlo pass started before the information was checked")
 
     monkeypatch.setattr(exp, "fisher_info", lambda *args: np.diag([1.0, 0.0]))
-    monkeypatch.setattr(exp, "estimate_C", no_pricing)
+    monkeypatch.setattr(plugmc.inference, "estimate_C", no_pricing)
     with pytest.raises(ValueError, match=r"parameter\(s\) sigma not identified"):
         run_bs_experiment(ExperimentConfig(**FAST))
 
@@ -160,9 +161,9 @@ def test_bs_experiment_deterministic():
 
 
 def test_bs_experiment_aborts_on_many_failures(monkeypatch):
-    import plugmc.experiments as exp
+    import plugmc.inference as inf
 
-    real = exp.estimate_C
+    real = inf.estimate_C
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -171,7 +172,7 @@ def test_bs_experiment_aborts_on_many_failures(monkeypatch):
             raise ValueError("synthetic failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(exp, "estimate_C", flaky)
+    monkeypatch.setattr(inf, "estimate_C", flaky)
     with pytest.raises(RuntimeError, match="replications failed"):
         run_bs_experiment(ExperimentConfig(**FAST))
 

@@ -158,7 +158,7 @@ def test_batch_grid_must_span_the_functional_horizon(bs_model, functional, horiz
 def test_estimate_c_levy_terminal_identity(levy):
     # identity terminal payoff: C = E[(T, W_T, S_T)] = (T, 0, T)
     f = Functional(kind="terminal", horizon=1.0)
-    c, se = estimate_C(levy, f, levy.theta0, 20_000, 11, TimeGrid(1.0, 100))
+    c, se, _, _ = estimate_C(levy, f, levy.theta0, 20_000, 11, TimeGrid(1.0, 100))
     assert c[0] == pytest.approx(1.0, abs=1e-10)
     assert abs(c[1]) < 3 * se[1]
     assert abs(c[2] - 1.0) < 3 * se[2]
@@ -179,7 +179,7 @@ def test_estimate_c_zero_for_theta_free_dynamics():
             "initial_grad": lambda th: np.zeros(2),
         }
     )
-    c, se = estimate_C(m0, f, np.zeros(2), 500, 3, TimeGrid(1.0, 20))
+    c, se, _, _ = estimate_C(m0, f, np.zeros(2), 500, 3, TimeGrid(1.0, 20))
     assert np.all(c == 0.0) and np.all(se == 0.0)
 
 
@@ -264,7 +264,7 @@ def test_gradient_consistency_common_random_numbers(bs_model, call_functional):
     # the pathwise C equals a central finite difference of the Monte Carlo
     # value computed from the same seeds: the simulated sensitivities are the
     # exact parameter derivatives of the simulated paths
-    c, c_se = estimate_C(bs_model, call_functional, THETA0, 5_000, 31, GRID)
+    c, c_se, _, _ = estimate_C(bs_model, call_functional, THETA0, 5_000, 31, GRID)
     h = 1e-4
     for i in range(2):
         u = np.zeros(2)
@@ -279,7 +279,7 @@ def test_gradient_consistency_common_random_numbers(bs_model, call_functional):
 
 def test_route_agreement_quick(bs_model, call_functional):
     # derivative-process variance vs delta method on the closed form
-    c, c_se = estimate_C(bs_model, call_functional, THETA0, 20_000, 17, GRID)
+    c, c_se, _, _ = estimate_C(bs_model, call_functional, THETA0, 20_000, 17, GRID)
     info_inv = np.diag([1.0, 0.5])
     v_pathwise = asymptotic_variance(c, info_inv)
     v_delta = delta_method_variance(
@@ -312,6 +312,20 @@ def test_build_report_fields(bs_model, call_functional):
         "theta", "H_hat", "H_se_mc", "C_hat", "C_se", "asy_var",
         "gamma_star", "alpha", "ci_low", "ci_high", "z_hat",
     }
+
+
+def test_build_report_prices_the_paths_from_its_start_index(bs_model, call_functional):
+    # the study prices each replication on its own block of seeded paths
+    grid = TimeGrid(1.0, 50)
+    rates, info = np.array([EPS, 1 / np.sqrt(50)]), np.diag([1.0, 2.0])
+    k = 1 << 21
+    at_k = build_report(
+        bs_model, call_functional, THETA0, rates, info, 500, 23, grid, start_index=k
+    )
+    c, _, h, _ = estimate_C(bs_model, call_functional, THETA0, 500, 23, grid, start_index=k)
+    assert np.array_equal(at_k.c_hat, c) and at_k.h_hat == h
+    at_0 = build_report(bs_model, call_functional, THETA0, rates, info, 500, 23, grid)
+    assert at_0.h_hat != at_k.h_hat
 
 
 def test_report_names_non_finite_field():
