@@ -27,6 +27,7 @@ import numpy as np
 
 from .estimate import Observations, contrast_rates, minimize_contrast
 from .experiments import (
+    MATRIX,
     ExperimentConfig,
     check_json_types,
     functional_from_config,
@@ -43,12 +44,8 @@ from .simulate import TimeGrid, coupled_paths, path_seed, sample_noise
 # JSON types of the price config fields that cmd_price reads itself
 _PRICE_FIELDS = {
     "functional": (dict,), "B": (int,), "seed": (int,), "n": (int,),
-    "rates": (tuple,), "fisher": (tuple,), "alpha": (float,),
+    "rates": (tuple,), "fisher": (MATRIX,), "alpha": (float,),
 }
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _positive_int(text: str) -> int:
@@ -94,8 +91,8 @@ def cmd_simulate(args) -> int:
     for i in range(args.paths):
         bundle = sample_noise(grid, model.jump, path_seed(args.seed, i))
         cp = coupled_paths(model, theta, bundle)
-        for k, t in enumerate(times):
-            writer.writerow([i, _fmt(t), _fmt(cp.x[k])] + [_fmt(v) for v in cp.y[k]])
+        # csv writes a float as its repr, as Python floats from tolist()
+        writer.writerows([i, *row] for row in np.column_stack((times, cp.x, cp.y)).tolist())
     return 0
 
 

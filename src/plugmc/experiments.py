@@ -82,6 +82,9 @@ def _check_block_alignment(block_paths: int) -> None:
 
 _check_block_alignment(BLOCK_PATHS)
 
+# The kind of a config field that holds a matrix: a list of lists of numbers
+MATRIX = "matrix"
+
 # JSON value types a config field of each annotated type accepts, and how
 # an error names them; a bool is never a number
 _JSON_TYPES = {
@@ -89,14 +92,27 @@ _JSON_TYPES = {
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
     tuple: ((list,), "a list"),
+    MATRIX: ((list,), "a list"),
     dict: ((dict,), "an object"),
     type(None): ((type(None),), "null"),
 }
+# How deep the lists of a list field nest around its numbers, and how an
+# error names them
+_LIST_DEPTHS = {tuple: (1, "a list of numbers"), MATRIX: (2, "a list of lists of numbers")}
+
+
+def _holds_numbers(value, depth: int) -> bool:
+    """value is a number (depth 0) or a list of depth - 1 such values."""
+    if depth == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_holds_numbers(v, depth - 1) for v in value)
 
 
 def check_json_types(raw: dict, kinds: dict, what: str = "config") -> None:
     """Raise a ValueError naming the first field of raw whose value has none
-    of the types that kinds lists for it; fields kinds omits pass."""
+    of the types that kinds lists for it, or whose list holds anything but
+    numbers (a tuple field) or lists of numbers (a MATRIX field); fields
+    kinds omits pass."""
     for name, value in raw.items():
         if name not in kinds:
             continue
@@ -104,6 +120,9 @@ def check_json_types(raw: dict, kinds: dict, what: str = "config") -> None:
         if isinstance(value, bool) or not isinstance(value, accepted):
             expected = " or ".join(_JSON_TYPES[k][1] for k in kinds[name])
             raise ValueError(f"{what} field {name!r} must be {expected}, got {value!r}")
+        for depth, expected in (_LIST_DEPTHS[k] for k in kinds[name] if k in _LIST_DEPTHS):
+            if isinstance(value, list) and not _holds_numbers(value, depth):
+                raise ValueError(f"{what} field {name!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -475,7 +494,9 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
     """Build a model from {model, params, epsilon, x0, jump:{intensity, mean}}.
 
     epsilon, the noise scale, is required for bs and rejected for ou and
-    levy, which have none.
+    levy, which have none.  bs has no jumps and the levy jump law is fixed,
+    so a jump intensity other than 0 (bs) or 1 (levy), or a levy jump mean
+    other than 1, is rejected.
     """
     check_json_types(raw, _MODEL_FIELDS)
     name = raw.get("model")
@@ -494,6 +515,8 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
         mu, sigma = params
         if "epsilon" not in raw:
             raise ValueError("bs model config lacks 'epsilon'")
+        if jump.get("intensity", 0.0) != 0.0:
+            raise ValueError(f"model 'bs' has no jumps, got intensity {jump['intensity']!r}")
         return bs_small_noise_model(mu, sigma, float(raw["epsilon"]), x0)
     if "epsilon" in raw:
         raise ValueError(f"model {name!r} takes no 'epsilon' (only bs has a noise scale)")
@@ -503,6 +526,12 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
         if mean is not None and float(mean) != eta:
             raise ValueError("jump.mean must equal the eta parameter for the ou model")
         return ou_jump_model(mu, sigma, eta, float(jump.get("intensity", 1.0)), x0)
+    for key in ("intensity", "mean"):
+        if jump.get(key, 1.0) not in (None, 1.0):
+            raise ValueError(
+                f"model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), "
+                f"got {key} {jump[key]!r}"
+            )
     mu, sigma, eta = params
     return levy_model(mu, sigma, eta, x0)
 

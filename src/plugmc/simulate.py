@@ -49,6 +49,12 @@ coefficient comes from one `model.coefficients` call per step, so the
 Euler iterates of Y are the exact theta-derivatives of the Euler iterates
 of X, up to rounding.
 
+A block of paths is checked for finite X and Y once, after its last
+step: every update adds to or scales the previous state, so a value that
+turns non-finite stays so.  A block that fails is stepped again from the
+same noise with a check after every step, which raises SimulationBlowup
+at the first non-finite step, naming X before Y and the first bad path.
+
 A batch keeps, per path, the terminal (X, Y) and one weighted sum over
 the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
 (a functional's trapezoid rule, see Functional.weights).
@@ -61,6 +67,7 @@ theta + u.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 
@@ -305,6 +312,11 @@ def _flat_jumps(paths: Array, times: Array, sizes: Array, grid: TimeGrid):
     return steps, paths[order], sizes[order], np.searchsorted(steps, np.arange(grid.steps + 1))
 
 
+def _pos_zero(v) -> bool:
+    """v is a float +0.0, so s - v * dt is s bit for bit (dt > 0)."""
+    return isinstance(v, float) and v == 0.0 and math.copysign(1.0, v) > 0
+
+
 def _step_block(
     model: JumpDiffusionModel,
     theta: Array,
@@ -316,11 +328,14 @@ def _step_block(
     weights: Array | None = None,  # (steps + 1,), one per grid node
     record: bool = False,
     path_offset: int = 0,
+    check_steps: bool = False,
 ) -> BatchResult:
     """Advance a block of m paths over the full grid.
 
     weights adds the weighted sums x_sum (and y_sum); record=True keeps
-    the full paths in x_path and y_path (small blocks only).  Raises
+    the full paths in x_path and y_path (small blocks only).  X and Y are
+    checked once, after the last step; if that fails, the block is re-run
+    with check_steps=True, which checks after every step and raises
     SimulationBlowup at the first step where X or Y turns non-finite.
     """
     n, m = increments.shape
@@ -358,18 +373,18 @@ def _step_block(
         x = x_prev + a * dt + b * dw
         if has_jumps:
             comp, comp_x, comp_th = coef[6:]
-            x = x - comp * dt
+            x -= comp * dt
 
         if y is not None:
             # factored tangent step: the factor g is shared by all p rows
             g = 1.0 + a_x * dt + b_x * dw
-            if has_jumps:
+            if has_jumps and not _pos_zero(comp_x):
                 g -= comp_x * dt
             yp, y = y, y_next
+            np.multiply(yp, g, out=y)
             for j in range(p):
-                np.multiply(yp[j], g, out=y[j])
                 y[j] += a_th[j] * dt + b_th[j] * dw
-                if has_jumps:
+                if has_jumps and not _pos_zero(comp_th[j]):
                     y[j] -= comp_th[j] * dt
             y_next = yp
 
@@ -381,26 +396,33 @@ def _step_block(
                 c, c_x, c_th = model.jump_kernel(x_prev[pj], sizes_j[lo:hi], theta)
                 np.add.at(x, pj, c)
                 if y is not None:
+                    c_th_rows = np.empty((p, hi - lo))  # each entry broadcast to its row
                     for j in range(p):
-                        np.add.at(y[j], pj, c_x * yp[j, pj] + c_th[j])
+                        c_th_rows[j] = c_th[j]
+                    np.add.at(y, (slice(None), pj), c_x * yp[:, pj] + c_th_rows)
 
-        for label, state in (("X", x), ("Y", y)):
-            if state is not None and not np.isfinite(state).all():
-                finite = np.isfinite(state).reshape(-1, m).all(axis=0)
-                bad = int(np.flatnonzero(~finite)[0])
-                raise SimulationBlowup(
-                    k + 1, detail=f" in {label} (path index {path_offset + bad})"
-                )
+        if check_steps:
+            for label, state in (("X", x), ("Y", y)):
+                if state is not None and not np.isfinite(state).all():
+                    bad = int(np.flatnonzero(~np.isfinite(state).reshape(-1, m).all(0))[0])
+                    raise SimulationBlowup(
+                        k + 1, detail=f" in {label} (path index {path_offset + bad})"
+                    )
 
         if x_sum is not None:
-            x_sum = x_sum + weights[k + 1] * x
+            x_sum += weights[k + 1] * x
             if y_sum is not None:
-                y_sum = y_sum + weights[k + 1] * y
+                y_sum += weights[k + 1] * y
 
         if record:
             rec_x[k + 1] = x
             if rec_y is not None:
                 rec_y[k + 1] = y
+
+    if not check_steps and not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
+        # weights and record leave X and Y as they are, so the re-run skips them
+        _step_block(model, theta, grid, increments, jumps, want_y=want_y,
+                    path_offset=path_offset, check_steps=True)
 
     def per_path(block):
         # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
@@ -497,24 +519,9 @@ def simulate_batch(
                 times.append(block_times[a:b])
                 sizes.append(block_sizes[a:b])
             col += hi - lo
-        jumps = (
-            _flat_jumps(
-                np.concatenate(paths), np.concatenate(times), np.concatenate(sizes), grid
-            )
-            if paths
-            else None
-        )
-        res = _step_block(
-            model,
-            theta,
-            grid,
-            increments,
-            jumps,
-            want_y=want_y,
-            weights=weights,
-            record=record,
-            path_offset=done,
-        )
+        jumps = _flat_jumps(*map(np.concatenate, (paths, times, sizes)), grid) if paths else None
+        res = _step_block(model, theta, grid, increments, jumps, want_y=want_y,
+                          weights=weights, record=record, path_offset=done)
         pieces.append(res)
         done += m
 

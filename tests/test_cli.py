@@ -79,6 +79,25 @@ def test_simulate_rejects_epsilon_for_models_without_noise_scale(model, capsys):
     assert run_cli(base, capsys).startswith("path_id,t,X,Y1,Y2,Y3\n")
 
 
+def test_simulate_rejects_jump_intensities_bs_and_levy_do_not_have(capsys):
+    # the levy jump law is fixed; intensity 5 used to give intensity 1's bytes
+    base = ["simulate", "--model", "levy", "--params", "0.1,0.3,0.5", "--n", "5"]
+    assert main(base + ["--jump-intensity", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "plugmc simulate: error: model 'levy' has jump intensity 1 and mean 1 "
+        "(Exp(1) sizes), got intensity 5.0\n"
+    )
+    assert run_cli(base + ["--jump-intensity", "1"], capsys) == run_cli(base, capsys)
+    bs = ["simulate", "--model", "bs", "--params", "0.2,1.0", "--n", "5"]
+    assert main(bs + ["--jump-intensity", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "plugmc simulate: error: model 'bs' has no jumps, got intensity 5.0\n"
+    )
+    assert run_cli(bs + ["--jump-intensity", "0"], capsys) == run_cli(bs, capsys)
+
+
 def test_simulate_bs_epsilon_defaults_to_one(capsys):
     base = ["simulate", "--model", "bs", "--params", "0.2,1.0", "--n", "5", "--seed", "3"]
     assert run_cli(base, capsys) == run_cli(base + ["--epsilon", "1.0"], capsys)
@@ -316,6 +335,21 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "functional config field 'K' must be a number, got '0.75'"),
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": "1"}}, [],
          "jump config field 'intensity' must be a number, got '1'"),
+        ("price", {**PRICE_CFG, "params": [True, 1.0]}, [],
+         "config field 'params' must be a list of numbers, got [True, 1.0]"),
+        ("experiment", {"theta0": [True, "1.0"]}, [],
+         "config field 'theta0' must be a list of numbers, got [True, '1.0']"),
+        ("price", {**PRICE_CFG, "rates": [0.5, "0.5"]}, [],
+         "config field 'rates' must be a list of numbers, got [0.5, '0.5']"),
+        ("price", {**PRICE_CFG, "fisher": [1.0, 2.0]}, [],
+         "config field 'fisher' must be a list of lists of numbers, got [1.0, 2.0]"),
+        ("price", {**PRICE_CFG, "fisher": [[1.0, 0.0], [0.0, False]]}, [],
+         "config field 'fisher' must be a list of lists of numbers, "
+         "got [[1.0, 0.0], [0.0, False]]"),
+        ("price", {**OU_PRICE_CFG, "model": "levy", "jump": {"intensity": 5.0}}, [],
+         "model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), got intensity 5.0"),
+        ("price", {**OU_PRICE_CFG, "model": "levy", "jump": {"mean": 0.5}}, [],
+         "model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), got mean 0.5"),
     ],
 )
 def test_config_and_data_errors_exit_2(

@@ -93,6 +93,9 @@ def test_config_from_dict_checks_json_types():
         ("alpha", "0.05", "a number"),
         ("epsilon", None, "a number or a string"),
         ("n_grid_price", "100", "an integer or null"),
+        ("theta0", [True, 1.0], "a list of numbers"),
+        ("theta0", [0.2, "1.0"], "a list of numbers"),
+        ("theta0", [[0.2], 1.0], "a list of numbers"),
     ]:
         with pytest.raises(ValueError, match=f"config field '{key}' must be {expected}, got"):
             ExperimentConfig.from_dict({"theta0": [0.2, 1.0], key: value})
@@ -253,6 +256,11 @@ def test_model_from_config_variants():
         )
     levy = model_from_config({"model": "levy", "params": [0.1, 0.3, 0.5]})
     assert levy.name == "levy"
+    fixed = {"model": "levy", "params": [0.1, 0.3, 0.5], "jump": {"intensity": 1, "mean": 1.0}}
+    assert model_from_config(fixed).jump.intensity == levy.jump.intensity == 1.0
+    for jump in ({"intensity": 2.0}, {"intensity": 0.0}, {"mean": 2.0}):
+        with pytest.raises(ValueError, match="model 'levy' has jump intensity 1 and mean 1"):
+            model_from_config({**fixed, "jump": jump})
     with pytest.raises(ValueError, match="unknown model"):
         model_from_config({"model": "heston", "params": []})
     # a wrong count used to end in a bare "not enough values to unpack"

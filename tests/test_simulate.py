@@ -239,6 +239,55 @@ def test_blowup_in_sensitivity_names_step_and_path():
             coupled_paths(m, theta, b)
 
 
+def tripwire_model(model, theta, grid, root, n_paths, path, step, where):
+    """The model with its drift ("X"), drift x-derivative ("Y") or both
+    ("XY") made infinite at the state `path` reaches at `step`, so that
+    path alone turns non-finite at step + 1 (in Y through the factor g)."""
+    target = simulate_batch(model, theta, grid, root, n_paths, record=True).x_path[step, path]
+
+    def coefficients(x, th):
+        coef = list(model.coefficients(x, th))
+        for i in {"X": (0,), "Y": (2,), "XY": (0, 2)}[where]:
+            coef[i] = np.where(x == target, np.inf, coef[i])
+        return tuple(coef)
+
+    return replace(model, coefficients=coefficients)
+
+
+# The step, label and path index below are those the per-step check
+# reported before finiteness was checked once per block.
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("where, label", [("X", "X"), ("Y", "Y"), ("XY", "X")])
+def test_deferred_check_locates_blowup_in_later_chunk(bs_model, where, label, record):
+    grid = TimeGrid(1.0, 12)
+    weights = Functional(kind="time_average", horizon=1.0).weights(grid)
+    model = tripwire_model(bs_model, THETA0, grid, 5, 10, path=7, step=4, where=where)
+    expected = rf"^non-finite state at step 5 in {label} \(path index 7\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationBlowup, match=expected) as err:
+            simulate_batch(
+                model, THETA0, grid, 5, 10,
+                want_y=True, weights=weights, record=record, chunk_size=3,
+            )
+        assert err.value.step == 5
+        if where == "Y":
+            # X alone stays finite and equal to the model's own paths
+            res = simulate_batch(model, THETA0, grid, 5, 10, record=record, chunk_size=3)
+            base = simulate_batch(bs_model, THETA0, grid, 5, 10, record=record)
+            assert np.array_equal(res.x_terminal, base.x_terminal)
+
+
+def test_deferred_check_locates_blowup_with_jumps():
+    ou = ou_jump_model(1.0, 0.3, 0.5, 20.0, 1.0)
+    grid = TimeGrid(1.0, 20)
+    model = tripwire_model(ou, ou.theta0, grid, 9, 10, path=7, step=11, where="XY")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationBlowup, match=r"step 12 in X \(path index 7\)$"):
+            simulate_batch(model, ou.theta0, grid, 9, 10, want_y=True, chunk_size=4)
+        with pytest.raises(SimulationBlowup, match=r"step 12 in X \(path index 0\)$"):
+            coupled_paths(model, ou.theta0, sample_noise(grid, ou.jump, path_seed(9, 7)))
+
+
 def test_levy_coupling_residual_below_1e10(levy):
     u = np.array([0.05, -0.03, 0.02])
     for i in range(20):
