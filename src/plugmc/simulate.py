@@ -47,13 +47,10 @@ Engineering (2004), section 7.2,
 the factor g_k is computed once per step and shared by all p rows.  Every
 coefficient comes from one `model.coefficients` call per step, so the
 Euler iterates of Y are the exact theta-derivatives of the Euler iterates
-of X, up to rounding.
-
-A block of paths is checked for finite X and Y once, after its last
-step: every update adds to or scales the previous state, so a value that
-turns non-finite stays so.  A block that fails is stepped again from the
-same noise with a check after every step, which raises SimulationBlowup
-at the first non-finite step, naming X before Y and the first bad path.
+of X, up to rounding.  X and Y are checked for finiteness once per block
+of paths, after its last step, since each update adds to or scales the
+previous state; a block that fails is stepped again from the same noise
+with a check after every step, which names the first non-finite step.
 
 A batch keeps, per path, the terminal (X, Y) and one weighted sum over
 the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
@@ -333,10 +330,9 @@ def _step_block(
     """Advance a block of m paths over the full grid.
 
     weights adds the weighted sums x_sum (and y_sum); record=True keeps
-    the full paths in x_path and y_path (small blocks only).  X and Y are
-    checked once, after the last step; if that fails, the block is re-run
-    with check_steps=True, which checks after every step and raises
-    SimulationBlowup at the first step where X or Y turns non-finite.
+    the full paths in x_path and y_path (small blocks only).  Raises
+    SimulationBlowup at the first step where X or Y turns non-finite,
+    found by a re-run with check_steps=True if the end-of-block check fails.
     """
     n, m = increments.shape
     dt = grid.dt
@@ -348,7 +344,7 @@ def _step_block(
     if want_y:
         y0 = np.asarray(model.initial_grad(theta), dtype=float)
         y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
-        y_next = np.empty_like(y)  # the two swap each step
+        y_prev = np.empty_like(y)  # the two swap each step
 
     x_sum = y_sum = None
     if weights is not None:
@@ -380,13 +376,12 @@ def _step_block(
             g = 1.0 + a_x * dt + b_x * dw
             if has_jumps and not _pos_zero(comp_x):
                 g -= comp_x * dt
-            yp, y = y, y_next
-            np.multiply(yp, g, out=y)
+            y, y_prev = y_prev, y
+            np.multiply(y_prev, g, out=y)
             for j in range(p):
                 y[j] += a_th[j] * dt + b_th[j] * dw
                 if has_jumps and not _pos_zero(comp_th[j]):
                     y[j] -= comp_th[j] * dt
-            y_next = yp
 
         if jumps is not None:
             steps_j, paths_j, sizes_j, bounds = jumps
@@ -399,12 +394,13 @@ def _step_block(
                     c_th_rows = np.empty((p, hi - lo))  # each entry broadcast to its row
                     for j in range(p):
                         c_th_rows[j] = c_th[j]
-                    np.add.at(y, (slice(None), pj), c_x * yp[:, pj] + c_th_rows)
+                    np.add.at(y, (slice(None), pj), c_x * y_prev[:, pj] + c_th_rows)
 
         if check_steps:
             for label, state in (("X", x), ("Y", y)):
                 if state is not None and not np.isfinite(state).all():
-                    bad = int(np.flatnonzero(~np.isfinite(state).reshape(-1, m).all(0))[0])
+                    finite = np.isfinite(state).reshape(-1, m).all(axis=0)
+                    bad = int(np.flatnonzero(~finite)[0])
                     raise SimulationBlowup(
                         k + 1, detail=f" in {label} (path index {path_offset + bad})"
                     )
@@ -420,9 +416,10 @@ def _step_block(
                 rec_y[k + 1] = y
 
     if not check_steps and not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
-        # weights and record leave X and Y as they are, so the re-run skips them
-        _step_block(model, theta, grid, increments, jumps, want_y=want_y,
-                    path_offset=path_offset, check_steps=True)
+        _step_block(
+            model, theta, grid, increments, jumps,
+            want_y=want_y, path_offset=path_offset, check_steps=True,
+        )
 
     def per_path(block):
         # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
@@ -519,9 +516,24 @@ def simulate_batch(
                 times.append(block_times[a:b])
                 sizes.append(block_sizes[a:b])
             col += hi - lo
-        jumps = _flat_jumps(*map(np.concatenate, (paths, times, sizes)), grid) if paths else None
-        res = _step_block(model, theta, grid, increments, jumps, want_y=want_y,
-                          weights=weights, record=record, path_offset=done)
+        jumps = (
+            _flat_jumps(
+                np.concatenate(paths), np.concatenate(times), np.concatenate(sizes), grid
+            )
+            if paths
+            else None
+        )
+        res = _step_block(
+            model,
+            theta,
+            grid,
+            increments,
+            jumps,
+            want_y=want_y,
+            weights=weights,
+            record=record,
+            path_offset=done,
+        )
         pieces.append(res)
         done += m
 
