@@ -254,8 +254,8 @@ def tripwire_model(model, theta, grid, root, n_paths, path, step, where):
     return replace(model, coefficients=coefficients)
 
 
-# The step, label and path index below are those the per-step check
-# reported before finiteness was checked once per block.
+# The expected step, label and path index are those that a check after
+# every step reports.
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("where, label", [("X", "X"), ("Y", "Y"), ("XY", "X")])
 def test_deferred_check_locates_blowup_in_later_chunk(bs_model, where, label, record):
@@ -277,14 +277,15 @@ def test_deferred_check_locates_blowup_in_later_chunk(bs_model, where, label, re
             assert np.array_equal(res.x_terminal, base.x_terminal)
 
 
-def test_deferred_check_locates_blowup_with_jumps():
+@pytest.mark.parametrize("where, label", [("Y", "Y"), ("XY", "X")])
+def test_deferred_check_locates_blowup_with_jumps(where, label):
     ou = ou_jump_model(1.0, 0.3, 0.5, 20.0, 1.0)
     grid = TimeGrid(1.0, 20)
-    model = tripwire_model(ou, ou.theta0, grid, 9, 10, path=7, step=11, where="XY")
+    model = tripwire_model(ou, ou.theta0, grid, 9, 10, path=7, step=11, where=where)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationBlowup, match=r"step 12 in X \(path index 7\)$"):
+        with pytest.raises(SimulationBlowup, match=rf"step 12 in {label} \(path index 7\)$"):
             simulate_batch(model, ou.theta0, grid, 9, 10, want_y=True, chunk_size=4)
-        with pytest.raises(SimulationBlowup, match=r"step 12 in X \(path index 0\)$"):
+        with pytest.raises(SimulationBlowup, match=rf"step 12 in {label} \(path index 0\)$"):
             coupled_paths(model, ou.theta0, sample_noise(grid, ou.jump, path_seed(9, 7)))
 
 
