@@ -3,28 +3,30 @@
 Everything here is deterministic given a seed.  A root seed and a path
 index name a path (path_seed packs them as root in the high 64 bits,
 index in the low 64).  Paths are drawn in blocks of BLOCK_PATHS: path i
-is row i % BLOCK_PATHS of block i // BLOCK_PATHS, whose counter-based
-Philox stream (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11) has key path_seed(root, i // BLOCK_PATHS).
+is row i % BLOCK_PATHS of block i // BLOCK_PATHS.  The block's key is
+path_seed(root, i // BLOCK_PATHS), and the counter-based Philox stream
+with that key (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11) only derives the block's generator states: its first 8
+words are two SFC64 states, one for the increments and one for the
+jumps, and every number of the block is drawn from those two.
 
-  - From counter 0 the block's Brownian increments fill
-    (BLOCK_PATHS, steps) row by row in one normal call.
-  - From counter 2**128, so never overlapping them, come the block's
-    jumps: BLOCK_PATHS Poisson counts in one call, then every jump time
-    in one uniform call, then every size in one sampler call; row r owns
-    the r-th segment, its times sorted.
+  - The block's Brownian increments fill (BLOCK_PATHS, steps) row by row
+    in one normal call (numpy's ziggurat) from the increments generator.
+  - The jump generator draws the block's jumps: BLOCK_PATHS Poisson
+    counts in one call, then every jump time in one uniform call, then
+    every size in one sampler call; row r owns the r-th segment, its
+    times sorted.
 
 Monte Carlo batches are therefore reproducible regardless of chunking
 or evaluation order: a chunk that covers part of a block draws the block
 up to the last row it needs and slices it.  A single path's noise is
 regenerated in isolation by drawing its block's rows up to its own.
 
-A batch does not build one generator per block: it re-keys a single
-Philox generator through its state setter (key, counter, empty output
-buffer, no cached 32-bit half), which yields exactly the stream of
-Generator(Philox(key=key, counter=counter)) without the cost of
-constructing it.  What the noise layer still costs is the normal draws
-themselves.
+A batch builds no generator per block: it re-keys one Philox bit
+generator and re-sets two SFC64 ones through their state setters (see
+_BlockStreams).  SFC64 draws a normal faster than Philox, and setting
+the three states costs a few microseconds per block; what the noise
+layer still costs is the normal draws themselves.
 
 The Euler step applied everywhere (single paths and vectorized batches
 share one stepper) is
@@ -189,37 +191,50 @@ BLOCK_PATHS = 64
 
 
 class _BlockStreams:
-    """One Generator(Philox) re-keyed to each noise block in turn.
+    """Two Generator(SFC64), set for each noise block in turn from its key.
 
-    `at(key, jumps)` writes the state of a freshly keyed generator: key
-    [key & (2**64 - 1), key >> 64], an empty 4-word output buffer
-    (buffer_pos 4), no cached 32-bit half (has_uint32 0), and counter 0
-    for the block's Brownian increments or 2**128 for its jumps.  The
-    stream equals Generator(Philox(key=key, counter=...)) bit for bit, and
-    the two never overlap: the increments use far fewer than 2**128
-    counter values.
+    `at(key)` re-keys one Philox bit generator through its state setter
+    (key [key & (2**64 - 1), key >> 64], counter 0, an empty 4-word output
+    buffer, no cached 32-bit half), which yields exactly the stream of
+    Philox(key=key), and takes its first 8 words in one random_raw call.
+    Words 0-3 become the SFC64 state (a, b, c, counter) of the generator
+    for the block's Brownian increments, words 4-7 that of the generator
+    for its jumps; each setter also clears the cached 32-bit half
+    (has_uint32 0, uinteger 0).  So the two generators draw exactly as
+    fresh Generator(SFC64) objects given those states, and nothing of the
+    previous block survives.  No generator is built per block.
     """
 
     def __init__(self):
-        self._bits = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bits)
+        self._philox = np.random.Philox(key=0)
         self._key = np.zeros(2, dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._state = {
+        self._philox_state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": self._key},
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+        self._sfc = (np.random.SFC64(0), np.random.SFC64(0))
+        self._gens = tuple(np.random.Generator(bits) for bits in self._sfc)
+        self._sfc_state = {
+            "bit_generator": "SFC64",
+            "state": {"state": None},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-    def at(self, key: int, jumps: bool = False) -> np.random.Generator:
+    def at(self, key: int) -> tuple[np.random.Generator, np.random.Generator]:
+        """The block's (increments, jumps) generators, set from key."""
         self._key[0] = key & _MASK64
         self._key[1] = key >> 64
-        self._counter[2] = jumps  # word 2 of the 256-bit counter: 2**128
-        self._bits.state = self._state  # the setter copies, the dict stays as built
-        return self._gen
+        self._philox.state = self._philox_state  # the setter copies, the dict stays as built
+        words = self._philox.random_raw(8)
+        for bits, lo in zip(self._sfc, (0, 4)):
+            self._sfc_state["state"]["state"] = words[lo : lo + 4]
+            bits.state = self._sfc_state
+        return self._gens
 
 
 def _draw_block(
@@ -228,20 +243,23 @@ def _draw_block(
     """The one draw order of a noise block, shared by sample_noise and batches.
 
     Returns the first `rows` rows of the block's N(0, dt) increments
-    (sd = sqrt(dt)), shape (rows, steps), and for a jump law with positive
-    intensity the jumps of all BLOCK_PATHS rows as (row, time, size)
-    arrays, ordered by row and by time within a row (None otherwise).
-    A row's increments do not depend on `rows`, and its jumps do not
-    depend on which rows the caller keeps.
+    (sd = sqrt(dt)), shape (rows, steps), drawn row by row in one normal
+    call from the block's increments generator; and, for a jump law with
+    positive intensity, the jumps of all BLOCK_PATHS rows as (row, time,
+    size) arrays, ordered by row and by time within a row (None
+    otherwise), drawn from the block's jump generator: BLOCK_PATHS Poisson
+    counts, then every time, then every size.  A row's increments do not
+    depend on `rows`, and its jumps do not depend on which rows the caller
+    keeps.
     """
-    increments = streams.at(key).normal(0.0, sd, (rows, grid.steps))
+    normals, jumps = streams.at(key)
+    increments = normals.normal(0.0, sd, (rows, grid.steps))
     if jump.intensity > 0:
-        gen = streams.at(key, jumps=True)
-        counts = gen.poisson(jump.intensity * grid.horizon, BLOCK_PATHS)
+        counts = jumps.poisson(jump.intensity * grid.horizon, BLOCK_PATHS)
         total = int(counts.sum())
         row = np.repeat(np.arange(BLOCK_PATHS), counts)
-        times = gen.uniform(0.0, grid.horizon, total)
-        sizes = jump.sampler(gen, total)
+        times = jumps.uniform(0.0, grid.horizon, total)
+        sizes = jump.sampler(jumps, total)
         return increments, (row, times[np.lexsort((times, row))], sizes)
     return increments, None
 

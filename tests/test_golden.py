@@ -13,20 +13,27 @@ information matrix is singular.
 The digests belong to one floating-point environment (numpy 2.x on
 x86-64); a different libm or BLAS may legitimately change the last bits.
 A change of the random bitstreams must re-record them once, on purpose.
-They were last re-recorded for the block-keyed noise layout (path i is
-row i mod BLOCK_PATHS of a Philox block stream, jumps drawn per block)
-together with the factored tangent step for Y.  `estimate_bs` kept its
-digest: it reads only X of path 0, which is row 0 of block 0 and draws
-the same normals as before.
+They were re-recorded for the block-keyed noise layout (path i is row
+i mod BLOCK_PATHS of a block stream, jumps drawn per block) together with
+the factored tangent step for Y.
 
-Three digests were re-recorded once more when the normal CDF and quantile
+Three digests were re-recorded after that when the normal CDF and quantile
 moved from scipy's ndtr/ndtri to the standard library (math.erfc and
 statistics.NormalDist.inv_cdf), which differ in the last bits:
 `price_ou_discounted` (one ci_low, through z_{alpha/2}),
 `experiment_bs_replications.csv` (interval ends, through z_{alpha/2})
 and `experiment_bs_qq.csv` (the theoretical quantiles).  No number in
-them moved by more than 8.9e-16; the bitstreams are unchanged and every
+them moved by more than 8.9e-16; the bitstreams did not change, and every
 other digest, the study's summary included, kept its value.
+
+Then all 13 were re-recorded when the block streams moved from
+Philox to SFC64: the Philox stream keyed by path_seed(root, block) now
+only derives two SFC64 states per block, one for the Brownian increments
+and one for the jumps, and every normal, count, time and size is drawn
+from those.  The layout (rows of a block, draw order within it) did not
+change, but every number drawn did, so every output moved, `estimate_bs`
+(row 0 of block 0) included.  The statistical criteria and the exact-law
+test of the stream (test_acceptance.py) pass at unchanged tolerances.
 """
 
 import contextlib
@@ -39,19 +46,19 @@ from plugmc.cli import main
 EPS = "0.04472135954999579"
 
 GOLDEN = {
-    "simulate_bs": "d9f3f866e37eeb71012891153e151a36bf50c589efa11f4d686ca51fb580a42f",
-    "simulate_ou_jumps": "f54e933393f812ed15aec5ea3ba53d3b58a3b64d5880f2fa5de4829668f0892e",
-    "simulate_levy": "94ae01ba2a53a023589f120ba63a1c92a5383e3e94ed81e0155a76e42d709eee",
-    "estimate_bs": "789a3e74e84ee45a611d3cc6a4c63afa3746483c895af9447ebbd2052494e101",
-    "price_bs_call": "a33ea553440a5e606475bcb18b97545be05cc075783733b33c6d98aa8fca714e",
-    "price_bs_average_call": "1dc6ec3bba34022a008e667641d70b7798d3d0d5ba2a0bc9ae52ee09abc05b16",
-    "price_ou_discounted": "f479060643d259dafc0c1eacd2ca3e0ba7ec906528f83d1c3b8b1defd080f1cf",
-    "experiment_bs_stdout": "ab5936b6049f778b888ed111bb1a85b28c890bfc7da43e64150e8efc1f12f7c5",
-    "experiment_bs_replications.csv": "296cd71469fc45253c7632a09af051152d40d098a1f42fc5517ea11c6f9aeb91",
-    "experiment_bs_summary.json": "ab5936b6049f778b888ed111bb1a85b28c890bfc7da43e64150e8efc1f12f7c5",
-    "experiment_bs_qq.csv": "8e770737abd42ac2845218a31565ecea4e17d4db9676a2d7da49ac0f46701a47",
-    "experiment_bs_histogram.csv": "707a7463302fdd86abd41c2c238f6440c002b50ff9af2e24f39648f45fd95a7b",
-    "experiment_ou_oracle": "62b092a6aa056c9506e47f3dd091e739fab7ce8d4aac8659c214d4493a9b5ee3",
+    "simulate_bs": "6a0b43dea127b6e64e69c6ae11455d265a83e0af9209270d263fbba5703b159f",
+    "simulate_ou_jumps": "c77d4c4759a4b11956a9454c9f5931792084359f1257c5ebd45bfba228a84b05",
+    "simulate_levy": "d94aa4934e421bd4a6502a61c631c912c2ae5db2162d311140b70e81cfed7cf6",
+    "estimate_bs": "9c26bbbce4b502cead5e27598b1642c69a1f3ae4c424f2e6ddd8fdfcc6b43ab0",
+    "price_bs_call": "8c5a7070df5977267e96550473e6dcec60aa825b8993b780893efef1d86874c9",
+    "price_bs_average_call": "190cc4dfb48f0d472b7b452f3af9d741d197ddeb2c867afd4a1ec55f8d34c36a",
+    "price_ou_discounted": "e4e60c34e90bd87791ccefd82d8310c67262d77a003d4f46443d9aa9aca809aa",
+    "experiment_bs_stdout": "44683386ed708659b22e315567e28d202aed7dba0c92e2afa7567e0e422aa0e0",
+    "experiment_bs_replications.csv": "e33f18a513aab85abb78fb8db5ff672190a3c37a6d51a3057d337667e6381024",
+    "experiment_bs_summary.json": "44683386ed708659b22e315567e28d202aed7dba0c92e2afa7567e0e422aa0e0",
+    "experiment_bs_qq.csv": "81d4446f3422b411fba0cc5b66c1a2d9a92b5fed398576e8d872f8472cf90d5f",
+    "experiment_bs_histogram.csv": "609355e9fa17d23e14b9720662495df71a9e35be2c448dbe61f7b72d1e13f354",
+    "experiment_ou_oracle": "2c196bc964a71880abf3571e041ded0d348e9a7f597f75accf7160100a088f2e",
 }
 
 

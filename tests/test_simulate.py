@@ -454,10 +454,26 @@ def _recording(model, counts):
     return replace(model, jump=replace(model.jump, sampler=record))
 
 
+def _fresh_block_generators(key):
+    # the documented derivation: the first 8 words of a fresh
+    # Philox(key=key) are the SFC64 states of the block's increments
+    # (words 0-3) and of its jumps (words 4-7), each in a fresh generator
+    words = np.random.Philox(key=key).random_raw(8)
+    gens = []
+    for state in (words[:4], words[4:]):
+        bits = np.random.SFC64(0)
+        bits.state = {
+            "bit_generator": "SFC64", "state": {"state": state},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        gens.append(np.random.Generator(bits))
+    return gens
+
+
 def _fresh_block_jumps(model, grid, key):
-    # a block's jumps from a fresh Generator(Philox(key, counter=2**128)):
+    # a block's jumps from a fresh Generator(SFC64) with its jump state:
     # BLOCK_PATHS counts, then every time, then every size
-    gen = np.random.Generator(np.random.Philox(key=key, counter=2**128))
+    gen = _fresh_block_generators(key)[1]
     counts = gen.poisson(model.jump.intensity * grid.horizon, BLOCK_PATHS)
     times = gen.uniform(0.0, grid.horizon, counts.sum())
     return counts, times, model.jump.sampler(gen, counts.sum())
@@ -470,7 +486,7 @@ def _fresh_generator_path(model, grid, root, index):
     # block's jumps with its times sorted
     block, row = divmod(index, BLOCK_PATHS)
     key = path_seed(root, block)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = _fresh_block_generators(key)[0]
     increments = gen.normal(0.0, np.sqrt(grid.dt), (BLOCK_PATHS, grid.steps))[row]
     times = sizes = np.empty(0)
     if model.has_jumps:
@@ -505,12 +521,13 @@ def batch_layouts(draw):
 @example(name="ou_uint32", layout=(7, 2**64 - 7, 3), root=2**64 - 1, steps=5)
 @example(name="ou_uint32", layout=(2 * BLOCK_PATHS + 3, 5, 37), root=12345, steps=4)
 def test_rekeyed_batch_matches_fresh_generator_per_path(name, layout, root, steps):
-    # One re-keyed generator per batch gives each path exactly its row of
-    # the block drawn by a fresh Philox generator, at any chunking (chunk
+    # Generators re-set per block give each path exactly its row of the
+    # block drawn by fresh SFC64 generators with the states derived from a
+    # fresh Philox(key=path_seed(root, block)), at any chunking (chunk
     # sizes that cut blocks apart) and any start index up to the top of
-    # the 64-bit counter.  A buffered word or a cached 32-bit half left
-    # over from the previous block, or a misplaced row or jump segment,
-    # would change X, Y or the jumps.
+    # the 64-bit counter.  Swapped increment and jump states, a state or a
+    # cached 32-bit half left over from the previous block, or a misplaced
+    # row or jump segment, would change X, Y or the jumps.
     n_paths, start, chunk_size = layout
     counts = []
     model = _recording(PROPERTY_MODELS[name], counts)
