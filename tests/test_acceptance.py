@@ -51,6 +51,7 @@ from plugmc import (
     run_bs_experiment,
     run_ou_oracle,
     sample_noise,
+    simulate_batch,
 )
 
 from conftest import coupling_residual_sup
@@ -331,6 +332,50 @@ def test_criterion_5_estimator_normality_300_seeds():
         assert k < KS_1PCT_300
     # both components inside their 3-sd band in at least 99% of seeds
     assert within >= 0.99
+
+
+# The noise stream against exact finite-sample laws.  Under Euler
+# observations of bs, DX_k / X_{t_k} = mu dt + eps sigma dW_k, so
+# mu_hat = mu + eps sigma W_T / T is exactly N(mu, (eps sigma)^2 / T) and
+# n sigma_hat^2 / sigma^2 = sum_k (dW_k - W_T / n)^2 / dt is exactly
+# chi-square with n - 1 degrees of freedom.  Their probability-integral
+# transforms are then exactly uniform, so a KS test of them at level 1%
+# tests the normals themselves, free of the finite-sample error of the
+# normal approximation that criterion 5 carries.
+
+# (root, first path index): blocks at both ends of the 64-bit index range,
+# the study's observation seeds, and a start that cuts blocks apart
+EXACT_LAW_BATCHES = ((1, 0), (500, 1 << 40), (2**63 + 11, 37), (2**64 - 1, 2**64 - 640))
+EXACT_LAW_PATHS = 640  # per batch: 10 blocks' worth
+
+
+def test_exact_law_of_bs_estimators_over_blocks_and_roots():
+    from scipy import stats
+
+    model = bs_small_noise_model(THETA0[0], THETA0[1], EPS, X0)
+    grid = TimeGrid(1.0, N_OBS)
+    u_mu, u_sigma = [], []
+    for root, start in EXACT_LAW_BATCHES:
+        paths = simulate_batch(
+            model, THETA0, grid, root, EXACT_LAW_PATHS, start_index=start,
+            record=True, chunk_size=100,
+        ).x_path
+        for i in range(EXACT_LAW_PATHS):
+            est = bs_closed_form(Observations(grid=grid, samples=paths[:, i], eps=EPS))
+            mu_hat, sigma_hat = est.theta
+            u_mu.append(stats.norm.cdf((mu_hat - THETA0[0]) / (EPS * THETA0[1])))
+            u_sigma.append(
+                stats.chi2.cdf(N_OBS * sigma_hat**2 / THETA0[1] ** 2, N_OBS - 1)
+            )
+    p_values = (stats.kstest(u_mu, "uniform").pvalue, stats.kstest(u_sigma, "uniform").pvalue)
+    ok = min(p_values) > 0.01
+    report(
+        "5 (exact law of the stream)", bool(ok),
+        f"KS p(mu)={p_values[0]:.3f} p(sigma)={p_values[1]:.3f} (>0.01) "
+        f"over {len(u_mu)} paths",
+    )
+    for p in p_values:
+        assert p > 0.01
 
 
 # ---------------------------------------------------------------------------
