@@ -92,6 +92,14 @@ __all__ = [
     "sup_norm_moment",
 ]
 
+def _check_count(name: str, value) -> None:
+    """Raise unless value is an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k * horizon / steps on [0, horizon]."""
@@ -102,8 +110,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        _check_count("steps", self.steps)
 
     @property
     def dt(self) -> float:
@@ -494,9 +501,9 @@ def simulate_batch(
     (one per grid node) adds the weighted sums x_sum and y_sum; record
     keeps the full paths (small batches only); see _step_block.
     """
+    _check_count("n_paths", n_paths)
+    _check_count("chunk_size", chunk_size)
     theta = model.require_theta(theta)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if weights is not None and np.shape(weights) != (grid.steps + 1,):
         raise ValueError(
             f"weights must have shape ({grid.steps + 1},), got {np.shape(weights)}"

@@ -1,5 +1,6 @@
 """Noise sampling, Euler stepping, coupling and batch consistency."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -421,6 +422,43 @@ def test_batch_index_range_checked_before_any_draw(bs_model, monkeypatch):
         simulate_batch(bs_model, THETA0, grid, 1, 5, start_index=2**64 - 4)
     with pytest.raises(ValueError, match=r"2\*\*64"):
         simulate_batch(bs_model, THETA0, grid, 2**64, 1)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, 3.0, "4"])
+def test_grid_steps_must_be_an_integer(steps):
+    # a float step count gave a grid (dt = 0.4 for 2.5 steps) that failed
+    # later with an unrelated TypeError; a bool counted as 1
+    with pytest.raises(TypeError, match="steps must be an integer"):
+        TimeGrid(1.0, steps)
+
+
+def test_grid_accepts_numpy_integer_steps():
+    assert TimeGrid(1.0, np.int64(4)).dt == TimeGrid(1.0, 4).dt
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"chunk_size": 0}, ValueError, "chunk_size must be >= 1, got 0"),
+        ({"chunk_size": -3}, ValueError, "chunk_size must be >= 1, got -3"),
+        ({"chunk_size": True}, TypeError, "chunk_size must be an integer, got True"),
+        ({"chunk_size": 2.0}, TypeError, "chunk_size must be an integer, got 2.0"),
+        ({"n_paths": 0}, ValueError, "n_paths must be >= 1, got 0"),
+        ({"n_paths": True}, TypeError, "n_paths must be an integer, got True"),
+        ({"n_paths": 2.5}, TypeError, "n_paths must be an integer, got 2.5"),
+    ],
+)
+def test_batch_counts_checked_before_any_draw(bs_model, monkeypatch, kwargs, error, message):
+    # chunk_size = 0 used to loop forever, and chunk_size = -3 failed
+    # inside numpy; each bad count is now named before any noise is drawn
+    def no_draw(*args):
+        raise AssertionError("noise drawn before the counts were checked")
+
+    monkeypatch.setattr(plugmc.simulate, "_draw_block", no_draw)
+    args = {"n_paths": 3, **kwargs}
+    n_paths = args.pop("n_paths")
+    with pytest.raises(error, match=re.escape(message)):
+        simulate_batch(bs_model, THETA0, TimeGrid(1.0, 4), 1, n_paths, **args)
 
 
 def _odd_uint32_sizes(rng, count):
