@@ -92,6 +92,7 @@ __all__ = [
     "sup_norm_moment",
 ]
 
+
 def _check_count(name: str, value) -> None:
     """Raise unless value is an integer >= 1; a bool is not a count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -174,7 +175,12 @@ def path_seed(root_seed: int, index: int) -> int:
     Both halves must fit in 64 bits; a larger value would alias a smaller
     one (2**64 + 5 and 5 would give the same streams), so it is rejected.
     numpy integers are converted first, as their fixed-width shifts wrap.
+    A bool is refused, as True would alias 1.
     """
+    if isinstance(root_seed, bool) or isinstance(index, bool):
+        raise TypeError(
+            f"root_seed and index must be integers, got {root_seed!r} and {index!r}"
+        )
     root_seed, index = operator.index(root_seed), operator.index(index)
     if root_seed < 0 or index < 0:
         raise ValueError("root_seed and index must be non-negative")
@@ -497,7 +503,8 @@ def simulate_batch(
     """Simulate n_paths seeded paths and return streaming reductions.
 
     Path i uses seed path_seed(root_seed, start_index + i); results are
-    identical for any chunk_size.  want_y adds the sensitivity Y; weights
+    identical for any chunk_size.  n_paths and chunk_size are integers
+    >= 1, checked before any draw.  want_y adds the sensitivity Y; weights
     (one per grid node) adds the weighted sums x_sum and y_sum; record
     keeps the full paths (small batches only); see _step_block.
     """
@@ -508,8 +515,8 @@ def simulate_batch(
         raise ValueError(
             f"weights must have shape ({grid.steps + 1},), got {np.shape(weights)}"
         )
-    start_index = operator.index(start_index)
     path_seed(root_seed, start_index)  # rejects a bad root or start index up front
+    start_index = operator.index(start_index)
     last_index = start_index + n_paths - 1
     if last_index >> 64:
         raise ValueError(f"path indices {start_index}..{last_index} run past 2**64 - 1")

@@ -411,6 +411,19 @@ def test_path_seed_validation():
         path_seed(5.0, 0)
 
 
+def test_bool_root_or_index_rejected(bs_model):
+    # True would alias root 1 or path index 1
+    with pytest.raises(TypeError, match="must be integers"):
+        path_seed(True, 0)
+    with pytest.raises(TypeError, match="must be integers"):
+        path_seed(5, False)
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(TypeError, match="must be integers"):
+        simulate_batch(bs_model, THETA0, grid, True, 3)
+    with pytest.raises(TypeError, match="must be integers"):
+        simulate_batch(bs_model, THETA0, grid, 5, 3, start_index=True)
+
+
 def test_batch_index_range_checked_before_any_draw(bs_model, monkeypatch):
     def no_draw(*args):
         raise AssertionError("noise drawn before the index range was checked")
