@@ -450,28 +450,28 @@ def test_grid_accepts_numpy_integer_steps():
 
 
 @pytest.mark.parametrize(
-    "kwargs, error, message",
+    "n_paths, chunk_size, error, message",
     [
-        ({"chunk_size": 0}, ValueError, "chunk_size must be >= 1, got 0"),
-        ({"chunk_size": -3}, ValueError, "chunk_size must be >= 1, got -3"),
-        ({"chunk_size": True}, TypeError, "chunk_size must be an integer, got True"),
-        ({"chunk_size": 2.0}, TypeError, "chunk_size must be an integer, got 2.0"),
-        ({"n_paths": 0}, ValueError, "n_paths must be >= 1, got 0"),
-        ({"n_paths": True}, TypeError, "n_paths must be an integer, got True"),
-        ({"n_paths": 2.5}, TypeError, "n_paths must be an integer, got 2.5"),
+        (3, 0, ValueError, "chunk_size must be >= 1, got 0"),
+        (3, -3, ValueError, "chunk_size must be >= 1, got -3"),
+        (3, True, TypeError, "chunk_size must be an integer, got True"),
+        (3, 2.0, TypeError, "chunk_size must be an integer, got 2.0"),
+        (0, 4, ValueError, "n_paths must be >= 1, got 0"),
+        (True, 4, TypeError, "n_paths must be an integer, got True"),
+        (2.5, 4, TypeError, "n_paths must be an integer, got 2.5"),
     ],
 )
-def test_batch_counts_checked_before_any_draw(bs_model, monkeypatch, kwargs, error, message):
+def test_batch_counts_checked_before_any_draw(
+    bs_model, monkeypatch, n_paths, chunk_size, error, message
+):
     # chunk_size = 0 used to loop forever, and chunk_size = -3 failed
     # inside numpy; each bad count is now named before any noise is drawn
     def no_draw(*args):
         raise AssertionError("noise drawn before the counts were checked")
 
     monkeypatch.setattr(plugmc.simulate, "_draw_block", no_draw)
-    args = {"n_paths": 3, **kwargs}
-    n_paths = args.pop("n_paths")
     with pytest.raises(error, match=re.escape(message)):
-        simulate_batch(bs_model, THETA0, TimeGrid(1.0, 4), 1, n_paths, **args)
+        simulate_batch(bs_model, THETA0, TimeGrid(1.0, 4), 1, n_paths, chunk_size=chunk_size)
 
 
 def _odd_uint32_sizes(rng, count):
