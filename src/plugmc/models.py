@@ -69,6 +69,16 @@ COEFFICIENT_NAMES = (
 JUMP_NAMES = ("jump_kernel", "jump_dx", "jump_dtheta")
 
 
+def _require_finite(name: str, value: float) -> None:
+    """Raise a ValueError naming a constant that is inf or NaN.
+
+    Such a constant would pass the sign checks and only surface later as
+    a blow-up of every path, or as an error from inside the noise draw.
+    """
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class JumpSpec:
     """Compound-Poisson jump specification with a known law.
@@ -84,6 +94,8 @@ class JumpSpec:
     sampler: Callable[[np.random.Generator, int], Array] | None = None
 
     def __post_init__(self):
+        _require_finite("jump intensity", self.intensity)
+        _require_finite("jump mean", self.mean)
         if self.intensity < 0:
             raise ValueError(f"jump intensity must be >= 0, got {self.intensity}")
         if self.intensity > 0 and self.sampler is None:
@@ -252,6 +264,8 @@ def bs_small_noise_model(
     eps is a known constant (typically 1/sqrt(n) for n observations), not a
     parameter.  eps = 0 degenerates to the exponential-growth ODE.
     """
+    _require_finite("eps", eps)
+    _require_finite("x0", x0)
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if eps < 0:
@@ -299,12 +313,16 @@ def ou_jump_model(
     -mu x + lam * eta and kernel c(x, z, theta) = z + eta.  The centred
     size law is Normal(0, jump_sd^2).
     """
+    for name, value in (("lam", lam), ("x0", x0), ("jump_sd", jump_sd)):
+        _require_finite(name, value)
     if mu <= 0:
         raise ValueError(f"mu must be > 0 (closed forms divide by mu), got {mu}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if jump_sd < 0:
+        raise ValueError(f"jump_sd must be >= 0, got {jump_sd}")
 
     theta0 = np.array([mu, sigma, eta], dtype=float)
     box = np.array([[1e-8, 20.0], [0.0, 10.0], [-10.0, 10.0]])
@@ -356,6 +374,7 @@ def levy_model(mu: float, sigma: float, eta: float, x0: float) -> JumpDiffusionM
     sensitivity process is exactly (t, W_t, S_t) and the parameter coupling
     is exact path by path.
     """
+    _require_finite("x0", x0)
     if eta == 0:
         raise ValueError("eta must be nonzero")
     if sigma < 0:

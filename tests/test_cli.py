@@ -350,6 +350,17 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), got intensity 5.0"),
         ("price", {**OU_PRICE_CFG, "model": "levy", "jump": {"mean": 0.5}}, [],
          "model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), got mean 0.5"),
+        ("price", {**PRICE_CFG, "epsilon": float("nan")}, [], "eps must be finite, got nan"),
+        ("price", json.dumps({**PRICE_CFG, "epsilon": "E"}).replace('"E"', "1e400"), [],
+         "eps must be finite, got inf"),
+        ("price", {**PRICE_CFG, "x0": float("inf")}, [], "x0 must be finite, got inf"),
+        ("price", {**OU_PRICE_CFG, "x0": float("nan")}, [], "x0 must be finite, got nan"),
+        ("price", {**OU_PRICE_CFG, "model": "levy", "x0": float("nan")}, [],
+         "x0 must be finite, got nan"),
+        ("price", {**OU_PRICE_CFG, "jump": {"intensity": float("nan")}}, [],
+         "lam must be finite, got nan"),
+        ("price", {**OU_PRICE_CFG, "jump": {"intensity": float("inf")}}, [],
+         "lam must be finite, got inf"),
     ],
 )
 def test_config_and_data_errors_exit_2(
@@ -375,3 +386,27 @@ def test_config_and_data_errors_exit_2(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"plugmc {command}: error: {message.format(file=path)}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--model", "bs", "--params", "0.2,1.0", "--epsilon", "nan"], "eps must be finite, got nan"),
+        (["--model", "bs", "--params", "0.2,1.0", "--epsilon", "inf"], "eps must be finite, got inf"),
+        (["--model", "bs", "--params", "0.2,1.0", "--x0", "inf"], "x0 must be finite, got inf"),
+        (["--model", "ou", "--params", "1.0,0.3,0.5", "--x0", "nan"], "x0 must be finite, got nan"),
+        (["--model", "levy", "--params", "0.1,0.3,0.5", "--x0", "nan"],
+         "x0 must be finite, got nan"),
+        (["--model", "ou", "--params", "1.0,0.3,0.5", "--jump-intensity", "nan"],
+         "lam must be finite, got nan"),
+        (["--model", "ou", "--params", "1.0,0.3,0.5", "--jump-intensity", "inf"],
+         "lam must be finite, got inf"),
+    ],
+)
+def test_simulate_rejects_non_finite_constants(args, message, capsys):
+    # each used to print the CSV header and then fail: a SimulationBlowup
+    # traceback (exit 1), or numpy's "lam value too large" from the draw
+    assert main(["simulate", *args, "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"plugmc simulate: error: {message}\n"
