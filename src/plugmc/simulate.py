@@ -24,9 +24,18 @@ regenerated in isolation by drawing its block's rows up to its own.
 
 A batch builds no generator per block: it re-keys one Philox bit
 generator and re-sets two SFC64 ones through their state setters (see
-_BlockStreams).  SFC64 draws a normal faster than Philox, and setting
-the three states costs a few microseconds per block; what the noise
-layer still costs is the normal draws themselves.
+_BlockStreams); a block without jumps sets the increments state alone.
+SFC64 draws a normal faster than Philox, and setting the states costs a
+few microseconds per block; what the noise layer still costs is the
+normal draws themselves.
+
+A batch is pipelined over chunks of paths: while the calling thread
+steps chunk c, one helper thread draws chunk c + 1, block after block in
+the serial order, into the other of two increment buffers (see
+simulate_batch).  A block's numbers depend only on its key, not on when
+or on which thread it is drawn, so the outputs are those of a serial
+run.  Only the calling thread steps and calls the model's coefficients;
+the helper calls the jump law's sampler.
 
 The Euler step applied everywhere (single paths and vectorized batches
 share one stepper) is
@@ -68,6 +77,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -215,7 +225,9 @@ class _BlockStreams:
     for its jumps; each setter also clears the cached 32-bit half
     (has_uint32 0, uinteger 0).  So the two generators draw exactly as
     fresh Generator(SFC64) objects given those states, and nothing of the
-    previous block survives.  No generator is built per block.
+    previous block survives.  No generator is built per block.  For a
+    block without jumps only words 0-3 are taken and set: its jump
+    generator is never drawn from.
     """
 
     def __init__(self):
@@ -238,43 +250,44 @@ class _BlockStreams:
             "uinteger": 0,
         }
 
-    def at(self, key: int) -> tuple[np.random.Generator, np.random.Generator]:
-        """The block's (increments, jumps) generators, set from key."""
+    def at(self, key: int, jumps: bool) -> tuple[np.random.Generator, np.random.Generator]:
+        """The block's (increments, jumps) generators, set from key; with
+        jumps False the jumps generator is left as it was, not to be used."""
         self._key[0] = key & _MASK64
         self._key[1] = key >> 64
         self._philox.state = self._philox_state  # the setter copies, the dict stays as built
-        words = self._philox.random_raw(8)
-        for bits, lo in zip(self._sfc, (0, 4)):
+        words = self._philox.random_raw(8 if jumps else 4)
+        for bits, lo in zip(self._sfc if jumps else self._sfc[:1], (0, 4)):
             self._sfc_state["state"]["state"] = words[lo : lo + 4]
             bits.state = self._sfc_state
         return self._gens
 
 
-def _draw_block(
-    streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec, rows: int, sd: float
-):
+def _draw_block(streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec, out: Array):
     """The one draw order of a noise block, shared by sample_noise and batches.
 
-    Returns the first `rows` rows of the block's N(0, dt) increments
-    (sd = sqrt(dt)), shape (rows, steps), drawn row by row in one normal
-    call from the block's increments generator; and, for a jump law with
-    positive intensity, the jumps of all BLOCK_PATHS rows as (row, time,
-    size) arrays, ordered by row and by time within a row (None
-    otherwise), drawn from the block's jump generator: BLOCK_PATHS Poisson
-    counts, then every time, then every size.  A row's increments do not
-    depend on `rows`, and its jumps do not depend on which rows the caller
-    keeps.
+    Fills out, shape (rows, steps), with the first `rows` rows of the
+    block's standard normals, drawn row by row in one call from the
+    block's increments generator; the caller scales them by sqrt(dt).
+    sd * z equals normal(0, sd) bit for bit, but for z = -0.0, which gives
+    -0.0 where normal gives +0.0.  For a jump law with positive intensity,
+    returns the jumps of all BLOCK_PATHS rows as (row, time, size) arrays,
+    ordered by row and by time within a row (None otherwise), drawn from
+    the block's jump generator: BLOCK_PATHS Poisson counts, then every
+    time, then every size.  A row's normals do not depend on `rows`, and
+    its jumps do not depend on which rows the caller keeps.
     """
-    normals, jumps = streams.at(key)
-    increments = normals.normal(0.0, sd, (rows, grid.steps))
-    if jump.intensity > 0:
+    has_jumps = jump.intensity > 0
+    normals, jumps = streams.at(key, has_jumps)
+    normals.standard_normal(out=out)
+    if has_jumps:
         counts = jumps.poisson(jump.intensity * grid.horizon, BLOCK_PATHS)
         total = int(counts.sum())
         row = np.repeat(np.arange(BLOCK_PATHS), counts)
         times = jumps.uniform(0.0, grid.horizon, total)
         sizes = jump.sampler(jumps, total)
-        return increments, (row, times[np.lexsort((times, row))], sizes)
-    return increments, None
+        return row, times[np.lexsort((times, row))], sizes
+    return None
 
 
 def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
@@ -286,9 +299,8 @@ def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
     """
     root, index = operator.index(seed) >> 64, operator.index(seed) & _MASK64
     block, row = divmod(index, BLOCK_PATHS)
-    increments, jumps = _draw_block(
-        _BlockStreams(), path_seed(root, block), grid, jump, row + 1, np.sqrt(grid.dt)
-    )
+    normals = np.empty((row + 1, grid.steps))
+    jumps = _draw_block(_BlockStreams(), path_seed(root, block), grid, jump, normals)
     times = sizes = np.empty(0)
     if jumps is not None:
         rows, block_times, block_sizes = jumps
@@ -297,7 +309,7 @@ def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
     return NoiseBundle(
         seed=seed,
         grid=grid,
-        brownian_increments=increments[row],
+        brownian_increments=normals[row] * np.sqrt(grid.dt),
         jump_times=times,
         jump_sizes=sizes,
     )
@@ -487,6 +499,72 @@ def coupled_paths(model: JumpDiffusionModel, theta, noise: NoiseBundle) -> Coupl
     return CoupledPaths(grid=noise.grid, x=res.x_path[:, 0], y=res.y_path[:, :, 0])
 
 
+def _draw_chunk(
+    streams: _BlockStreams,
+    root_key: int,
+    grid: TimeGrid,
+    jump: JumpSpec,
+    first: int,
+    increments: Array,  # (steps, m), filled with paths first..first+m-1
+    normals: Array,  # (BLOCK_PATHS, steps), scratch for one block
+):
+    """Draw a chunk's noise: its increments in place, and its jumps.
+
+    Returns the chunk's jumps as _flat_jumps gives them, or None.  Nothing
+    of block or chunk size is allocated: each block's normals go into
+    `normals` and are scaled into their columns of `increments`.
+    """
+    sd = np.sqrt(grid.dt)
+    m = increments.shape[1]
+    paths, times, sizes = [], [], []
+    col = 0
+    for block in range(first // BLOCK_PATHS, (first + m - 1) // BLOCK_PATHS + 1):
+        # rows lo..hi-1 of this block are columns col..col+hi-lo-1
+        lo = max(first - block * BLOCK_PATHS, 0)
+        hi = min(first + m - block * BLOCK_PATHS, BLOCK_PATHS)
+        block_jumps = _draw_block(streams, root_key | block, grid, jump, normals[:hi])
+        np.multiply(normals[lo:hi].T, sd, out=increments[:, col : col + hi - lo])
+        if block_jumps is not None:
+            row, block_times, block_sizes = block_jumps
+            a, b = np.searchsorted(row, (lo, hi))
+            paths.append(row[a:b] + (col - lo))
+            times.append(block_times[a:b])
+            sizes.append(block_sizes[a:b])
+        col += hi - lo
+    if not paths:
+        return None
+    return _flat_jumps(np.concatenate(paths), np.concatenate(times), np.concatenate(sizes), grid)
+
+
+class _Prefetch:
+    """fn(*args) run on a helper thread while the calling thread works on.
+
+    join() waits for it; result() waits and returns its value, or raises
+    on the calling thread what fn raised.
+    """
+
+    def __init__(self, fn, *args):
+        self._outcome = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args), name="plugmc-noise")
+        self._thread.start()
+
+    def _run(self, fn, args):
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as exc:  # raised again by result(), on the calling thread
+            self._outcome = (None, exc)
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        self.join()
+        value, exc = self._outcome
+        if exc is not None:
+            raise exc
+        return value
+
+
 def simulate_batch(
     model: JumpDiffusionModel,
     theta,
@@ -498,7 +576,7 @@ def simulate_batch(
     want_y: bool = False,
     record: bool = False,
     weights: Array | None = None,
-    chunk_size: int = 4096,
+    chunk_size: int = 2048,
 ) -> BatchResult:
     """Simulate n_paths seeded paths and return streaming reductions.
 
@@ -507,6 +585,17 @@ def simulate_batch(
     >= 1, checked before any draw.  want_y adds the sensitivity Y; weights
     (one per grid node) adds the weighted sums x_sum and y_sum; record
     keeps the full paths (small batches only); see _step_block.
+
+    The paths go in chunks of chunk_size columns.  While the calling
+    thread steps chunk c, one helper thread draws chunk c + 1 into the
+    other of two (steps, chunk_size) increment buffers, so the default
+    2048 keeps the 16 MB of one 4096-column buffer at 500 steps.  Only the
+    calling thread steps and calls model.coefficients; the helper draws
+    the blocks in the serial order, one at a time, so the outputs are the
+    serial ones bit for bit.  A call with one chunk starts no thread.  An
+    error while stepping chunk c wins over one from drawing chunk c + 1,
+    as it would in a serial run, and the helper has ended before the call
+    returns or raises.
     """
     _check_count("n_paths", n_paths)
     _check_count("chunk_size", chunk_size)
@@ -521,53 +610,43 @@ def simulate_batch(
     if last_index >> 64:
         raise ValueError(f"path indices {start_index}..{last_index} run past 2**64 - 1")
 
+    starts = range(0, n_paths, chunk_size)  # column offset of each chunk
     streams = _BlockStreams()
     root_key = path_seed(root_seed, 0)  # block b has key root_key | b
-    sd = np.sqrt(grid.dt)
-    jump = model.jump
-    # one column per path, reused by every chunk; the last one takes a view
-    buffer = np.empty((grid.steps, min(chunk_size, n_paths)))
+    normals = np.empty((BLOCK_PATHS, grid.steps))
+    # chunk c uses buffers[c % 2]; the last chunk may take a narrower view
+    buffers = [np.empty((grid.steps, min(chunk_size, n_paths))) for _ in starts[:2]]
+
+    def draw(c):
+        m = min(chunk_size, n_paths - starts[c])
+        increments = buffers[c % 2][:, :m]
+        first = start_index + starts[c]
+        return increments, _draw_chunk(streams, root_key, grid, model.jump, first, increments, normals)
+
     pieces: list[BatchResult] = []
-    done = 0
-    while done < n_paths:
-        m = min(chunk_size, n_paths - done)
-        increments = buffer[:, :m]
-        first = start_index + done  # path index of column 0
-        paths, times, sizes = [], [], []
-        col = 0
-        for block in range(first // BLOCK_PATHS, (first + m - 1) // BLOCK_PATHS + 1):
-            # rows lo..hi-1 of this block are columns col..col+hi-lo-1
-            lo = max(first - block * BLOCK_PATHS, 0)
-            hi = min(first + m - block * BLOCK_PATHS, BLOCK_PATHS)
-            block_inc, block_jumps = _draw_block(streams, root_key | block, grid, jump, hi, sd)
-            increments[:, col : col + hi - lo] = block_inc[lo:].T
-            if block_jumps is not None:
-                row, block_times, block_sizes = block_jumps
-                a, b = np.searchsorted(row, (lo, hi))
-                paths.append(row[a:b] + (col - lo))
-                times.append(block_times[a:b])
-                sizes.append(block_sizes[a:b])
-            col += hi - lo
-        jumps = (
-            _flat_jumps(
-                np.concatenate(paths), np.concatenate(times), np.concatenate(sizes), grid
+    drawn = draw(0)
+    for c, done in enumerate(starts):
+        increments, jumps = drawn
+        prefetch = _Prefetch(draw, c + 1) if c + 1 < len(starts) else None
+        try:
+            pieces.append(
+                _step_block(
+                    model,
+                    theta,
+                    grid,
+                    increments,
+                    jumps,
+                    want_y=want_y,
+                    weights=weights,
+                    record=record,
+                    path_offset=done,
+                )
             )
-            if paths
-            else None
-        )
-        res = _step_block(
-            model,
-            theta,
-            grid,
-            increments,
-            jumps,
-            want_y=want_y,
-            weights=weights,
-            record=record,
-            path_offset=done,
-        )
-        pieces.append(res)
-        done += m
+        finally:
+            if prefetch is not None:
+                prefetch.join()  # a stepping error is raised over the prefetch's
+        if prefetch is not None:
+            drawn = prefetch.result()
 
     def cat(name):
         vals = [getattr(p, name) for p in pieces]

@@ -81,3 +81,21 @@ def test_import_does_not_load_scipy():
         timeout=120, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_starts_no_thread_and_loads_no_executor():
+    # simulate_batch starts its helper thread per call; importing plugmc
+    # starts none, and does not pay for concurrent.futures (5-7 ms)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(plugmc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, threading, plugmc, plugmc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'), "
+        "threading.active_count())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[] 1"
