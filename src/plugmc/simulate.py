@@ -621,7 +621,8 @@ def simulate_batch(
         m = min(chunk_size, n_paths - starts[c])
         increments = buffers[c % 2][:, :m]
         first = start_index + starts[c]
-        return increments, _draw_chunk(streams, root_key, grid, model.jump, first, increments, normals)
+        jumps = _draw_chunk(streams, root_key, grid, model.jump, first, increments, normals)
+        return increments, jumps
 
     pieces: list[BatchResult] = []
     drawn = draw(0)

@@ -391,10 +391,13 @@ def test_config_and_data_errors_exit_2(
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--model", "bs", "--params", "0.2,1.0", "--epsilon", "nan"], "eps must be finite, got nan"),
-        (["--model", "bs", "--params", "0.2,1.0", "--epsilon", "inf"], "eps must be finite, got inf"),
+        (["--model", "bs", "--params", "0.2,1.0", "--epsilon", "nan"],
+         "eps must be finite, got nan"),
+        (["--model", "bs", "--params", "0.2,1.0", "--epsilon", "inf"],
+         "eps must be finite, got inf"),
         (["--model", "bs", "--params", "0.2,1.0", "--x0", "inf"], "x0 must be finite, got inf"),
-        (["--model", "ou", "--params", "1.0,0.3,0.5", "--x0", "nan"], "x0 must be finite, got nan"),
+        (["--model", "ou", "--params", "1.0,0.3,0.5", "--x0", "nan"],
+         "x0 must be finite, got nan"),
         (["--model", "levy", "--params", "0.1,0.3,0.5", "--x0", "nan"],
          "x0 must be finite, got nan"),
         (["--model", "ou", "--params", "1.0,0.3,0.5", "--jump-intensity", "nan"],
