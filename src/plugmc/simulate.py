@@ -290,6 +290,12 @@ def _draw_block(streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec
     return None
 
 
+# Each thread's _BlockStreams for sample_noise, built on its first call:
+# building one costs most of a short path's draw, and at() resets all of
+# its state, so reusing it changes no number.
+_thread_streams = threading.local()
+
+
 def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
     """Realize Brownian increments and compound-Poisson jumps for one path.
 
@@ -299,8 +305,11 @@ def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
     """
     root, index = operator.index(seed) >> 64, operator.index(seed) & _MASK64
     block, row = divmod(index, BLOCK_PATHS)
+    streams = getattr(_thread_streams, "streams", None)
+    if streams is None:
+        streams = _thread_streams.streams = _BlockStreams()
     normals = np.empty((row + 1, grid.steps))
-    jumps = _draw_block(_BlockStreams(), path_seed(root, block), grid, jump, normals)
+    jumps = _draw_block(streams, path_seed(root, block), grid, jump, normals)
     times = sizes = np.empty(0)
     if jumps is not None:
         rows, block_times, block_sizes = jumps

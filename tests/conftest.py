@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,30 @@ EPS = 1.0 / np.sqrt(N_OBS)
 STRIKE = 0.75
 RATE = 0.05
 HORIZON = 1.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_or_thread():
+    """Fail a test that leaves a child process unreaped or a thread alive.
+
+    The study forks its replication workers and simulate_batch starts a
+    helper thread per chunk; both must be gone when their call returns
+    or raises.
+    """
+    threads = threading.active_count()
+    yield
+    if hasattr(os, "WNOHANG"):  # POSIX
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            pass  # no child at all
+        else:
+            state = "still running" if pid == 0 else f"pid {pid}, now reaped"
+            pytest.fail(f"a child process was left unreaped ({state})")
+    alive = threading.active_count()
+    if alive > threads:
+        names = sorted(t.name for t in threading.enumerate())
+        pytest.fail(f"{alive - threads} more thread(s) alive than at the start: {names}")
 
 
 @pytest.fixture(scope="session")

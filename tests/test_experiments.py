@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import plugmc.experiments as exp
 from plugmc import (
     ExperimentConfig,
     ks_statistic,
@@ -294,3 +298,156 @@ def test_seed_blocks_align_to_noise_blocks():
     _check_block_alignment(BLOCK_PATHS)
     with pytest.raises(ValueError, match="IDX_OBSERVATION = 1099511627776 is not a multiple"):
         _check_block_alignment(3)
+
+
+# The study's replications run in forked workers over contiguous index
+# ranges; the worker count is forced through the private _worker_count.
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _study_files(monkeypatch, tmp_path, workers, **overrides):
+    monkeypatch.setattr(exp, "_worker_count", lambda replications: workers)
+    out = run_bs_experiment(ExperimentConfig(**{**FAST, **overrides}))
+    files = write_experiment_outputs(out, tmp_path / f"workers{workers}")
+    _assert_no_child()
+    return files
+
+
+def _fail_replications(monkeypatch, fail):
+    # fail(r) runs at the start of replication r, in the worker running it
+    real = exp.sample_noise
+
+    def observe(grid, jump, seed):
+        fail((seed & ((1 << 64) - 1)) - IDX_OBSERVATION)
+        return real(grid, jump, seed)
+
+    monkeypatch.setattr(exp, "sample_noise", observe)
+
+
+def test_worker_count_is_cpus_capped_at_replications():
+    assert threading.active_count() == 1
+    assert exp._worker_count(300) == min(len(os.sched_getaffinity(0)), 300)
+    assert exp._worker_count(1) == 1
+    # no fork while another thread is alive: the child would inherit its locks
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert exp._worker_count(300) == 1
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("replications", [30, 31])
+def test_study_outputs_identical_for_any_worker_count(monkeypatch, tmp_path, replications):
+    # 31 replications split unevenly over 2 and 3 workers
+    files = [
+        _study_files(monkeypatch, tmp_path, w, replications=replications) for w in (1, 2, 3)
+    ]
+    assert files[0] == files[1] == files[2]
+    assert json.loads(files[0]["summary.json"])["replications"] == replications
+
+
+def test_study_failures_identical_for_any_worker_count(monkeypatch, tmp_path):
+    # one recorded failure (of at most 5% of 31) in the last slice of 2 and 3
+    def fail(r):
+        if r == 27:
+            raise ValueError(f"synthetic failure at {r}")
+
+    _fail_replications(monkeypatch, fail)
+    files = [_study_files(monkeypatch, tmp_path, w, replications=31) for w in (1, 2, 3)]
+    assert files[0] == files[1] == files[2]
+    assert json.loads(files[0]["summary.json"])["failed"] == 1
+    assert "\n27," not in files[0]["replications.csv"]
+
+
+def test_study_abort_names_lowest_failure_for_any_worker_count(monkeypatch, tmp_path):
+    # failures in the second and third of 3 slices; the message names the
+    # lowest index, as a serial run does
+    def fail(r):
+        if r in (12, 21, 25):
+            raise RuntimeError(f"synthetic failure at {r}")
+
+    _fail_replications(monkeypatch, fail)
+    messages = []
+    for workers in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="3 of 31 replications failed") as err:
+            _study_files(monkeypatch, tmp_path, workers, replications=31)
+        _assert_no_child()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert messages[0].endswith("first: (12, 'synthetic failure at 12')")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_study_worker_error_raised_in_parent(monkeypatch, tmp_path, workers):
+    # an error that is not a replication failure ends the study with its
+    # type and message, from whichever worker raised it
+    def fail(r):
+        if r == 20:
+            raise TypeError(f"synthetic type error at {r}")
+
+    _fail_replications(monkeypatch, fail)
+    with pytest.raises(TypeError, match="^synthetic type error at 20$"):
+        _study_files(monkeypatch, tmp_path, workers, replications=31)
+    _assert_no_child()
+
+
+def test_study_unpicklable_worker_error_sent_as_runtime_error(monkeypatch, tmp_path):
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def fail(r):
+        if r == 20:
+            raise Local("synthetic")
+
+    _fail_replications(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=r"^Local\('synthetic'\)$"):
+        _study_files(monkeypatch, tmp_path, 2, replications=31)
+    _assert_no_child()
+
+
+def test_study_error_kills_busy_worker(monkeypatch, tmp_path):
+    # an error in the first slice ends the study at once: the worker of
+    # the second slice, still busy, is killed and waited for
+    def fail(r):
+        if r == 0:
+            raise TypeError("synthetic type error at 0")
+        if r == 15:
+            time.sleep(120)
+
+    _fail_replications(monkeypatch, fail)
+    start = time.monotonic()
+    with pytest.raises(TypeError, match="^synthetic type error at 0$"):
+        _study_files(monkeypatch, tmp_path, 2, replications=31)
+    assert time.monotonic() - start < 60
+    _assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "end, status",
+    [(lambda: os._exit(3), "exit code 3"), (lambda: os.kill(os.getpid(), 9), "signal 9")],
+    ids=["exit", "killed"],
+)
+def test_study_worker_ending_without_result(monkeypatch, tmp_path, end, status):
+    # a worker that dies without a payload is named with its slice and
+    # exit status; its sibling is killed and waited for
+    parent = os.getpid()
+
+    def fail(r):
+        if r == 20 and os.getpid() != parent:
+            end()
+
+    _fail_replications(monkeypatch, fail)
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^the worker for replications 15\.\.30 ended without a result \({status}\)$",
+    ):
+        _study_files(monkeypatch, tmp_path, 2, replications=31)
+    _assert_no_child()

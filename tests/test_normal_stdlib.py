@@ -99,3 +99,20 @@ def test_import_starts_no_thread_and_loads_no_executor():
         timeout=120, check=True,
     )
     assert proc.stdout.strip() == "[] 1"
+
+
+def test_import_loads_no_multiprocessing():
+    # the study forks its workers with os.fork; importing plugmc does not
+    # pay for multiprocessing, which would also raise the parent's peak RSS
+    root = os.path.dirname(os.path.dirname(os.path.abspath(plugmc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, plugmc, plugmc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Noise sampling, Euler stepping, coupling and batch consistency."""
 
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -617,3 +618,35 @@ def test_sample_noise_matches_batch_column_at_block_edges(ou_model):
             cp = coupled_paths(ou_model, ou_model.theta0, b)
             assert np.array_equal(res.x_path[:, i], cp.x)
             assert np.array_equal(res.y_path[:, :, i], cp.y)
+
+
+def test_sample_noise_reuses_streams_without_carrying_state():
+    # sample_noise keeps one set of block generators per thread; calls that
+    # alternate jump laws (the odd-uint32 sampler leaves a cached 32-bit
+    # half), roots, rows and grids each give the path of fresh generators,
+    # on the main thread and on a second one
+    calls = [
+        ("ou_uint32", 5, 3, 2 * BLOCK_PATHS + 1),
+        ("bs", 5, 7, 0),
+        ("levy", 2**64 - 1, 4, BLOCK_PATHS - 1),
+        ("ou_uint32", 0, 3, 9),
+        ("ou", 5, 3, 2 * BLOCK_PATHS + 1),
+    ]
+
+    def check_all(results):
+        for name, root, steps, index in calls:
+            model = PROPERTY_MODELS[name]
+            grid = TimeGrid(1.0, steps)
+            b = sample_noise(grid, model.jump, path_seed(root, index))
+            cp = coupled_paths(model, model.theta0, b)
+            ref = _fresh_generator_path(model, grid, root, index)
+            results.append(np.array_equal(cp.x, ref.x) and np.array_equal(cp.y, ref.y))
+
+    results = []
+    check_all(results)
+    other = threading.Thread(target=check_all, args=(results,))
+    other.start()
+    other.join(timeout=60)
+    assert not other.is_alive()
+    check_all(results)
+    assert results == [True] * (3 * len(calls))
