@@ -26,9 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import pickle
-import threading
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -47,6 +44,8 @@ from .inference import (
 from .models import NO_JUMPS, JumpDiffusionModel, bs_small_noise_model, levy_model, ou_jump_model
 from .normal import norm_cdf, norm_ppf
 from .simulate import BLOCK_PATHS, TimeGrid, euler_path, path_seed, sample_noise
+from .workers import in_slices
+from .workers import worker_count as _worker_count
 
 Array = np.ndarray
 
@@ -240,102 +239,6 @@ def ks_statistic(samples) -> float:
     return float(max(np.max(grid_hi - cdf), np.max(cdf - grid_lo)))
 
 
-def _worker_count(replications: int) -> int:
-    """Processes a study's replications run in: one per CPU this process
-    may use, at most one per replication.  1 on a platform without
-    os.fork or os.sched_getaffinity, and while another thread is alive, as
-    a forked child would inherit the locks that thread holds."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), replications)
-
-
-def _replicate_in_workers(replicate, count: int) -> tuple[list, list]:
-    """replicate(0, count), with range(count) split into contiguous slices.
-
-    replicate(start, stop) returns (rows, failures) of replications
-    start..stop-1 in index order.  With W = _worker_count(count) > 1 each of
-    W equal slices runs in a forked child, which pickles its result, or
-    the exception it raised, into a pipe and ends in os._exit.  The parent
-    joins the slices in slice order, which is replication-index order, so
-    the result is that of one replicate(0, count) call.  It raises in the
-    same order: the exception of the first slice that raised (its type and
-    message, not its traceback), or a RuntimeError for the first child that
-    ended without a result.  Every child has been waited for when this
-    returns or raises; one still running after a raise is killed first.
-    """
-    workers = _worker_count(count)
-    if workers == 1:
-        return replicate(0, count)
-    bounds = [count * w // workers for w in range(workers + 1)]
-    children = []  # (pid, read end of its pipe, start, stop), in slice order
-    unreaped = set()
-    rows, failures = [], []
-    try:
-        for start, stop in zip(bounds, bounds[1:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _run_child(replicate, start, stop, write_fd)  # never returns
-            os.close(write_fd)
-            unreaped.add(pid)
-            children.append((pid, os.fdopen(read_fd, "rb"), start, stop))
-        for pid, pipe, start, stop in children:
-            payload = pipe.read()  # to EOF: the child has written all of it, or died
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            unreaped.discard(pid)
-            if code != 0 or not payload:
-                ended = f"exit code {code}" if code >= 0 else f"signal {-code}"
-                raise RuntimeError(
-                    f"the worker for replications {start}..{stop - 1} ended "
-                    f"without a result ({ended})"
-                )
-            result, exc = pickle.loads(payload)  # bytes that our own child wrote
-            if exc is not None:
-                raise exc
-            rows += result[0]
-            failures += result[1]
-    finally:
-        for _, pipe, _, _ in children:
-            pipe.close()
-        if unreaped:  # only after a raise; their results are not needed
-            import signal
-
-            for pid in unreaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return rows, failures
-
-
-def _run_child(replicate, start: int, stop: int, write_fd: int) -> None:
-    """In a forked child: write pickled (replicate(start, stop), None), or
-    (None, the exception it raised), to write_fd, then os._exit, 0 once the
-    payload is written and 1 otherwise.  An exception that does not pickle
-    is sent as RuntimeError(repr(exc))."""
-    code = 1
-    try:
-        try:
-            result = (replicate(start, stop), None)
-        except BaseException as exc:  # raised again by the parent
-            result = (None, exc)
-        try:
-            payload = pickle.dumps(result)
-        except Exception as error:
-            payload = pickle.dumps((None, RuntimeError(repr(result[1] or error))))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     """Replicated estimate-then-price study under geometric Brownian dynamics.
 
@@ -346,9 +249,10 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     estimate-based confidence interval.  Replication failures are recorded
     and tolerated up to 5% of R.
 
-    The correction pass at theta0 runs in this process; the replications
-    then run in forked workers over contiguous index ranges (see
-    _replicate_in_workers) and are merged in index order.
+    The correction pass at theta0 runs first, its paths split over worker
+    processes as every batch is; the replications then run in forked
+    workers over contiguous index ranges (see workers.in_slices) and are
+    merged in index order.
     """
     theta0 = np.asarray(config.theta0, dtype=float)
     eps = config.resolved_epsilon()
@@ -414,7 +318,11 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
             )
         return rows, failures
 
-    rows, failures = _replicate_in_workers(replicate, config.replications)
+    parts = in_slices(
+        replicate, config.replications, _worker_count(config.replications), "replications"
+    )
+    rows = [row for part, _ in parts for row in part]
+    failures = [failure for _, part in parts for failure in part]
     if len(failures) > 0.05 * config.replications:
         raise RuntimeError(
             f"{len(failures)} of {config.replications} replications failed; "

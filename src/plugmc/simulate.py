@@ -29,13 +29,13 @@ SFC64 draws a normal faster than Philox, and setting the states costs a
 few microseconds per block; what the noise layer still costs is the
 normal draws themselves.
 
-A batch is pipelined over chunks of paths: while the calling thread
-steps chunk c, one helper thread draws chunk c + 1, block after block in
-the serial order, into the other of two increment buffers (see
-simulate_batch).  A block's numbers depend only on its key, not on when
-or on which thread it is drawn, so the outputs are those of a serial
-run.  Only the calling thread steps and calls the model's coefficients;
-the helper calls the jump law's sampler.
+A batch is split over worker processes: with W = min(usable CPUs,
+chunks) > 1, each of W equal contiguous ranges of paths is drawn and
+stepped, chunk by chunk, in a forked child (see workers.in_slices), and
+the parent joins the pieces in path order.  A path's numbers depend only
+on its block's key and its own column, so the outputs are those of a
+serial run.  The model's coefficients and jump_kernel and the jump law's
+sampler run in the workers.
 
 The Euler step applied everywhere (single paths and vectorized batches
 share one stepper) is
@@ -83,6 +83,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .models import JumpDiffusionModel, JumpSpec
+from .workers import in_slices
+from .workers import worker_count as _worker_count
 
 Array = np.ndarray
 
@@ -175,8 +177,11 @@ class SimulationBlowup(RuntimeError):
     """Path state became non-finite (coefficient blow-up)."""
 
     def __init__(self, step: int, detail: str = ""):
-        self.step = step
+        self.step, self.detail = step, detail
         super().__init__(f"non-finite state at step {step}{detail}")
+
+    def __reduce__(self):  # pickled as (step, detail), not as the message
+        return type(self), (self.step, self.detail)
 
 
 def path_seed(root_seed: int, index: int) -> int:
@@ -545,35 +550,6 @@ def _draw_chunk(
     return _flat_jumps(np.concatenate(paths), np.concatenate(times), np.concatenate(sizes), grid)
 
 
-class _Prefetch:
-    """fn(*args) run on a helper thread while the calling thread works on.
-
-    join() waits for it; result() waits and returns its value, or raises
-    on the calling thread what fn raised.
-    """
-
-    def __init__(self, fn, *args):
-        self._outcome = None
-        self._thread = threading.Thread(target=self._run, args=(fn, args), name="plugmc-noise")
-        self._thread.start()
-
-    def _run(self, fn, args):
-        try:
-            self._outcome = (fn(*args), None)
-        except BaseException as exc:  # raised again by result(), on the calling thread
-            self._outcome = (None, exc)
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        self.join()
-        value, exc = self._outcome
-        if exc is not None:
-            raise exc
-        return value
-
-
 def simulate_batch(
     model: JumpDiffusionModel,
     theta,
@@ -595,16 +571,13 @@ def simulate_batch(
     (one per grid node) adds the weighted sums x_sum and y_sum; record
     keeps the full paths (small batches only); see _step_block.
 
-    The paths go in chunks of chunk_size columns.  While the calling
-    thread steps chunk c, one helper thread draws chunk c + 1 into the
-    other of two (steps, chunk_size) increment buffers, so the default
-    2048 keeps the 16 MB of one 4096-column buffer at 500 steps.  Only the
-    calling thread steps and calls model.coefficients; the helper draws
-    the blocks in the serial order, one at a time, so the outputs are the
-    serial ones bit for bit.  A call with one chunk starts no thread.  An
-    error while stepping chunk c wins over one from drawing chunk c + 1,
-    as it would in a serial run, and the helper has ended before the call
-    returns or raises.
+    The paths go in chunks of chunk_size columns.  With W =
+    _worker_count(chunks) > 1 the columns are split into W equal
+    contiguous ranges, and each range is drawn and stepped in a forked
+    worker, chunk by chunk through one (steps, chunk_size) increment
+    buffer; the parent joins the pieces in column order.  The error raised
+    is that of the first range that raised one (a blow-up names its column
+    in the batch), and no worker is left when the call returns or raises.
     """
     _check_count("n_paths", n_paths)
     _check_count("chunk_size", chunk_size)
@@ -618,45 +591,28 @@ def simulate_batch(
     last_index = start_index + n_paths - 1
     if last_index >> 64:
         raise ValueError(f"path indices {start_index}..{last_index} run past 2**64 - 1")
-
-    starts = range(0, n_paths, chunk_size)  # column offset of each chunk
-    streams = _BlockStreams()
     root_key = path_seed(root_seed, 0)  # block b has key root_key | b
-    normals = np.empty((BLOCK_PATHS, grid.steps))
-    # chunk c uses buffers[c % 2]; the last chunk may take a narrower view
-    buffers = [np.empty((grid.steps, min(chunk_size, n_paths))) for _ in starts[:2]]
 
-    def draw(c):
-        m = min(chunk_size, n_paths - starts[c])
-        increments = buffers[c % 2][:, :m]
-        first = start_index + starts[c]
-        jumps = _draw_chunk(streams, root_key, grid, model.jump, first, increments, normals)
-        return increments, jumps
-
-    pieces: list[BatchResult] = []
-    drawn = draw(0)
-    for c, done in enumerate(starts):
-        increments, jumps = drawn
-        prefetch = _Prefetch(draw, c + 1) if c + 1 < len(starts) else None
-        try:
+    def run_slice(lo: int, hi: int) -> list[BatchResult]:
+        """The chunks of columns lo..hi-1, one after another."""
+        streams = _BlockStreams()
+        normals = np.empty((BLOCK_PATHS, grid.steps))
+        buffer = np.empty((grid.steps, min(chunk_size, hi - lo)))
+        pieces = []
+        for done in range(lo, hi, chunk_size):
+            increments = buffer[:, : min(chunk_size, hi - done)]
+            first = start_index + done
+            jumps = _draw_chunk(streams, root_key, grid, model.jump, first, increments, normals)
             pieces.append(
                 _step_block(
-                    model,
-                    theta,
-                    grid,
-                    increments,
-                    jumps,
-                    want_y=want_y,
-                    weights=weights,
-                    record=record,
-                    path_offset=done,
+                    model, theta, grid, increments, jumps,
+                    want_y=want_y, weights=weights, record=record, path_offset=done,
                 )
             )
-        finally:
-            if prefetch is not None:
-                prefetch.join()  # a stepping error is raised over the prefetch's
-        if prefetch is not None:
-            drawn = prefetch.result()
+        return pieces
+
+    workers = _worker_count(-(-n_paths // chunk_size))  # at most one per chunk
+    pieces = [p for part in in_slices(run_slice, n_paths, workers, "paths") for p in part]
 
     def cat(name):
         vals = [getattr(p, name) for p in pieces]

@@ -29,9 +29,9 @@ HORIZON = 1.0
 def no_leaked_child_or_thread():
     """Fail a test that leaves a child process unreaped or a thread alive.
 
-    The study forks its replication workers and simulate_batch starts a
-    helper thread per chunk; both must be gone when their call returns
-    or raises.
+    The study forks its replication workers and simulate_batch its path
+    workers; each must have been waited for when its call returns or
+    raises, and neither starts a thread.
     """
     threads = threading.active_count()
     yield

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import plugmc.experiments as exp
+import plugmc.simulate
 from plugmc import (
     ExperimentConfig,
     ks_statistic,
@@ -31,6 +32,7 @@ from plugmc.experiments import (
     replications_csv,
 )
 from plugmc.simulate import BLOCK_PATHS
+from plugmc.workers import in_slices
 
 FAST = dict(
     theta0=(0.2, 1.0),
@@ -342,6 +344,35 @@ def test_worker_count_is_cpus_capped_at_replications():
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
+
+
+def test_worker_count_is_one_inside_a_worker():
+    # a slice run in a forked worker forks no workers of its own
+    def counts(start, stop):
+        return exp._worker_count(100), plugmc.simulate._worker_count(100)
+
+    assert in_slices(counts, 2, 2, "tests") == [(1, 1), (1, 1)]
+    _assert_no_child()
+    assert plugmc.simulate._worker_count(100) == min(len(os.sched_getaffinity(0)), 100)
+
+
+def test_study_pricing_in_workers_forks_no_further(monkeypatch, tmp_path):
+    # 3000 pricing paths are two chunks, which a batch in the parent splits
+    # over workers; a replication worker prices them in its own process
+    parent = os.getpid()
+    fork = os.fork
+
+    def fork_in_parent_only():
+        if os.getpid() != parent:
+            raise AssertionError("a worker forked")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_in_parent_only)
+    files = [
+        _study_files(monkeypatch, tmp_path, w, replications=31, n_paths_price=3000)
+        for w in (1, 2, 3)
+    ]
+    assert files[0] == files[1] == files[2]
 
 
 @pytest.mark.parametrize("replications", [30, 31])

@@ -84,8 +84,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_starts_no_thread_and_loads_no_executor():
-    # simulate_batch starts its helper thread per call; importing plugmc
-    # starts none, and does not pay for concurrent.futures (5-7 ms)
+    # a live thread keeps every batch and study in one process; importing
+    # plugmc starts none, and does not pay for concurrent.futures (5-7 ms)
     root = os.path.dirname(os.path.dirname(os.path.abspath(plugmc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))

@@ -1,8 +1,9 @@
-"""The batch pipeline: chunk c + 1's noise is drawn on a helper thread while
-chunk c steps.  Its outputs, errors and thread use must be those of a
-serial run."""
+"""The batch split: each of W contiguous ranges of paths is drawn and stepped
+in a forked worker.  Its outputs and errors must be those of W = 1, which
+runs the same slice function in this process."""
 
-import threading
+import os
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,8 +21,6 @@ from plugmc import (
 )
 from plugmc.simulate import BLOCK_PATHS, BatchResult
 
-from test_simulate import tripwire_model
-
 MODELS = {
     "bs": bs_small_noise_model(0.2, 1.0, 0.1, 1.0),
     "ou": ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0),
@@ -29,30 +28,13 @@ MODELS = {
 }
 
 
-class _Inline:
-    """Stands in for simulate._Prefetch: draws at once on the calling thread."""
-
-    def __init__(self, fn, *args):
-        self._value = fn(*args)
-
-    def join(self):
-        pass
-
-    def result(self):
-        return self._value
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(plugmc.simulate, "_worker_count", lambda chunks: workers)
 
 
-def _draw_threads(monkeypatch):
-    """Record the thread of every block draw, and the threads alive then."""
-    draw = plugmc.simulate._draw_block
-    seen = []
-
-    def recording(*args):
-        seen.append((threading.get_ident(), threading.active_count()))
-        return draw(*args)
-
-    monkeypatch.setattr(plugmc.simulate, "_draw_block", recording)
-    return seen
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # (n_paths, chunk_size, start_index): 1, 2, 5 and 3 chunks; starts and
@@ -77,84 +59,115 @@ def test_pipeline_matches_serial_run(monkeypatch, name, want_y, weighted, record
     model = MODELS[name]
     grid = TimeGrid(1.0, 9)
     weights = Functional(kind="time_average", horizon=1.0).weights(grid) if weighted else None
-    seen = _draw_threads(monkeypatch)
-    caller = threading.get_ident()
-    threads_before = threading.active_count()
-
-    def run():
-        return simulate_batch(
-            model, model.theta0, grid, 2024, n_paths, start_index=start, want_y=want_y,
-            weights=weights, record=record, chunk_size=chunk_size,
+    results = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        results.append(
+            simulate_batch(
+                model, model.theta0, grid, 2024, n_paths, start_index=start, want_y=want_y,
+                weights=weights, record=record, chunk_size=chunk_size,
+            )
         )
-
-    threaded = run()
-    threaded_draws = list(seen)
-    assert threading.active_count() == threads_before
-    seen.clear()
-    monkeypatch.setattr(plugmc.simulate, "_Prefetch", _Inline)
-    serial = run()
-    assert all(thread == caller for thread, _ in seen)
-
-    for f in fields(BatchResult):
-        a, b = getattr(threaded, f.name), getattr(serial, f.name)
-        assert (a is None) == (b is None), f.name
-        if a is not None:
-            assert np.array_equal(a, b), f.name
-
-    # the caller draws the first chunk's blocks and helpers every later
-    # block, in the serial order; no more than one helper is alive at a time
-    m = min(chunk_size, n_paths)
-    first_blocks = (start + m - 1) // BLOCK_PATHS - start // BLOCK_PATHS + 1
-    on_caller = [thread == caller for thread, _ in threaded_draws]
-    assert len(threaded_draws) == len(seen)
-    assert on_caller == [True] * first_blocks + [False] * (len(seen) - first_blocks)
-    assert all(count <= threads_before + 1 for _, count in threaded_draws)
+        _assert_no_child()
+    serial = results[0]
+    for split in results[1:]:
+        for f in fields(BatchResult):
+            a, b = getattr(split, f.name), getattr(serial, f.name)
+            assert (a is None) == (b is None), f.name
+            if a is not None:
+                assert np.array_equal(a, b), f.name
 
 
-def _failing_sampler(model, fail_at, error):
-    """The model with a jump sampler that raises `error` on call fail_at
-    (counting from 1) and draws as before until then, and the list of the
-    sampler's calls."""
-    sampler = model.jump.sampler
-    calls = []
-
-    def sizes(rng, count):
-        calls.append(count)
-        if len(calls) == fail_at:
-            raise error
-        return sampler(rng, count)
-
-    return replace(model, jump=replace(model.jump, sampler=sizes)), calls
+def test_blowup_round_trips_through_pickle():
+    err = pickle.loads(pickle.dumps(SimulationBlowup(5, " in X (path index 7)")))
+    assert type(err) is SimulationBlowup
+    assert str(err) == "non-finite state at step 5 in X (path index 7)"
+    assert err.step == 5
 
 
-def test_stepping_error_wins_over_prefetch_error():
-    # path 7 of chunk 0 blows up at step 5, while the helper's first
-    # sampler call, for chunk 1, raises: the serial run never draws chunk
-    # 1, so the blow-up is what the call raises
+def _tripwires(model, grid, root, n_paths, trips):
+    """The model with its drift made infinite at the state each path of
+    trips {path: step} reaches at that step, so the path turns non-finite
+    at step + 1."""
+    x_path = simulate_batch(model, model.theta0, grid, root, n_paths, record=True).x_path
+    targets = [x_path[step, path] for path, step in trips.items()]
+
+    def coefficients(x, th):
+        coef = list(model.coefficients(x, th))
+        coef[0] = np.where(np.isin(x, targets), np.inf, coef[0])
+        return tuple(coef)
+
+    return replace(model, coefficients=coefficients)
+
+
+# path 150 blows up at an earlier step than path 7, but lies in a later
+# chunk and, for W = 2 and 3, in a later slice: the serial run names path 7
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "trips, expected",
+    [({150: 3}, "step 4 in X (path index 150)"), ({7: 4, 150: 2}, "step 5 in X (path index 7)")],
+)
+def test_blowup_in_any_slice_reads_as_in_serial_run(monkeypatch, workers, trips, expected):
     ou = MODELS["ou"]
     grid = TimeGrid(1.0, 20)
-    tripped = tripwire_model(ou, ou.theta0, grid, 9, 3 * BLOCK_PATHS, path=7, step=4, where="X")
-    model, calls = _failing_sampler(tripped, 2, KeyError("prefetch failed"))
-    threads_before = threading.active_count()
+    n_paths = 3 * BLOCK_PATHS
+    model = _tripwires(ou, grid, 9, n_paths, trips)
+    _force_workers(monkeypatch, workers)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationBlowup, match=r"step 5 in X \(path index 7\)$"):
-            simulate_batch(
-                model, ou.theta0, grid, 9, 3 * BLOCK_PATHS, want_y=True, chunk_size=BLOCK_PATHS
-            )
-    assert len(calls) == 2  # the prefetch did raise
-    assert threading.active_count() == threads_before
+        with pytest.raises(SimulationBlowup) as err:
+            simulate_batch(model, ou.theta0, grid, 9, n_paths, want_y=True, chunk_size=BLOCK_PATHS)
+    assert str(err.value) == f"non-finite state at {expected}"
+    assert err.value.step == int(expected.split()[1])
+    _assert_no_child()
 
 
+def _failing_sampler(monkeypatch, messages):
+    """Make the jump sampler raise LookupError(messages[b]) when it draws
+    the sizes of noise block b, in whichever process draws that block."""
+    draw = plugmc.simulate._draw_block
+
+    def drawing(streams, key, grid, jump, out):
+        block = key & ((1 << 64) - 1)
+        if block in messages:
+
+            def sizes(rng, count):
+                raise LookupError(messages[block])
+
+            jump = replace(jump, sampler=sizes)
+        return draw(streams, key, grid, jump, out)
+
+    monkeypatch.setattr(plugmc.simulate, "_draw_block", drawing)
+
+
+def test_stepping_error_wins_over_later_sampler_error(monkeypatch):
+    # path 7 of chunk 0 blows up at step 5, and the sampler fails on block
+    # 1, the block of chunk 1: a serial run never draws chunk 1
+    ou = MODELS["ou"]
+    grid = TimeGrid(1.0, 20)
+    n_paths = 3 * BLOCK_PATHS
+    model = _tripwires(ou, grid, 9, n_paths, {7: 4})
+    _failing_sampler(monkeypatch, {1: "no sizes for block 1"})
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationBlowup, match=r"step 5 in X \(path index 7\)$"):
+                simulate_batch(
+                    model, ou.theta0, grid, 9, n_paths, want_y=True, chunk_size=BLOCK_PATHS
+                )
+        _assert_no_child()
+
+
+# five blocks, one per chunk, over 1, 2 and 3 slices; the sampler fails
+# on block fail_at - 1 and on the last block, and the earlier error wins
 @pytest.mark.parametrize("fail_at", [1, 2, 4])
-def test_sampler_error_in_any_chunk_surfaces_as_raised(fail_at):
-    # one sampler call per block and one block per chunk: call 1 is the
-    # caller's own draw of chunk 0, calls 2 and 4 are helper draws
-    error = LookupError(f"no sizes at call {fail_at}")
-    model, calls = _failing_sampler(MODELS["levy"], fail_at, error)
-    threads_before = threading.active_count()
-    with pytest.raises(LookupError, match=f"^no sizes at call {fail_at}$"):
-        simulate_batch(
-            model, model.theta0, TimeGrid(1.0, 6), 3, 5 * BLOCK_PATHS, chunk_size=BLOCK_PATHS
-        )
-    assert len(calls) == fail_at
-    assert threading.active_count() == threads_before
+def test_sampler_error_in_any_chunk_surfaces_as_raised(monkeypatch, fail_at):
+    model = MODELS["levy"]
+    failing = {fail_at - 1: f"no sizes for block {fail_at - 1}", 4: "no sizes for block 4"}
+    _failing_sampler(monkeypatch, failing)
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(LookupError, match=f"^no sizes for block {fail_at - 1}$"):
+            simulate_batch(
+                model, model.theta0, TimeGrid(1.0, 6), 3, 5 * BLOCK_PATHS, chunk_size=BLOCK_PATHS
+            )
+        _assert_no_child()

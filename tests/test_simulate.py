@@ -584,10 +584,13 @@ def test_rekeyed_batch_matches_fresh_generator_per_path(name, layout, root, step
     counts = []
     model = _recording(PROPERTY_MODELS[name], counts)
     grid = TimeGrid(1.0, steps)
-    res = simulate_batch(
-        model, model.theta0, grid, root, n_paths,
-        start_index=start, want_y=True, chunk_size=chunk_size,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        # counts are kept by the process that draws: draw in this one
+        mp.setattr(plugmc.simulate, "_worker_count", lambda chunks: 1)
+        res = simulate_batch(
+            model, model.theta0, grid, root, n_paths,
+            start_index=start, want_y=True, chunk_size=chunk_size,
+        )
     batch_counts = list(counts)
     for i in range(n_paths):
         cp = _fresh_generator_path(model, grid, root, start + i)
