@@ -7,7 +7,7 @@ The workflow the package supports end to end:
    its coefficients with their closed-form derivatives (`models`),
 2. simulate it together with its parameter-sensitivity process from
    seeded, reusable noise; the model's one fused `coefficients` call
-   drives both (`simulate`, with checks in `derivative`),
+   drives both (`simulate`),
 3. estimate the parameter from discrete observations (`estimate`),
 4. evaluate an expected functional at the estimate by Monte Carlo and
    attach a confidence interval that accounts for the estimation error
@@ -37,11 +37,8 @@ from .simulate import (
     euler_path,
     coupled_paths,
     simulate_batch,
-    coupling_residual_supnorms,
-    sup_norm_moment,
 )
-from .derivative import ou_derivative_closed_form, order_check
-from .functionals import Functional, smoothed_call, smoothed_call_deriv, eval_functional, pathwise_gradient
+from .functionals import Functional, smoothed_call, smoothed_call_deriv
 from .estimate import (
     Observations,
     EstimatorResult,
@@ -61,7 +58,6 @@ from .inference import (
     ou_discounted_value,
     asymptotic_variance,
     confidence_interval,
-    delta_method_variance,
     build_report,
 )
 from .experiments import (

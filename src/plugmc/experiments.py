@@ -43,7 +43,7 @@ from .inference import (
 )
 from .models import NO_JUMPS, JumpDiffusionModel, bs_small_noise_model, levy_model, ou_jump_model
 from .normal import norm_cdf, norm_ppf
-from .simulate import BLOCK_PATHS, TimeGrid, euler_path, path_seed, sample_noise
+from .simulate import TimeGrid, euler_path, path_seed, sample_noise
 from .workers import in_slices
 from .workers import worker_count as _worker_count
 
@@ -62,31 +62,13 @@ __all__ = [
     "check_json_types",
 ]
 
-# Disjoint per-path seed-counter blocks (low 64 key bits).
+# Disjoint per-path seed-counter blocks (low 64 key bits).  Each is a
+# multiple of simulate.BLOCK_PATHS, so a study batch starts at row 0 of a
+# noise block and draws no rows that belong to another seed block.
 IDX_CORRECTION = 0
 IDX_OBSERVATION = 1 << 40
 IDX_PRICING = 1 << 41
 PRICING_STRIDE = 1 << 21  # max pricing paths per replication
-
-
-def _check_block_alignment(block_paths: int) -> None:
-    """Raise unless every seed block starts on a noise-block boundary.
-
-    Then each study batch starts at row 0 of a noise block and draws no
-    rows that belong to another seed block.
-    """
-    for name, value in (
-        ("IDX_OBSERVATION", IDX_OBSERVATION),
-        ("IDX_PRICING", IDX_PRICING),
-        ("PRICING_STRIDE", PRICING_STRIDE),
-    ):
-        if value % block_paths:
-            raise ValueError(
-                f"{name} = {value} is not a multiple of the noise block size {block_paths}"
-            )
-
-
-_check_block_alignment(BLOCK_PATHS)
 
 # The kind of a config field that holds a matrix: a list of lists of numbers
 MATRIX = "matrix"
@@ -276,13 +258,13 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
         )
 
     # The true-parameter report over the correction paths gives the
-    # normalization; an unidentified parameter fails before any Monte Carlo
-    # pass.
+    # normalization; an unidentified parameter or a bad closed-form input
+    # fails before any Monte Carlo pass.
     info0 = fisher_info(model, theta0, deterministic_path(model, theta0, grid_obs))
-    at_theta0 = report(theta0, info0, config.n_paths_correction, IDX_CORRECTION)
     h0 = bs_call_closed_form(
         theta0, eps, config.x0, config.strike, config.rate, config.horizon
     )
+    at_theta0 = report(theta0, info0, config.n_paths_correction, IDX_CORRECTION)
     denom0 = float(np.sqrt(at_theta0.asy_var))
 
     def replicate(start: int, stop: int) -> tuple[list, list]:
@@ -374,15 +356,7 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
         kind="discounted_integral", horizon=config.horizon, discount=config.discount
     )
     grid = config.price_grid()
-    c_hat, c_se, h_mc, h_se = estimate_C(
-        model,
-        functional,
-        theta,
-        config.n_paths_correction,
-        config.root_seed,
-        grid,
-        start_index=IDX_CORRECTION,
-    )
+    # the closed form checks its inputs before the Monte Carlo pass
     h_closed = ou_discounted_value(
         mu, eta, lam, config.discount, config.horizon, config.x0
     )
@@ -393,6 +367,15 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
         )
 
     grad = central_difference_gradient(h_of, theta)
+    c_hat, c_se, h_mc, h_se = estimate_C(
+        model,
+        functional,
+        theta,
+        config.n_paths_correction,
+        config.root_seed,
+        grid,
+        start_index=IDX_CORRECTION,
+    )
 
     return {
         "kind": "ou_oracle",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import BatchResult, Path, TimeGrid
+from .simulate import BatchResult, TimeGrid
 
 Array = np.ndarray
 
@@ -46,8 +46,6 @@ __all__ = [
     "KINDS",
     "smoothed_call",
     "smoothed_call_deriv",
-    "eval_functional",
-    "pathwise_gradient",
 ]
 
 
@@ -109,42 +107,7 @@ class Functional:
             x_star, self.strike, self.eps_smooth, self.rate, self.horizon
         )
 
-    # -- reductions on recorded paths (single-path route) ------------------
-
-    def _check_grid(self, grid):
-        if grid.horizon < self.horizon - 1e-9:
-            raise ValueError(
-                f"path grid covers [0, {grid.horizon}], functional needs [0, {self.horizon}]"
-            )
-        k = self.horizon / grid.dt
-        if abs(k - round(k)) > 1e-6:
-            raise ValueError("functional horizon must land on a grid node")
-        return int(round(k))
-
-    def reduce(self, path: Path) -> float:
-        """X_*: the scalar the payoff is applied to."""
-        k = self._check_grid(path.grid)
-        x = path.values[: k + 1]
-        t = path.grid.times()[: k + 1]
-        if self.kind in _TERMINAL:
-            return float(x[-1])
-        if self.kind in _AVERAGE:
-            return float(np.trapezoid(x, t) / self.horizon)
-        return float(np.trapezoid(np.exp(-self.discount * t) * x, t))
-
-    def reduce_gradient(self, x_path: Path, y_values: Array) -> Array:
-        """Ytilde: the matching reduction of the sensitivity path, shape (p,)."""
-        k = self._check_grid(x_path.grid)
-        y = y_values[: k + 1]
-        t = x_path.grid.times()[: k + 1]
-        if self.kind in _TERMINAL:
-            return np.asarray(y[-1], dtype=float)
-        if self.kind in _AVERAGE:
-            return np.trapezoid(y, t, axis=0) / self.horizon
-        w = np.exp(-self.discount * t)
-        return np.trapezoid(w[:, None] * y, t, axis=0)
-
-    # -- batch variants on streaming reductions ----------------------------
+    # -- reductions on a batch's terminal values and path sums ------------
 
     def weights(self, grid: TimeGrid) -> Array | None:
         """Trapezoid weights of the batch path sum (None for terminal kinds).
@@ -181,20 +144,3 @@ class Functional:
             return weighted_sum / self.horizon
         return weighted_sum
 
-
-def eval_functional(functional: Functional, path: Path) -> float:
-    """h(x) for one recorded path."""
-    return float(functional.payoff(functional.reduce(path)))
-
-
-def pathwise_gradient(functional: Functional, x_path: Path, y_values: Array) -> Array:
-    """One Monte Carlo draw of the gradient G; averaging estimates C(theta)."""
-    y_values = np.asarray(y_values, dtype=float)
-    if y_values.ndim != 2 or y_values.shape[0] != x_path.values.shape[0]:
-        raise ValueError(
-            f"sensitivity path shape {y_values.shape} does not match "
-            f"path length {x_path.values.shape[0]}"
-        )
-    x_star = functional.reduce(x_path)
-    ytilde = functional.reduce_gradient(x_path, y_values)
-    return float(functional.payoff_deriv(x_star)) * ytilde

@@ -16,9 +16,9 @@ yields the confidence interval
 
 When a parameter coordinate converges strictly faster than the slowest
 rate, its contribution degenerates to zero and is masked out of the
-quadratic form.  For explicitly known H the classical delta method
-(gradient by central differences) provides the independent second route
-used to cross-validate the derivative-process route.
+quadratic form.  When H is known in closed form, C must equal its
+gradient; the mean-reverting oracle (experiments.run_ou_oracle) reports
+C against a central-difference gradient of the closed form.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "asymptotic_variance",
     "confidence_interval",
     "central_difference_gradient",
-    "delta_method_variance",
     "information_inverse",
     "build_report",
 ]
@@ -225,17 +224,6 @@ def central_difference_gradient(h_fn, theta) -> Array:
             raise ValueError(f"H is non-finite near theta (coordinate {i})")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
-
-
-def delta_method_variance(h_fn, theta, sigma) -> float:
-    """grad H' Sigma grad H with a central-difference gradient.
-
-    Available whenever H is an explicit function of theta; serves as the
-    independent check of the derivative-process route.
-    """
-    grad = central_difference_gradient(h_fn, theta)
-    sigma = np.asarray(sigma, dtype=float)
-    return float(max(grad @ sigma @ grad, 0.0))
 
 
 def information_inverse(model: JumpDiffusionModel, info) -> Array:

@@ -68,9 +68,8 @@ the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
 (a functional's trapezoid rule, see Functional.weights).
 
 The stepper advances one theta at a time.  A run can record its full
-paths; the coupling residual X^{theta+u} - X^theta - u.Y comes from two
-recorded runs on the same seeds, (X, Y) at theta and X alone at
-theta + u.
+paths (record=True); euler_path and coupled_paths return one recorded
+path.
 """
 
 from __future__ import annotations
@@ -100,8 +99,6 @@ __all__ = [
     "coupled_paths",
     "simulate_batch",
     "BatchResult",
-    "coupling_residual_supnorms",
-    "sup_norm_moment",
 ]
 
 
@@ -621,29 +618,3 @@ def simulate_batch(
 
     return BatchResult(**{f.name: cat(f.name) for f in fields(BatchResult)})
 
-
-def coupling_residual_supnorms(
-    model: JumpDiffusionModel, theta, u, grid: TimeGrid, root_seed: int, n_paths: int
-) -> Array:
-    """Sup-norm over grid nodes of X^{theta+u} - X^theta - u.Y per path.
-
-    Two recorded batches on the same seeds: (X, Y) at theta, X at theta + u.
-    """
-    if n_paths < 100:
-        raise ValueError("need at least 100 paths for a usable moment estimate")
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    base = simulate_batch(model, theta, grid, root_seed, n_paths, want_y=True, record=True)
-    shifted = simulate_batch(model, theta + u, grid, root_seed, n_paths, record=True)
-    residual = shifted.x_path - base.x_path - u @ base.y_path  # (steps + 1, B)
-    return np.max(np.abs(residual), axis=0)
-
-
-def sup_norm_moment(residual_sup_norms: Array, p: float) -> tuple[float, float]:
-    """Sample mean and standard error of the p-th power of sup-norm residuals."""
-    if p not in (1, 2, 4):
-        raise ValueError(f"p must be one of 1, 2, 4; got {p}")
-    v = np.asarray(residual_sup_norms, dtype=float) ** p
-    est = float(np.mean(v))
-    se = float(np.std(v, ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
-    return est, se

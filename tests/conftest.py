@@ -49,6 +49,12 @@ def no_leaked_child_or_thread():
         pytest.fail(f"{alive - threads} more thread(s) alive than at the start: {names}")
 
 
+def assert_no_child():
+    """Fail unless every child process of this one has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def bs_model():
     return bs_small_noise_model(THETA0[0], THETA0[1], EPS, 1.0)

@@ -38,13 +38,11 @@ from plugmc import (
     bs_call_closed_form,
     bs_closed_form,
     bs_small_noise_model,
-    delta_method_variance,
     estimate_C,
     euler_path,
     Functional,
     ks_statistic,
     minimize_contrast,
-    order_check,
     ou_jump_model,
     levy_model,
     path_seed,
@@ -55,6 +53,7 @@ from plugmc import (
 )
 
 from conftest import coupling_residual_sup
+from oracles import delta_method_variance, order_check
 
 THETA0 = np.array([0.2, 1.0])
 N_OBS = 500

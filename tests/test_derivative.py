@@ -11,15 +11,14 @@ from plugmc import (
     coupled_paths,
     euler_path,
     levy_model,
-    ou_derivative_closed_form,
     ou_jump_model,
-    order_check,
     path_seed,
     sample_noise,
 )
 from plugmc.models import JumpDiffusionModel
 
 from conftest import EPS, THETA0, coupling_residual_sup
+from oracles import order_check, ou_derivative_closed_form
 
 
 def test_composition_matches_independent_expressions(bs_model):

@@ -24,7 +24,6 @@ from plugmc.experiments import (
     IDX_OBSERVATION,
     IDX_PRICING,
     PRICING_STRIDE,
-    _check_block_alignment,
     functional_from_config,
     histogram_csv,
     model_from_config,
@@ -33,6 +32,8 @@ from plugmc.experiments import (
 )
 from plugmc.simulate import BLOCK_PATHS
 from plugmc.workers import in_slices
+
+from conftest import assert_no_child
 
 FAST = dict(
     theta0=(0.2, 1.0),
@@ -132,6 +133,24 @@ def test_bs_experiment_singular_information_fails_before_monte_carlo(monkeypatch
     monkeypatch.setattr(plugmc.inference, "estimate_C", no_pricing)
     with pytest.raises(ValueError, match=r"parameter\(s\) sigma not identified"):
         run_bs_experiment(ExperimentConfig(**FAST))
+
+
+@pytest.mark.parametrize(
+    "run, overrides, message",
+    [
+        (run_ou_oracle, {"theta0": (1.0, 0.3, 0.5), "discount": 0.0}, "discount must be > 0"),
+        (run_bs_experiment, {"strike": -1.0, "eps_smooth": 1e-3}, "strike must be >= 0"),
+    ],
+)
+def test_bad_closed_form_input_fails_before_monte_carlo(monkeypatch, run, overrides, message):
+    import plugmc.inference
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before the closed form checked its inputs")
+
+    monkeypatch.setattr(plugmc.inference, "simulate_batch", no_simulation)
+    with pytest.raises(ValueError, match=message):
+        run(ExperimentConfig(**{**FAST, **overrides}))
 
 
 def test_bs_experiment_rows_and_summary():
@@ -297,25 +316,17 @@ def test_functional_from_config():
 def test_seed_blocks_align_to_noise_blocks():
     for value in (IDX_OBSERVATION, IDX_PRICING, PRICING_STRIDE):
         assert value % BLOCK_PATHS == 0
-    _check_block_alignment(BLOCK_PATHS)
-    with pytest.raises(ValueError, match="IDX_OBSERVATION = 1099511627776 is not a multiple"):
-        _check_block_alignment(3)
 
 
 # The study's replications run in forked workers over contiguous index
 # ranges; the worker count is forced through the private _worker_count.
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _study_files(monkeypatch, tmp_path, workers, **overrides):
     monkeypatch.setattr(exp, "_worker_count", lambda replications: workers)
     out = run_bs_experiment(ExperimentConfig(**{**FAST, **overrides}))
     files = write_experiment_outputs(out, tmp_path / f"workers{workers}")
-    _assert_no_child()
+    assert_no_child()
     return files
 
 
@@ -352,7 +363,7 @@ def test_worker_count_is_one_inside_a_worker():
         return exp._worker_count(100), plugmc.simulate._worker_count(100)
 
     assert in_slices(counts, 2, 2, "tests") == [(1, 1), (1, 1)]
-    _assert_no_child()
+    assert_no_child()
     assert plugmc.simulate._worker_count(100) == min(len(os.sched_getaffinity(0)), 100)
 
 
@@ -410,7 +421,7 @@ def test_study_abort_names_lowest_failure_for_any_worker_count(monkeypatch, tmp_
     for workers in (1, 2, 3):
         with pytest.raises(RuntimeError, match="3 of 31 replications failed") as err:
             _study_files(monkeypatch, tmp_path, workers, replications=31)
-        _assert_no_child()
+        assert_no_child()
         messages.append(str(err.value))
     assert messages[0] == messages[1] == messages[2]
     assert messages[0].endswith("first: (12, 'synthetic failure at 12')")
@@ -427,7 +438,7 @@ def test_study_worker_error_raised_in_parent(monkeypatch, tmp_path, workers):
     _fail_replications(monkeypatch, fail)
     with pytest.raises(TypeError, match="^synthetic type error at 20$"):
         _study_files(monkeypatch, tmp_path, workers, replications=31)
-    _assert_no_child()
+    assert_no_child()
 
 
 def test_study_unpicklable_worker_error_sent_as_runtime_error(monkeypatch, tmp_path):
@@ -441,7 +452,7 @@ def test_study_unpicklable_worker_error_sent_as_runtime_error(monkeypatch, tmp_p
     _fail_replications(monkeypatch, fail)
     with pytest.raises(RuntimeError, match=r"^Local\('synthetic'\)$"):
         _study_files(monkeypatch, tmp_path, 2, replications=31)
-    _assert_no_child()
+    assert_no_child()
 
 
 def test_study_error_kills_busy_worker(monkeypatch, tmp_path):
@@ -458,7 +469,7 @@ def test_study_error_kills_busy_worker(monkeypatch, tmp_path):
     with pytest.raises(TypeError, match="^synthetic type error at 0$"):
         _study_files(monkeypatch, tmp_path, 2, replications=31)
     assert time.monotonic() - start < 60
-    _assert_no_child()
+    assert_no_child()
 
 
 @pytest.mark.parametrize(
@@ -481,4 +492,4 @@ def test_study_worker_ending_without_result(monkeypatch, tmp_path, end, status):
         match=rf"^the worker for replications 15\.\.30 ended without a result \({status}\)$",
     ):
         _study_files(monkeypatch, tmp_path, 2, replications=31)
-    _assert_no_child()
+    assert_no_child()

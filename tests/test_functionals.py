@@ -7,8 +7,6 @@ from scipy.integrate import quad
 from plugmc import (
     Functional,
     TimeGrid,
-    eval_functional,
-    pathwise_gradient,
     sample_noise,
     simulate_batch,
     smoothed_call,
@@ -17,6 +15,7 @@ from plugmc import (
 )
 
 from conftest import RATE, STRIKE, make_path
+from oracles import eval_functional, pathwise_gradient
 
 DISC = np.exp(-RATE * 1.0)
 

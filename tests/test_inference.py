@@ -12,13 +12,13 @@ from plugmc import (
     bs_small_noise_model,
     build_report,
     confidence_interval,
-    delta_method_variance,
     estimate_C,
     ou_discounted_value,
     plugin_H,
 )
 
 from conftest import EPS, RATE, STRIKE, THETA0
+from oracles import delta_method_variance
 
 GRID = TimeGrid(1.0, 500)
 

@@ -2,12 +2,15 @@
 
 `tests/test_normal.py` checks accuracy against independent oracles; this
 file pins what those oracles do not reach: the ends of the quantile's
-domain, infinities and NaN, the scalar/array contract, and that importing
-plugmc does not load scipy.
+domain, infinities and NaN, the scalar/array contract, that importing
+plugmc does not load scipy, and that each module's `__all__` names only
+what the module defines.
 """
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -116,3 +119,10 @@ def test_import_loads_no_multiprocessing():
         timeout=120, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(plugmc.__path__)))
+def test_every_exported_name_exists(name):
+    # a stale entry would make `from plugmc.<module> import *` raise
+    module = importlib.import_module(f"plugmc.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -2,7 +2,6 @@
 in a forked worker.  Its outputs and errors must be those of W = 1, which
 runs the same slice function in this process."""
 
-import os
 import pickle
 from dataclasses import fields, replace
 
@@ -21,6 +20,8 @@ from plugmc import (
 )
 from plugmc.simulate import BLOCK_PATHS, BatchResult
 
+from conftest import assert_no_child
+
 MODELS = {
     "bs": bs_small_noise_model(0.2, 1.0, 0.1, 1.0),
     "ou": ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0),
@@ -30,11 +31,6 @@ MODELS = {
 
 def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(plugmc.simulate, "_worker_count", lambda chunks: workers)
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # (n_paths, chunk_size, start_index): 1, 2, 5 and 3 chunks; starts and
@@ -68,7 +64,7 @@ def test_pipeline_matches_serial_run(monkeypatch, name, want_y, weighted, record
                 weights=weights, record=record, chunk_size=chunk_size,
             )
         )
-        _assert_no_child()
+        assert_no_child()
     serial = results[0]
     for split in results[1:]:
         for f in fields(BatchResult):
@@ -118,7 +114,7 @@ def test_blowup_in_any_slice_reads_as_in_serial_run(monkeypatch, workers, trips,
             simulate_batch(model, ou.theta0, grid, 9, n_paths, want_y=True, chunk_size=BLOCK_PATHS)
     assert str(err.value) == f"non-finite state at {expected}"
     assert err.value.step == int(expected.split()[1])
-    _assert_no_child()
+    assert_no_child()
 
 
 def _failing_sampler(monkeypatch, messages):
@@ -154,7 +150,7 @@ def test_stepping_error_wins_over_later_sampler_error(monkeypatch):
                 simulate_batch(
                     model, ou.theta0, grid, 9, n_paths, want_y=True, chunk_size=BLOCK_PATHS
                 )
-        _assert_no_child()
+        assert_no_child()
 
 
 # five blocks, one per chunk, over 1, 2 and 3 slices; the sampler fails
@@ -170,4 +166,4 @@ def test_sampler_error_in_any_chunk_surfaces_as_raised(monkeypatch, fail_at):
             simulate_batch(
                 model, model.theta0, TimeGrid(1.0, 6), 3, 5 * BLOCK_PATHS, chunk_size=BLOCK_PATHS
             )
-        _assert_no_child()
+        assert_no_child()

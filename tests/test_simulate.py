@@ -16,19 +16,18 @@ from plugmc import (
     SimulationBlowup,
     bs_small_noise_model,
     coupled_paths,
-    coupling_residual_supnorms,
     euler_path,
     levy_model,
     ou_jump_model,
     path_seed,
     sample_noise,
     simulate_batch,
-    sup_norm_moment,
 )
 from plugmc.models import JumpDiffusionModel, JumpSpec
 from plugmc.simulate import BLOCK_PATHS, NoiseBundle
 
 from conftest import EPS, THETA0, coupling_residual_sup
+from oracles import coupling_residual_supnorms, sup_norm_moment
 
 
 def test_grid_validation():
