@@ -16,58 +16,13 @@ The workflow the package supports end to end:
 5. reproduce the replicated normality/coverage studies (`experiments`).
 """
 
-from .models import (
-    JumpDiffusionModel,
-    JumpSpec,
-    NO_JUMPS,
-    bs_small_noise_model,
-    levy_model,
-    ou_jump_model,
-    validate_model,
-    default_probe_grid,
-)
-from .simulate import (
-    TimeGrid,
-    NoiseBundle,
-    Path,
-    CoupledPaths,
-    SimulationBlowup,
-    path_seed,
-    sample_noise,
-    euler_path,
-    coupled_paths,
-    simulate_batch,
-)
-from .functionals import Functional, smoothed_call, smoothed_call_deriv
-from .estimate import (
-    Observations,
-    EstimatorResult,
-    contrast,
-    contrast_gradient,
-    contrast_rates,
-    minimize_contrast,
-    bs_closed_form,
-    fisher_info,
-    deterministic_path,
-)
-from .inference import (
-    InferenceReport,
-    plugin_H,
-    estimate_C,
-    bs_call_closed_form,
-    ou_discounted_value,
-    asymptotic_variance,
-    confidence_interval,
-    build_report,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentOutput,
-    run_bs_experiment,
-    run_ou_oracle,
-    ks_statistic,
-    write_experiment_outputs,
-)
-from .normal import norm_cdf, norm_pdf, norm_ppf, z_quantile
+# The public names are those of each module's __all__.
+from .models import *
+from .simulate import *
+from .functionals import *
+from .estimate import *
+from .inference import *
+from .experiments import *
+from .normal import *
 
 __version__ = "0.1.0"

@@ -30,14 +30,15 @@ from .experiments import (
     MATRIX,
     ExperimentConfig,
     check_json_types,
+    csv_text,
     functional_from_config,
+    json_text,
     model_from_config,
     run_bs_experiment,
     run_ou_oracle,
     write_experiment_outputs,
 )
 from .inference import build_report
-from .models import bs_small_noise_model
 from .simulate import TimeGrid, coupled_paths, path_seed, sample_noise
 
 
@@ -83,16 +84,18 @@ def cmd_simulate(args) -> int:
     if args.jump_intensity is not None:
         config["jump"] = {"intensity": args.jump_intensity}
     model = model_from_config(config)
-    theta = np.asarray(config["params"], dtype=float)
     grid = TimeGrid(args.T, args.n)
     times = grid.times()
-    writer = csv.writer(args.out, lineterminator="\n")
-    writer.writerow(["path_id", "t", "X"] + [f"Y{i + 1}" for i in range(model.p)])
-    for i in range(args.paths):
-        bundle = sample_noise(grid, model.jump, path_seed(args.seed, i))
-        cp = coupled_paths(model, theta, bundle)
-        # csv writes a float as its repr, as Python floats from tolist()
-        writer.writerows([i, *row] for row in np.column_stack((times, cp.x, cp.y)).tolist())
+
+    def rows():
+        for i in range(args.paths):
+            bundle = sample_noise(grid, model.jump, path_seed(args.seed, i))
+            cp = coupled_paths(model, model.theta0, bundle)
+            # csv writes a float as its repr, as Python floats from tolist()
+            yield from ([i, *row] for row in np.column_stack((times, cp.x, cp.y)).tolist())
+
+    header = ["path_id", "t", "X"] + [f"Y{i + 1}" for i in range(model.p)]
+    args.out.write(csv_text(header, rows()))
     return 0
 
 
@@ -118,7 +121,9 @@ def cmd_estimate(args) -> int:
     if not np.allclose(t, grid.times(), atol=1e-9):
         raise ValueError("data must be sampled on a uniform grid")
     # construction parameters are only a reference point; theta is estimated
-    model = bs_small_noise_model(0.0, 1.0, args.epsilon, float(x[0]))
+    model = model_from_config(
+        {"model": "bs", "params": [0.0, 1.0], "epsilon": args.epsilon, "x0": float(x[0])}
+    )
     obs = Observations(grid=grid, samples=x, eps=args.epsilon)
     init = np.asarray([float(v) for v in args.init.split(",")])
     result = minimize_contrast(obs, model, init)
@@ -131,8 +136,7 @@ def cmd_estimate(args) -> int:
         "contrast": float(result.contrast_value),
         "iterations": int(result.n_iter),
     }
-    json.dump(out, args.out, sort_keys=True, indent=2)
-    args.out.write("\n")
+    args.out.write(json_text(out))
     return 0
 
 
@@ -143,7 +147,7 @@ def cmd_price(args) -> int:
     if "functional" not in raw:
         raise ValueError("config lacks 'functional'")
     functional = functional_from_config(raw["functional"])
-    theta = np.asarray([float(v) for v in raw["params"]])
+    theta = model.theta0
     n_paths = args.B if args.B is not None else raw.get("B", 10_000)
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     n_steps = raw.get("n", 500)
@@ -167,8 +171,7 @@ def cmd_price(args) -> int:
         grid,
         alpha=float(raw.get("alpha", 0.05)),
     )
-    json.dump(report.to_dict(), args.out, sort_keys=True, indent=2)
-    args.out.write("\n")
+    args.out.write(json_text(report.to_dict()))
     return 0
 
 
@@ -182,16 +185,13 @@ def cmd_experiment(args) -> int:
         output = run_bs_experiment(config)
         if args.out_dir:
             write_experiment_outputs(output, args.out_dir)
-        json.dump(output.summary, args.out, sort_keys=True, indent=2)
+        summary = output.summary
     else:
-        report = run_ou_oracle(config)
+        summary = run_ou_oracle(config)
         if args.out_dir:
             FsPath(args.out_dir).mkdir(parents=True, exist_ok=True)
-            (FsPath(args.out_dir) / "summary.json").write_text(
-                json.dumps(report, sort_keys=True, indent=2) + "\n"
-            )
-        json.dump(report, args.out, sort_keys=True, indent=2)
-    args.out.write("\n")
+            (FsPath(args.out_dir) / "summary.json").write_text(json_text(summary))
+    args.out.write(json_text(summary))
     return 0
 
 

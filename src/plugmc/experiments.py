@@ -236,10 +236,12 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     workers over contiguous index ranges (see workers.in_slices) and are
     merged in index order.
     """
-    theta0 = np.asarray(config.theta0, dtype=float)
     eps = config.resolved_epsilon()
     root = config.root_seed
-    model = bs_small_noise_model(theta0[0], theta0[1], eps, config.x0)
+    model = model_from_config(
+        {"model": "bs", "params": list(config.theta0), "epsilon": eps, "x0": config.x0}
+    )
+    theta0 = model.theta0
     functional = Functional(
         kind="smoothed_call_terminal",
         horizon=config.horizon,
@@ -346,12 +348,12 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
     the correction vector against a central-difference gradient of the
     closed form, and their normalized gaps.
     """
-    theta = np.asarray(config.theta0, dtype=float)
-    mu, sigma, eta = theta
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
     lam = config.jump_intensity
-    model = ou_jump_model(mu, sigma, eta, lam, config.x0)
+    model = model_from_config(
+        {"model": "ou", "params": list(config.theta0), "x0": config.x0, "jump": {"intensity": lam}}
+    )
+    theta = model.theta0
+    mu, _, eta = theta
     functional = Functional(
         kind="discounted_integral", horizon=config.horizon, discount=config.discount
     )
@@ -400,59 +402,53 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
 HIST_EDGES = np.arange(-4.0, 4.0 + 0.25 / 2, 0.25)
 
 
+def json_text(value) -> str:
+    """The text of every JSON output: sorted keys, indent 2, a final newline."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """The text of every CSV output: the header row, then rows, "\\n" line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # a bool is an int
         return str(int(value))
     return repr(float(value))
 
 
 def replications_csv(output: ExperimentOutput) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     p = len(output.rows[0].theta_hat) if output.rows else 0
-    w.writerow(
+    header = (
         ["replication"]
         + [f"theta_hat_{i + 1}" for i in range(p)]
         + ["H_hat", "H_se", "z_hat", "ci_low", "ci_high", "covered"]
     )
-    for row in output.rows:
-        w.writerow(
-            [row.replication]
-            + [_fmt(v) for v in row.theta_hat]
-            + [
-                _fmt(row.h_hat),
-                _fmt(row.h_se),
-                _fmt(row.z_hat),
-                _fmt(row.ci_low),
-                _fmt(row.ci_high),
-                _fmt(row.covered),
-            ]
-        )
-    return buf.getvalue()
+    rows = (
+        (r.replication, *r.theta_hat, r.h_hat, r.h_se, r.z_hat, r.ci_low, r.ci_high, r.covered)
+        for r in output.rows
+    )
+    return csv_text(header, ([_fmt(v) for v in row] for row in rows))
 
 
 def qq_csv(z_values: Array) -> str:
     z = np.sort(np.asarray(z_values, dtype=float))
     n = z.size
     theo = norm_ppf((np.arange(1, n + 1) - 0.5) / n)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["theoretical", "empirical"])
-    for t, e in zip(theo, z):
-        w.writerow([_fmt(t), _fmt(e)])
-    return buf.getvalue()
+    return csv_text(["theoretical", "empirical"], ([_fmt(t), _fmt(e)] for t, e in zip(theo, z)))
 
 
 def histogram_csv(z_values: Array) -> str:
     counts, edges = np.histogram(z_values, bins=HIST_EDGES)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["bin_left", "bin_right", "count"])
-    for left, right, count in zip(edges[:-1], edges[1:], counts):
-        w.writerow([_fmt(left), _fmt(right), str(int(count))])
-    return buf.getvalue()
+    return csv_text(
+        ["bin_left", "bin_right", "count"],
+        ([_fmt(v) for v in row] for row in zip(edges[:-1], edges[1:], counts)),
+    )
 
 
 def write_experiment_outputs(output: ExperimentOutput, out_dir) -> dict:
@@ -461,7 +457,7 @@ def write_experiment_outputs(output: ExperimentOutput, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     files = {
         "replications.csv": replications_csv(output),
-        "summary.json": json.dumps(output.summary, sort_keys=True, indent=2) + "\n",
+        "summary.json": json_text(output.summary),
         "qq.csv": qq_csv(output.z_values),
         "histogram.csv": histogram_csv(output.z_values),
     }
@@ -495,6 +491,8 @@ _FUNCTIONAL_FIELDS = {
 def model_from_config(raw: dict) -> JumpDiffusionModel:
     """Build a model from {model, params, epsilon, x0, jump:{intensity, mean}}.
 
+    The one place a built-in model is built and its params checked: one
+    value per parameter, each finite and inside the model's parameter box.
     epsilon, the noise scale, is required for bs and rejected for ou and
     levy, which have none.  bs has no jumps and the levy jump law is fixed,
     so a jump intensity other than 0 (bs) or 1 (levy), or a levy jump mean
@@ -514,28 +512,28 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
     jump = raw.get("jump", {})
     check_json_types(jump, _JUMP_FIELDS, "jump config")
     if name == "bs":
-        mu, sigma = params
         if "epsilon" not in raw:
             raise ValueError("bs model config lacks 'epsilon'")
         if jump.get("intensity", 0.0) != 0.0:
             raise ValueError(f"model 'bs' has no jumps, got intensity {jump['intensity']!r}")
-        return bs_small_noise_model(mu, sigma, float(raw["epsilon"]), x0)
-    if "epsilon" in raw:
+        model = bs_small_noise_model(*params, float(raw["epsilon"]), x0)
+    elif "epsilon" in raw:
         raise ValueError(f"model {name!r} takes no 'epsilon' (only bs has a noise scale)")
-    if name == "ou":
-        mu, sigma, eta = params
+    elif name == "ou":
         mean = jump.get("mean")
-        if mean is not None and float(mean) != eta:
+        if mean is not None and float(mean) != params[2]:
             raise ValueError("jump.mean must equal the eta parameter for the ou model")
-        return ou_jump_model(mu, sigma, eta, float(jump.get("intensity", 1.0)), x0)
-    for key in ("intensity", "mean"):
-        if jump.get(key, 1.0) not in (None, 1.0):
-            raise ValueError(
-                f"model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), "
-                f"got {key} {jump[key]!r}"
-            )
-    mu, sigma, eta = params
-    return levy_model(mu, sigma, eta, x0)
+        model = ou_jump_model(*params, float(jump.get("intensity", 1.0)), x0)
+    else:
+        for key in ("intensity", "mean"):
+            if jump.get(key, 1.0) not in (None, 1.0):
+                raise ValueError(
+                    f"model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), "
+                    f"got {key} {jump[key]!r}"
+                )
+        model = levy_model(*params, x0)
+    model.require_theta(params)
+    return model
 
 
 def functional_from_config(raw: dict) -> Functional:

@@ -70,9 +70,8 @@ def plugin_H(
         start_index=start_index,
         weights=functional.weights(grid),
     )
-    h = functional.values_from_batch(res)
-    se = float(np.std(h, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return float(np.mean(h)), se
+    h, h_se = _mean_se(functional.values_from_batch(res))
+    return float(h), float(h_se)
 
 
 def estimate_C(
@@ -103,11 +102,14 @@ def estimate_C(
         want_y=True,
         weights=functional.weights(grid),
     )
-    g = functional.gradients_from_batch(res)  # (B, p)
-    c_hat = g.mean(axis=0)
-    c_se = g.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    h = functional.values_from_batch(res)
-    return c_hat, c_se, float(np.mean(h)), float(np.std(h, ddof=1) / np.sqrt(n_paths))
+    c_hat, c_se = _mean_se(functional.gradients_from_batch(res))  # (B, p) -> (p,)
+    h, h_se = _mean_se(functional.values_from_batch(res))
+    return c_hat, c_se, float(h), float(h_se)
+
+
+def _mean_se(values: Array) -> tuple:
+    """Mean over a batch's paths (axis 0) and its Monte Carlo standard error."""
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
 
 
 def bs_call_closed_form(

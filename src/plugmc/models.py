@@ -101,15 +101,6 @@ class JumpSpec:
         if self.intensity > 0 and self.sampler is None:
             raise ValueError("positive jump intensity requires a size sampler")
 
-    @property
-    def kind(self) -> str:
-        return "none" if self.intensity == 0.0 else "compound_poisson"
-
-    @property
-    def compensator_mean(self) -> float:
-        """Integral of z against the Levy measure: intensity * E[z]."""
-        return self.intensity * self.mean
-
 
 NO_JUMPS = JumpSpec(intensity=0.0, mean=0.0, sampler=None)
 

@@ -292,35 +292,34 @@ def _draw_block(streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec
     return None
 
 
-# Each thread's _BlockStreams for sample_noise, built on its first call:
-# building one costs most of a short path's draw, and at() resets all of
-# its state, so reusing it changes no number.
+# Each thread's _BlockStreams, built on its first draw: building one costs
+# most of a short path's draw, and at() resets all of its state, so
+# reusing it changes no number.
 _thread_streams = threading.local()
+
+
+def _streams() -> _BlockStreams:
+    """The _BlockStreams every draw of this thread takes."""
+    streams = getattr(_thread_streams, "streams", None)
+    if streams is None:
+        streams = _thread_streams.streams = _BlockStreams()
+    return streams
 
 
 def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
     """Realize Brownian increments and compound-Poisson jumps for one path.
 
-    The path seed path_seed(root, i) names row i % BLOCK_PATHS of block
-    i // BLOCK_PATHS; the rows of the block before it are drawn and
-    dropped, so path i costs O((i % BLOCK_PATHS + 1) * steps) normals.
+    The path seed path_seed(root, i) is drawn as the one-path chunk at
+    index i of root (see _draw_chunk), so path i costs
+    O((i % BLOCK_PATHS + 1) * steps) normals.
     """
     root, index = operator.index(seed) >> 64, operator.index(seed) & _MASK64
-    block, row = divmod(index, BLOCK_PATHS)
-    streams = getattr(_thread_streams, "streams", None)
-    if streams is None:
-        streams = _thread_streams.streams = _BlockStreams()
-    normals = np.empty((row + 1, grid.steps))
-    jumps = _draw_block(streams, path_seed(root, block), grid, jump, normals)
-    times = sizes = np.empty(0)
-    if jumps is not None:
-        rows, block_times, block_sizes = jumps
-        lo, hi = np.searchsorted(rows, (row, row + 1))
-        times, sizes = block_times[lo:hi], block_sizes[lo:hi]
+    increments = np.empty((grid.steps, 1))
+    _, times, sizes = _draw_chunk(path_seed(root, 0), grid, jump, index, increments)
     return NoiseBundle(
         seed=seed,
         grid=grid,
-        brownian_increments=normals[row] * np.sqrt(grid.dt),
+        brownian_increments=increments[:, 0],
         jump_times=times,
         jump_sizes=sizes,
     )
@@ -510,23 +509,19 @@ def coupled_paths(model: JumpDiffusionModel, theta, noise: NoiseBundle) -> Coupl
     return CoupledPaths(grid=noise.grid, x=res.x_path[:, 0], y=res.y_path[:, :, 0])
 
 
-def _draw_chunk(
-    streams: _BlockStreams,
-    root_key: int,
-    grid: TimeGrid,
-    jump: JumpSpec,
-    first: int,
-    increments: Array,  # (steps, m), filled with paths first..first+m-1
-    normals: Array,  # (BLOCK_PATHS, steps), scratch for one block
-):
-    """Draw a chunk's noise: its increments in place, and its jumps.
+def _draw_chunk(root_key: int, grid: TimeGrid, jump: JumpSpec, first: int, increments: Array):
+    """Draw the noise of paths first..first+m-1 of a root: the one map from
+    a path to its block rows and its slice of the block's jumps.
 
-    Returns the chunk's jumps as _flat_jumps gives them, or None.  Nothing
-    of block or chunk size is allocated: each block's normals go into
-    `normals` and are scaled into their columns of `increments`.
+    Fills increments, shape (steps, m), in place, one column per path, and
+    returns the chunk's jumps as (column, time, size) arrays, ordered by
+    column and by time within a column.  The only array of block size is
+    one scratch block of normals, scaled into the columns it covers.
     """
     sd = np.sqrt(grid.dt)
     m = increments.shape[1]
+    streams = _streams()
+    normals = np.empty((min(first % BLOCK_PATHS + m, BLOCK_PATHS), grid.steps))
     paths, times, sizes = [], [], []
     col = 0
     for block in range(first // BLOCK_PATHS, (first + m - 1) // BLOCK_PATHS + 1):
@@ -542,9 +537,9 @@ def _draw_chunk(
             times.append(block_times[a:b])
             sizes.append(block_sizes[a:b])
         col += hi - lo
-    if not paths:
-        return None
-    return _flat_jumps(np.concatenate(paths), np.concatenate(times), np.concatenate(sizes), grid)
+    if not paths:  # a law without jumps
+        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    return np.concatenate(paths), np.concatenate(times), np.concatenate(sizes)
 
 
 def simulate_batch(
@@ -592,14 +587,13 @@ def simulate_batch(
 
     def run_slice(lo: int, hi: int) -> list[BatchResult]:
         """The chunks of columns lo..hi-1, one after another."""
-        streams = _BlockStreams()
-        normals = np.empty((BLOCK_PATHS, grid.steps))
         buffer = np.empty((grid.steps, min(chunk_size, hi - lo)))
         pieces = []
         for done in range(lo, hi, chunk_size):
             increments = buffer[:, : min(chunk_size, hi - done)]
-            first = start_index + done
-            jumps = _draw_chunk(streams, root_key, grid, model.jump, first, increments, normals)
+            jumps = _flat_jumps(
+                *_draw_chunk(root_key, grid, model.jump, start_index + done, increments), grid
+            )
             pieces.append(
                 _step_block(
                     model, theta, grid, increments, jumps,

@@ -60,6 +60,8 @@ def test_simulate_rejects_nonpositive_paths(paths, capsys):
     [
         (["--params", "0.2"], "model 'bs' takes 2 params (mu, sigma), got 1"),
         (["--params", "0.2,1.0", "--n", "0"], "steps must be >= 1, got 0"),
+        # used to print the CSV header, then fail
+        (["--params", "0.2,nan"], "bs_small_noise: theta [0.2 nan] outside parameter box"),
     ],
 )
 def test_simulate_input_error_exits_2_without_traceback(args, message, capsys):
@@ -361,6 +363,15 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "lam must be finite, got nan"),
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": float("inf")}}, [],
          "lam must be finite, got inf"),
+        # used to fail as a non-finite or singular information matrix
+        ("price", {**PRICE_CFG, "params": [0.2, float("nan")]}, [],
+         "bs_small_noise: theta [0.2 nan] outside parameter box"),
+        ("price", json.dumps({**PRICE_CFG, "params": [0.2, "E"]}).replace('"E"', "1e400"), [],
+         "bs_small_noise: theta [0.2 inf] outside parameter box"),
+        # used to fail with an IndexError traceback and an unpacking error
+        ("experiment", {"theta0": [0.2]}, [], "model 'bs' takes 2 params (mu, sigma), got 1"),
+        ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3]}, [],
+         "model 'ou' takes 3 params (mu, sigma, eta), got 2"),
     ],
 )
 def test_config_and_data_errors_exit_2(

@@ -9,7 +9,6 @@ import pytest
 
 from plugmc import (
     JumpSpec,
-    NO_JUMPS,
     bs_small_noise_model,
     default_probe_grid,
     levy_model,
@@ -156,8 +155,6 @@ def test_levy_factory_and_x_independence():
     _, _, a_x, b_x, _, _, _, comp_x, _ = m.coefficients(xs, th)
     assert np.all(a_x == 0.0) and np.all(b_x == 0.0) and np.all(comp_x == 0.0)
     assert np.all(m.jump_kernel(xs, 0.7, th)[1] == 0.0)
-    # unit-mean driving jumps: intensity * mean jump = 1
-    assert m.jump.compensator_mean == pytest.approx(1.0)
 
 
 def test_jump_spec_validation():
@@ -165,8 +162,6 @@ def test_jump_spec_validation():
         JumpSpec(intensity=-1.0, mean=0.0)
     with pytest.raises(ValueError):
         JumpSpec(intensity=1.0, mean=0.0, sampler=None)
-    assert NO_JUMPS.kind == "none"
-    assert JumpSpec(1.0, 0.5, lambda rng, n: rng.normal(0.5, 1, n)).kind == "compound_poisson"
 
 
 def _fd_theta(fn, x, theta, i, h=1e-6):

@@ -3,8 +3,8 @@
 `tests/test_normal.py` checks accuracy against independent oracles; this
 file pins what those oracles do not reach: the ends of the quantile's
 domain, infinities and NaN, the scalar/array contract, that importing
-plugmc does not load scipy, and that each module's `__all__` names only
-what the module defines.
+plugmc does not load scipy, that each module's `__all__` names only
+what the module defines, and that the package exports each of those names.
 """
 
 import importlib
@@ -126,3 +126,30 @@ def test_every_exported_name_exists(name):
     # a stale entry would make `from plugmc.<module> import *` raise
     module = importlib.import_module(f"plugmc.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+# The top-level names of the package before it star-imported each
+# module's __all__; none of them may go.
+EARLIER_TOP_LEVEL = """
+    CoupledPaths EstimatorResult ExperimentConfig ExperimentOutput Functional
+    InferenceReport JumpDiffusionModel JumpSpec NO_JUMPS NoiseBundle Observations
+    Path SimulationBlowup TimeGrid asymptotic_variance bs_call_closed_form
+    bs_closed_form bs_small_noise_model build_report confidence_interval contrast
+    contrast_gradient contrast_rates coupled_paths default_probe_grid
+    deterministic_path estimate_C euler_path fisher_info ks_statistic levy_model
+    minimize_contrast norm_cdf norm_pdf norm_ppf ou_discounted_value ou_jump_model
+    path_seed plugin_H run_bs_experiment run_ou_oracle sample_noise simulate_batch
+    smoothed_call smoothed_call_deriv validate_model write_experiment_outputs
+    z_quantile
+""".split()
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(plugmc.__path__)))
+def test_module_exports_are_top_level(name):
+    module = importlib.import_module(f"plugmc.{name}")
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if getattr(plugmc, n, None) is not getattr(module, n)] == []
+
+
+def test_earlier_top_level_names_still_exported():
+    assert [n for n in EARLIER_TOP_LEVEL if not hasattr(plugmc, n)] == []
