@@ -8,8 +8,9 @@ Subcommands:
 
 All outputs are deterministic given the config and seed.  An input the
 program rejects (an unreadable file, a config that is not a JSON object,
-lacks a required field or holds a value of the wrong type, bad data: a
-ValueError raised by a command) is reported as
+lacks a required field or holds an unknown key or a value of the wrong
+type, bad data: a ValueError raised by a command), and a path that blows
+up (a SimulationBlowup), is reported as
 `plugmc <command>: error: <message>` on standard error, with exit code 2,
 the code argparse uses for its own usage errors.
 """
@@ -28,6 +29,7 @@ import numpy as np
 from .estimate import Observations, contrast_rates, minimize_contrast
 from .experiments import (
     MATRIX,
+    MODEL_FIELDS,
     ExperimentConfig,
     check_json_types,
     csv_text,
@@ -39,12 +41,12 @@ from .experiments import (
     write_experiment_outputs,
 )
 from .inference import build_report
-from .simulate import TimeGrid, coupled_paths, path_seed, sample_noise
+from .simulate import SimulationBlowup, TimeGrid, coupled_paths, path_seed, sample_noise
 
 
-# JSON types of the price config fields that cmd_price reads itself
+# JSON types of the price config fields: the model's, and those cmd_price reads itself
 _PRICE_FIELDS = {
-    "functional": (dict,), "B": (int,), "seed": (int,), "n": (int,),
+    **MODEL_FIELDS, "functional": (dict,), "B": (int,), "seed": (int,), "n": (int,),
     "rates": (tuple,), "fisher": (MATRIX,), "alpha": (float,),
 }
 
@@ -143,7 +145,7 @@ def cmd_estimate(args) -> int:
 def cmd_price(args) -> int:
     raw = _load_json(args.config)
     check_json_types(raw, _PRICE_FIELDS)
-    model = model_from_config(raw)
+    model = model_from_config({k: v for k, v in raw.items() if k in MODEL_FIELDS})
     if "functional" not in raw:
         raise ValueError("config lacks 'functional'")
     functional = functional_from_config(raw["functional"])
@@ -241,7 +243,7 @@ def main(argv=None) -> int:
     args.out = sys.stdout
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, SimulationBlowup) as exc:
         print(f"plugmc {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

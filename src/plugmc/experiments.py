@@ -97,13 +97,14 @@ def _holds_numbers(value, depth: int) -> bool:
 
 
 def check_json_types(raw: dict, kinds: dict, what: str = "config") -> None:
-    """Raise a ValueError naming the first field of raw whose value has none
-    of the types that kinds lists for it, or whose list holds anything but
-    numbers (a tuple field) or lists of numbers (a MATRIX field); fields
-    kinds omits pass."""
+    """Raise a ValueError naming the keys of raw that kinds omits, or else
+    the first field whose value has none of the types that kinds lists for
+    it, or whose list holds anything but numbers (a tuple field) or lists
+    of numbers (a MATRIX field).  kinds is the one list of a config's keys."""
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
     for name, value in raw.items():
-        if name not in kinds:
-            continue
         accepted = tuple(t for k in kinds[name] for t in _JSON_TYPES[k][0])
         if isinstance(value, bool) or not isinstance(value, accepted):
             expected = " or ".join(_JSON_TYPES[k][1] for k in kinds[name])
@@ -177,10 +178,6 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Config from a JSON object: theta0 (a list) is required, the other
         fields are optional, and each value must have its field's JSON type."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "theta0" not in raw:
             raise ValueError("config lacks 'theta0'")
         hints = typing.get_type_hints(cls)
@@ -353,21 +350,18 @@ def run_ou_oracle(config: ExperimentConfig) -> dict:
         {"model": "ou", "params": list(config.theta0), "x0": config.x0, "jump": {"intensity": lam}}
     )
     theta = model.theta0
-    mu, _, eta = theta
     functional = Functional(
         kind="discounted_integral", horizon=config.horizon, discount=config.discount
     )
     grid = config.price_grid()
-    # the closed form checks its inputs before the Monte Carlo pass
-    h_closed = ou_discounted_value(
-        mu, eta, lam, config.discount, config.horizon, config.x0
-    )
 
     def h_of(th):
         return ou_discounted_value(
             th[0], th[2], lam, config.discount, config.horizon, config.x0
         )
 
+    # the closed form checks its inputs before the Monte Carlo pass
+    h_closed = h_of(theta)
     grad = central_difference_gradient(h_of, theta)
     c_hat, c_se, h_mc, h_se = estimate_C(
         model,
@@ -478,7 +472,7 @@ _PARAM_NAMES = {
 }
 
 # JSON types of the fields model_from_config and functional_from_config read
-_MODEL_FIELDS = {
+MODEL_FIELDS = {
     "model": (str,), "params": (tuple,), "epsilon": (float,), "x0": (float,), "jump": (dict,),
 }
 _JUMP_FIELDS = {"intensity": (float,), "mean": (float, type(None))}
@@ -491,14 +485,14 @@ _FUNCTIONAL_FIELDS = {
 def model_from_config(raw: dict) -> JumpDiffusionModel:
     """Build a model from {model, params, epsilon, x0, jump:{intensity, mean}}.
 
-    The one place a built-in model is built and its params checked: one
-    value per parameter, each finite and inside the model's parameter box.
-    epsilon, the noise scale, is required for bs and rejected for ou and
-    levy, which have none.  bs has no jumps and the levy jump law is fixed,
-    so a jump intensity other than 0 (bs) or 1 (levy), or a levy jump mean
-    other than 1, is rejected.
+    The one place a built-in model is built from a config: one value per
+    parameter, which the model checks against its parameter box.  epsilon,
+    the noise scale, is required for bs and rejected for ou and levy, which
+    have none.  bs has no jumps and the levy jump law is fixed, so any bs
+    jump key but intensity 0, and a levy jump intensity or mean other than
+    1, is rejected.
     """
-    check_json_types(raw, _MODEL_FIELDS)
+    check_json_types(raw, MODEL_FIELDS)
     name = raw.get("model")
     if name not in _PARAM_NAMES:
         raise ValueError(f"unknown model {name!r} (expected bs, ou or levy)")
@@ -514,26 +508,24 @@ def model_from_config(raw: dict) -> JumpDiffusionModel:
     if name == "bs":
         if "epsilon" not in raw:
             raise ValueError("bs model config lacks 'epsilon'")
-        if jump.get("intensity", 0.0) != 0.0:
-            raise ValueError(f"model 'bs' has no jumps, got intensity {jump['intensity']!r}")
-        model = bs_small_noise_model(*params, float(raw["epsilon"]), x0)
-    elif "epsilon" in raw:
+        for key, value in jump.items():
+            if (key, value) != ("intensity", 0.0):
+                raise ValueError(f"model 'bs' has no jumps, got {key} {value!r}")
+        return bs_small_noise_model(*params, float(raw["epsilon"]), x0)
+    if "epsilon" in raw:
         raise ValueError(f"model {name!r} takes no 'epsilon' (only bs has a noise scale)")
-    elif name == "ou":
+    if name == "ou":
         mean = jump.get("mean")
         if mean is not None and float(mean) != params[2]:
             raise ValueError("jump.mean must equal the eta parameter for the ou model")
-        model = ou_jump_model(*params, float(jump.get("intensity", 1.0)), x0)
-    else:
-        for key in ("intensity", "mean"):
-            if jump.get(key, 1.0) not in (None, 1.0):
-                raise ValueError(
-                    f"model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), "
-                    f"got {key} {jump[key]!r}"
-                )
-        model = levy_model(*params, x0)
-    model.require_theta(params)
-    return model
+        return ou_jump_model(*params, float(jump.get("intensity", 1.0)), x0)
+    for key, value in jump.items():
+        if value not in (None, 1.0):
+            raise ValueError(
+                f"model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), "
+                f"got {key} {value!r}"
+            )
+    return levy_model(*params, x0)
 
 
 def functional_from_config(raw: dict) -> Functional:

@@ -84,25 +84,22 @@ class JumpSpec:
     """Compound-Poisson jump specification with a known law.
 
     intensity : jumps per unit time (lambda >= 0)
-    mean      : mean of the jump-size law, E[z]
     sampler   : draws `count` jump sizes from a numpy Generator; None only
                 for the no-jump spec
     """
 
     intensity: float
-    mean: float
     sampler: Callable[[np.random.Generator, int], Array] | None = None
 
     def __post_init__(self):
         _require_finite("jump intensity", self.intensity)
-        _require_finite("jump mean", self.mean)
         if self.intensity < 0:
             raise ValueError(f"jump intensity must be >= 0, got {self.intensity}")
         if self.intensity > 0 and self.sampler is None:
             raise ValueError("positive jump intensity requires a size sampler")
 
 
-NO_JUMPS = JumpSpec(intensity=0.0, mean=0.0, sampler=None)
+NO_JUMPS = JumpSpec(intensity=0.0, sampler=None)
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,11 @@ class JumpDiffusionModel:
     structural noise scale (it is *not* a component of theta): estimation
     divides it out of b.  Models without a small-noise structure leave it
     at 1.  ``jump`` is the law the noise generator draws from.
+    ``param_box`` is the parameter set: one [low, high] row per parameter,
+    checked by ``require_theta``, which ``theta0`` passes at construction.
     """
 
     name: str
-    p: int
     param_names: tuple[str, ...]
     initial: Callable[[Array], float]
     initial_grad: Callable[[Array], Array]
@@ -134,29 +132,27 @@ class JumpDiffusionModel:
         if box.shape != (self.p, 2):
             raise ValueError(f"param_box must have shape ({self.p}, 2)")
         object.__setattr__(self, "param_box", box)
-        object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
+        object.__setattr__(self, "theta0", self.require_theta(self.theta0))
         if self.jump.intensity > 0 and self.jump_kernel is None:
             raise ValueError("model has jumps but no jump kernel")
+
+    @property
+    def p(self) -> int:
+        return len(self.param_names)
 
     @property
     def has_jumps(self) -> bool:
         return self.jump.intensity > 0
 
-    def in_box(self, theta: Array) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(
-            theta.shape == (self.p,)
-            and np.all(np.isfinite(theta))
-            and np.all(theta >= self.param_box[:, 0])
-            and np.all(theta <= self.param_box[:, 1])
-        )
-
     def require_theta(self, theta) -> Array:
+        """theta as a float array, or a ValueError naming its first
+        coordinate that is not finite or lies outside the parameter box."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.p,):
             raise ValueError(f"{self.name}: theta must have dimension {self.p}")
-        if not self.in_box(theta):
-            raise ValueError(f"{self.name}: theta {theta} outside parameter box")
+        for name, value, (lo, hi) in zip(self.param_names, theta, self.param_box):
+            if not (np.isfinite(value) and lo <= value <= hi):
+                raise ValueError(f"{self.name}: {name} = {value} outside [{lo}, {hi}]")
         return theta
 
 
@@ -257,31 +253,23 @@ def bs_small_noise_model(
     """
     _require_finite("eps", eps)
     _require_finite("x0", x0)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if x0 <= 0:
         raise ValueError(f"x0 must be > 0, got {x0}")
-
-    theta0 = np.array([mu, sigma], dtype=float)
-    box = np.array([[-5.0, 5.0], [1e-8, 10.0]])
-    if not (box[0, 0] <= mu <= box[0, 1]):
-        raise ValueError(f"mu {mu} outside supported range {box[0]}")
 
     def coefficients(x, th):
         return (th[0] * x, eps * th[1] * x, th[0], eps * th[1], (x, 0.0), (0.0, eps * x))
 
     return JumpDiffusionModel(
         name="bs_small_noise",
-        p=2,
         param_names=("mu", "sigma"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(2),
         coefficients=coefficients,
-        param_box=box,
+        param_box=np.array([[-5.0, 5.0], [1e-8, 10.0]]),
         growth_const=abs(mu) + eps * sigma,
-        theta0=theta0,
+        theta0=np.array([mu, sigma], dtype=float),
         epsilon=eps,
     )
 
@@ -306,22 +294,14 @@ def ou_jump_model(
     """
     for name, value in (("lam", lam), ("x0", x0), ("jump_sd", jump_sd)):
         _require_finite(name, value)
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0 (closed forms divide by mu), got {mu}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     if jump_sd < 0:
         raise ValueError(f"jump_sd must be >= 0, got {jump_sd}")
-
-    theta0 = np.array([mu, sigma, eta], dtype=float)
-    box = np.array([[1e-8, 20.0], [0.0, 10.0], [-10.0, 10.0]])
 
     if lam > 0:
         spec = JumpSpec(
             intensity=lam,
-            mean=0.0,
             sampler=lambda rng, count: rng.normal(0.0, jump_sd, count),
         )
     else:
@@ -343,14 +323,14 @@ def ou_jump_model(
 
     return JumpDiffusionModel(
         name="ou_jump",
-        p=3,
         param_names=("mu", "sigma", "eta"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(3),
         coefficients=coefficients,
-        param_box=box,
+        # mu > 0: the closed forms divide by mu
+        param_box=np.array([[1e-8, 20.0], [0.0, 10.0], [-10.0, 10.0]]),
         growth_const=kappa,
-        theta0=theta0,
+        theta0=np.array([mu, sigma, eta], dtype=float),
         jump=spec,
         jump_kernel=jump_kernel if lam > 0 else None,
     )
@@ -368,17 +348,8 @@ def levy_model(mu: float, sigma: float, eta: float, x0: float) -> JumpDiffusionM
     _require_finite("x0", x0)
     if eta == 0:
         raise ValueError("eta must be nonzero")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
 
-    theta0 = np.array([mu, sigma, eta], dtype=float)
-    box = np.array([[-10.0, 10.0], [0.0, 10.0], [-10.0, 10.0]])
-
-    spec = JumpSpec(
-        intensity=1.0,
-        mean=1.0,
-        sampler=lambda rng, count: rng.exponential(1.0, count),
-    )
+    spec = JumpSpec(intensity=1.0, sampler=lambda rng, count: rng.exponential(1.0, count))
 
     def coefficients(x, th):
         return (
@@ -388,14 +359,13 @@ def levy_model(mu: float, sigma: float, eta: float, x0: float) -> JumpDiffusionM
 
     return JumpDiffusionModel(
         name="levy",
-        p=3,
         param_names=("mu", "sigma", "eta"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(3),
         coefficients=coefficients,
-        param_box=box,
+        param_box=np.array([[-10.0, 10.0], [0.0, 10.0], [-10.0, 10.0]]),
         growth_const=abs(mu + eta) + sigma + abs(eta),
-        theta0=theta0,
+        theta0=np.array([mu, sigma, eta], dtype=float),
         jump=spec,
         jump_kernel=lambda x, z, th: (th[2] * z, 0.0, (0.0, 0.0, z)),
     )

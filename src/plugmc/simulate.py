@@ -367,6 +367,7 @@ def _pos_zero(v) -> bool:
     return isinstance(v, float) and v == 0.0 and math.copysign(1.0, v) > 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _step_block(
     model: JumpDiffusionModel,
     theta: Array,
@@ -385,7 +386,8 @@ def _step_block(
     weights adds the weighted sums x_sum (and y_sum); record=True keeps
     the full paths in x_path and y_path (small blocks only).  Raises
     SimulationBlowup at the first step where X or Y turns non-finite,
-    found by a re-run with check_steps=True if the end-of-block check fails.
+    found by a re-run with check_steps=True if the end-of-block check fails;
+    numpy's overflow warnings are silenced, as that error reports them.
     """
     n, m = increments.shape
     dt = grid.dt

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, end-to-end wiring."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_simulate_rejects_nonpositive_paths(paths, capsys):
         (["--params", "0.2"], "model 'bs' takes 2 params (mu, sigma), got 1"),
         (["--params", "0.2,1.0", "--n", "0"], "steps must be >= 1, got 0"),
         # used to print the CSV header, then fail
-        (["--params", "0.2,nan"], "bs_small_noise: theta [0.2 nan] outside parameter box"),
+        (["--params", "0.2,nan"], "bs_small_noise: sigma = nan outside [1e-08, 10.0]"),
     ],
 )
 def test_simulate_input_error_exits_2_without_traceback(args, message, capsys):
@@ -365,13 +366,22 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "lam must be finite, got inf"),
         # used to fail as a non-finite or singular information matrix
         ("price", {**PRICE_CFG, "params": [0.2, float("nan")]}, [],
-         "bs_small_noise: theta [0.2 nan] outside parameter box"),
+         "bs_small_noise: sigma = nan outside [1e-08, 10.0]"),
         ("price", json.dumps({**PRICE_CFG, "params": [0.2, "E"]}).replace('"E"', "1e400"), [],
-         "bs_small_noise: theta [0.2 inf] outside parameter box"),
+         "bs_small_noise: sigma = inf outside [1e-08, 10.0]"),
         # used to fail with an IndexError traceback and an unpacking error
         ("experiment", {"theta0": [0.2]}, [], "model 'bs' takes 2 params (mu, sigma), got 1"),
         ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3]}, [],
          "model 'ou' takes 3 params (mu, sigma, eta), got 2"),
+        # each used to run with the key ignored: "strike" in place of "K"
+        # priced at K = 0, and bs ran without jumps
+        ("price", {**PRICE_CFG, "paths": 1000}, [], "unknown config keys: ['paths']"),
+        ("price", {**PRICE_CFG, "functional": {"kind": "smoothed_call_terminal", "strike": 0.75,
+                                               "T": 1.0}}, [],
+         "unknown functional config keys: ['strike']"),
+        ("price", {**OU_PRICE_CFG, "jump": {"intensity": 1.0, "size_sd": 0.5}}, [],
+         "unknown jump config keys: ['size_sd']"),
+        ("price", {**PRICE_CFG, "jump": {"mean": 3.0}}, [], "model 'bs' has no jumps, got mean 3.0"),
     ],
 )
 def test_config_and_data_errors_exit_2(
@@ -424,3 +434,17 @@ def test_simulate_rejects_non_finite_constants(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"plugmc simulate: error: {message}\n"
+
+
+def test_simulate_blowup_exits_2_with_one_error_line(capsys):
+    # a finite, accepted noise scale overflows X; this used to end in a
+    # SimulationBlowup traceback with exit 1, after numpy overflow warnings
+    argv = ["simulate", "--model", "bs", "--params", "0.2,1", "--epsilon", "1e300", "--n", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "plugmc simulate: error: non-finite state at step 2 in X (path index 0)\n"
+    )

@@ -50,7 +50,6 @@ def theta_free_model():
     # coefficients independent of theta and x: Y stays at initial_grad
     return JumpDiffusionModel(
         name="free",
-        p=2,
         param_names=("a", "b"),
         initial=lambda th: 1.0,
         initial_grad=lambda th: np.array([0.4, -0.2]),

@@ -4,6 +4,8 @@ Closed-form coefficient derivatives are checked against central finite
 differences (the finite-difference route lives only here, as an oracle).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from conftest import EPS, THETA0
 def zero_model():
     return JumpDiffusionModel(
         name="zero",
-        p=1,
         param_names=("c",),
         initial=lambda th: 1.0,
         initial_grad=lambda th: np.zeros(1),
@@ -38,7 +39,6 @@ def quadratic_drift_model():
     # a(x) = x^2 with declared kappa = 1 cannot satisfy linear growth at x = 10
     return JumpDiffusionModel(
         name="quad",
-        p=1,
         param_names=("c",),
         initial=lambda th: 1.0,
         initial_grad=lambda th: np.zeros(1),
@@ -159,9 +159,9 @@ def test_levy_factory_and_x_independence():
 
 def test_jump_spec_validation():
     with pytest.raises(ValueError):
-        JumpSpec(intensity=-1.0, mean=0.0)
+        JumpSpec(intensity=-1.0)
     with pytest.raises(ValueError):
-        JumpSpec(intensity=1.0, mean=0.0, sampler=None)
+        JumpSpec(intensity=1.0, sampler=None)
 
 
 def _fd_theta(fn, x, theta, i, h=1e-6):
@@ -232,9 +232,53 @@ def test_jump_compensators_match_sampled_means(ou_model, levy):
 
 def test_box_membership():
     m = bs_small_noise_model(0.2, 1.0, EPS, 1.0)
-    assert m.in_box(np.array([0.0, 2.0]))
-    assert not m.in_box(np.array([9.0, 1.0]))
+    assert np.array_equal(m.require_theta([0.0, 2.0]), [0.0, 2.0])
     with pytest.raises(ValueError):
         m.require_theta(np.array([9.0, 1.0]))
     with pytest.raises(ValueError):
         m.require_theta(np.array([0.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ([9.0, 1.0], "bs_small_noise: mu = 9.0 outside [-5.0, 5.0]"),
+        ([0.2, 0.0], "bs_small_noise: sigma = 0.0 outside [1e-08, 10.0]"),
+        ([0.2, np.nan], "bs_small_noise: sigma = nan outside [1e-08, 10.0]"),
+        ([np.inf, np.nan], "bs_small_noise: mu = inf outside [-5.0, 5.0]"),
+    ],
+)
+def test_require_theta_names_first_bad_coordinate(theta, message):
+    m = bs_small_noise_model(0.2, 1.0, EPS, 1.0)
+    with pytest.raises(ValueError) as err:
+        m.require_theta(theta)
+    assert str(err.value) == message
+    # a factory's theta is checked by the same box when the model is built
+    with pytest.raises(ValueError) as err:
+        bs_small_noise_model(*theta, EPS, 1.0)
+    assert str(err.value) == message
+
+
+def test_infinite_box_still_rejects_non_finite_theta():
+    m = replace(zero_model(), param_box=np.array([[-np.inf, np.inf]]))
+    assert m.require_theta([1e300])[0] == 1e300
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=rf"^zero: c = {value} outside \[-inf, inf\]$"):
+            m.require_theta([value])
+
+
+def test_user_model_with_theta0_outside_box_fails_when_built():
+    with pytest.raises(ValueError, match=r"^zero: c = 2.0 outside \[-1.0, 1.0\]$"):
+        replace(zero_model(), theta0=np.array([2.0]))
+    with pytest.raises(ValueError, match="theta must have dimension 1"):
+        replace(zero_model(), theta0=np.zeros(2))
+
+
+def test_dimension_is_the_number_of_parameter_names():
+    assert zero_model().p == 1
+    for model in (
+        bs_small_noise_model(0.2, 1.0, EPS, 1.0),
+        ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0),
+        levy_model(0.1, 0.3, 0.5, 1.0),
+    ):
+        assert model.p == len(model.param_names) == model.param_box.shape[0]

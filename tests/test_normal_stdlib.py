@@ -4,9 +4,12 @@
 file pins what those oracles do not reach: the ends of the quantile's
 domain, infinities and NaN, the scalar/array contract, that importing
 plugmc does not load scipy, that each module's `__all__` names only
-what the module defines, and that the package exports each of those names.
+what the module defines, that the package exports each of those names,
+and that no module imports a name it does not use.
 """
 
+import ast
+import glob
 import importlib
 import math
 import os
@@ -153,3 +156,22 @@ def test_module_exports_are_top_level(name):
 
 def test_earlier_top_level_names_still_exported():
     assert [n for n in EARLIER_TOP_LEVEL if not hasattr(plugmc, n)] == []
+
+
+def test_package_modules_have_no_unused_imports():
+    # an import kept only so that a caller can patch it would be dead code
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(plugmc.__file__), "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{os.path.basename(path)}: {name}" for name in sorted(imported - used)]
+    assert unused == []

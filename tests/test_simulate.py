@@ -97,7 +97,6 @@ def test_jump_count_moments(ou_model):
 def constant_model():
     return JumpDiffusionModel(
         name="const",
-        p=1,
         param_names=("c",),
         initial=lambda th: 2.5,
         initial_grad=lambda th: np.zeros(1),
@@ -214,7 +213,6 @@ def overflowing_sensitivity_model():
     k = 1e200
     return JumpDiffusionModel(
         name="stiff",
-        p=1,
         param_names=("x0",),
         initial=lambda th: th[0],
         initial_grad=lambda th: np.ones(1),
@@ -488,7 +486,7 @@ PROPERTY_MODELS = {
     "levy": levy_model(0.1, 0.3, 0.5, 1.0),
     "ou_uint32": replace(
         ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0),
-        jump=JumpSpec(intensity=2.0, mean=0.0, sampler=_odd_uint32_sizes),
+        jump=JumpSpec(intensity=2.0, sampler=_odd_uint32_sizes),
     ),
 }
 
