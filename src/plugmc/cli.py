@@ -180,9 +180,7 @@ def cmd_price(args) -> int:
 def cmd_experiment(args) -> int:
     raw = _load_json(args.config)
     kind = raw.pop("kind", "bs")
-    if kind not in ("bs", "ou_oracle"):
-        raise ValueError(f"unknown experiment kind {kind!r} (expected bs or ou_oracle)")
-    config = ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict(raw, kind)
     if kind == "bs":
         output = run_bs_experiment(config)
         if args.out_dir:

@@ -74,7 +74,7 @@ class EstimatorResult:
     rates: Array  # diagonal of Gamma_n, see contrast_rates
     info: Array | None  # estimated information matrix, PSD
     converged: bool
-    contrast_value: float
+    contrast_value: float | None = None  # filled by minimize_contrast
     n_iter: int = 0
 
 
@@ -204,33 +204,22 @@ def bs_closed_form(obs: Observations) -> EstimatorResult:
     x = obs.samples
     if np.any(x <= 0):
         raise ValueError("closed-form estimator requires strictly positive samples")
-    dt = obs.grid.dt
     horizon = obs.grid.horizon
     x_prev = x[:-1]
     dx = np.diff(x)
     ratio = dx / x_prev
     mu_hat = float(np.sum(ratio)) / horizon
-    resid = dx - mu_hat * dt * x_prev
+    resid = dx - mu_hat * obs.grid.dt * x_prev
     sigma_sq = float(np.sum(resid**2 / x_prev**2)) / (obs.eps**2 * horizon)
     sigma_hat = float(np.sqrt(sigma_sq))
     info = None
     if sigma_hat > 0:
         info = np.diag([horizon * sigma_hat**-2, 2.0 * sigma_hat**-2])
-    theta = np.array([mu_hat, sigma_hat])
-    value = np.inf
-    if sigma_hat > 0:
-        value = float(
-            np.sum(
-                resid**2 / (obs.eps**2 * dt * sigma_sq * x_prev**2)
-                + np.log(sigma_sq * x_prev**2)
-            )
-        )
     return EstimatorResult(
-        theta=theta,
+        theta=np.array([mu_hat, sigma_hat]),
         rates=contrast_rates(obs.eps, obs.grid.steps, 2),
         info=info,
         converged=True,
-        contrast_value=value,
     )
 
 

@@ -114,6 +114,14 @@ def check_json_types(raw: dict, kinds: dict, what: str = "config") -> None:
                 raise ValueError(f"{what} field {name!r} must be {expected}, got {value!r}")
 
 
+# The config fields each kind of study does not read, and so rejects
+_UNREAD_FIELDS = {
+    "bs": ("discount", "jump_intensity"),
+    "ou_oracle": ("epsilon", "n_paths_price", "replications", "alpha", "strike", "rate",
+                  "obs_horizon", "eps_smooth"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings of one replicated study; see from_dict for the JSON shape."""
@@ -175,12 +183,17 @@ class ExperimentConfig:
         return TimeGrid(self.horizon, steps)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Config from a JSON object: theta0 (a list) is required, the other
-        fields are optional, and each value must have its field's JSON type."""
+    def from_dict(cls, raw: dict, kind: str = "bs") -> "ExperimentConfig":
+        """Config of a study of the given kind (bs or ou_oracle) from a JSON
+        object: theta0 (a list) is required, the other fields the kind reads
+        are optional, and each value must have its field's JSON type."""
+        if kind not in ("bs", "ou_oracle"):
+            raise ValueError(f"unknown experiment kind {kind!r} (expected bs or ou_oracle)")
         if "theta0" not in raw:
             raise ValueError("config lacks 'theta0'")
         hints = typing.get_type_hints(cls)
+        for name in _UNREAD_FIELDS[kind]:
+            del hints[name]
         check_json_types(raw, {k: typing.get_args(t) or (t,) for k, t in hints.items()})
         return cls(**{**raw, "theta0": tuple(raw["theta0"])})
 
@@ -199,7 +212,6 @@ class ReplicationRow:
 
 @dataclass(frozen=True)
 class ExperimentOutput:
-    config: ExperimentConfig
     rows: tuple
     z_values: Array
     summary: dict
@@ -226,7 +238,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     smoothed call at the estimate with fresh pricing paths, and record the
     normalized error (true-parameter C and I in the denominator) plus the
     estimate-based confidence interval.  Replication failures are recorded
-    and tolerated up to 5% of R.
+    and tolerated up to 5% of R; beyond that the study raises a ValueError.
 
     The correction pass at theta0 runs first, its paths split over worker
     processes as every batch is; the replications then run in forked
@@ -305,7 +317,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     rows = [row for part, _ in parts for row in part]
     failures = [failure for _, part in parts for failure in part]
     if len(failures) > 0.05 * config.replications:
-        raise RuntimeError(
+        raise ValueError(
             f"{len(failures)} of {config.replications} replications failed; "
             f"first: {failures[0]}"
         )
@@ -329,7 +341,6 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
         "alpha": config.alpha,
     }
     return ExperimentOutput(
-        config=config,
         rows=tuple(rows),
         z_values=z_arr,
         summary=summary,

@@ -58,20 +58,12 @@ def plugin_H(
     *,
     start_index: int = 0,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the functional at theta."""
-    if n_paths < 100:
-        raise ValueError("n_paths must be >= 100")
-    res = simulate_batch(
-        model,
-        theta,
-        grid,
-        root_seed,
-        n_paths,
-        start_index=start_index,
-        weights=functional.weights(grid),
-    )
-    h, h_se = _mean_se(functional.values_from_batch(res))
-    return float(h), float(h_se)
+    """Monte Carlo mean and standard error of the functional at theta: the
+    (H, H_se) of estimate_C, whose X paths do not depend on whether Y is
+    stepped beside them."""
+    return estimate_C(
+        model, functional, theta, n_paths, root_seed, grid, start_index=start_index
+    )[2:]
 
 
 def estimate_C(

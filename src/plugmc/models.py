@@ -68,6 +68,9 @@ COEFFICIENT_NAMES = (
 )
 JUMP_NAMES = ("jump_kernel", "jump_dx", "jump_dtheta")
 
+# Standard deviation of the ou model's centred jump sizes
+OU_JUMP_SD = 0.25
+
 
 def _require_finite(name: str, value: float) -> None:
     """Raise a ValueError naming a constant that is inf or NaN.
@@ -274,14 +277,7 @@ def bs_small_noise_model(
     )
 
 
-def ou_jump_model(
-    mu: float,
-    sigma: float,
-    eta: float,
-    lam: float,
-    x0: float,
-    jump_sd: float = 0.25,
-) -> JumpDiffusionModel:
+def ou_jump_model(mu: float, sigma: float, eta: float, lam: float, x0: float) -> JumpDiffusionModel:
     """Mean-reverting diffusion with compound-Poisson jumps of mean eta.
 
         dX = -mu X dt + sigma dW + dZ_t,   theta = (mu, sigma, eta)
@@ -290,22 +286,10 @@ def ou_jump_model(
     eta.  Written against the centred jump measure (sizes z with E[z] = 0,
     actual jumps z + eta), the compensated form has drift
     -mu x + lam * eta and kernel c(x, z, theta) = z + eta.  The centred
-    size law is Normal(0, jump_sd^2).
+    size law is Normal(0, OU_JUMP_SD^2); JumpSpec checks lam.
     """
-    for name, value in (("lam", lam), ("x0", x0), ("jump_sd", jump_sd)):
-        _require_finite(name, value)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if jump_sd < 0:
-        raise ValueError(f"jump_sd must be >= 0, got {jump_sd}")
-
-    if lam > 0:
-        spec = JumpSpec(
-            intensity=lam,
-            sampler=lambda rng, count: rng.normal(0.0, jump_sd, count),
-        )
-    else:
-        spec = NO_JUMPS
+    spec = JumpSpec(lam, lambda rng, count: rng.normal(0.0, OU_JUMP_SD, count))
+    _require_finite("x0", x0)
 
     # kappa covers |a|+|b| <= max(mu, lam|eta|+sigma)(1+|x|) and, away from
     # z = 0 (probes use |z| >= 0.5), |z + eta| <= (1 + 2|eta|)|z|.

@@ -349,7 +349,7 @@ class BatchResult:
 
 
 def _flat_jumps(paths: Array, times: Array, sizes: Array, grid: TimeGrid):
-    """Step-sorted parallel arrays of jumps; paths holds each jump's column.
+    """Step-sorted jump columns and sizes, and where each step's jumps start.
 
     The jumps come in column order and by time within a column, and the
     stable sort keeps that order within a step.
@@ -358,8 +358,7 @@ def _flat_jumps(paths: Array, times: Array, sizes: Array, grid: TimeGrid):
         return None
     steps = _jump_steps(times, grid)
     order = np.argsort(steps, kind="stable")
-    steps = steps[order]
-    return steps, paths[order], sizes[order], np.searchsorted(steps, np.arange(grid.steps + 1))
+    return paths[order], sizes[order], np.searchsorted(steps[order], np.arange(grid.steps + 1))
 
 
 def _pos_zero(v) -> bool:
@@ -439,7 +438,7 @@ def _step_block(
                     y[j] -= comp_th[j] * dt
 
         if jumps is not None:
-            steps_j, paths_j, sizes_j, bounds = jumps
+            paths_j, sizes_j, bounds = jumps
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:
                 pj = paths_j[lo:hi]

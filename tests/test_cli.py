@@ -361,9 +361,9 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
         ("price", {**OU_PRICE_CFG, "model": "levy", "x0": float("nan")}, [],
          "x0 must be finite, got nan"),
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": float("nan")}}, [],
-         "lam must be finite, got nan"),
+         "jump intensity must be finite, got nan"),
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": float("inf")}}, [],
-         "lam must be finite, got inf"),
+         "jump intensity must be finite, got inf"),
         # used to fail as a non-finite or singular information matrix
         ("price", {**PRICE_CFG, "params": [0.2, float("nan")]}, [],
          "bs_small_noise: sigma = nan outside [1e-08, 10.0]"),
@@ -382,6 +382,14 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": 1.0, "size_sd": 0.5}}, [],
          "unknown jump config keys: ['size_sd']"),
         ("price", {**PRICE_CFG, "jump": {"mean": 3.0}}, [], "model 'bs' has no jumps, got mean 3.0"),
+        # each used to run with the other kind's key ignored, or fail on the
+        # bound of a field the kind never reads
+        ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3, 0.5], "strike": 99}, [],
+         "unknown config keys: ['strike']"),
+        ("experiment", {"theta0": [0.2, 1.0], "discount": 7, "jump_intensity": 3}, [],
+         "unknown config keys: ['discount', 'jump_intensity']"),
+        ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3, 0.5], "replications": 5}, [],
+         "unknown config keys: ['replications']"),
     ],
 )
 def test_config_and_data_errors_exit_2(
@@ -422,9 +430,9 @@ def test_config_and_data_errors_exit_2(
         (["--model", "levy", "--params", "0.1,0.3,0.5", "--x0", "nan"],
          "x0 must be finite, got nan"),
         (["--model", "ou", "--params", "1.0,0.3,0.5", "--jump-intensity", "nan"],
-         "lam must be finite, got nan"),
+         "jump intensity must be finite, got nan"),
         (["--model", "ou", "--params", "1.0,0.3,0.5", "--jump-intensity", "inf"],
-         "lam must be finite, got inf"),
+         "jump intensity must be finite, got inf"),
     ],
 )
 def test_simulate_rejects_non_finite_constants(args, message, capsys):
@@ -434,6 +442,23 @@ def test_simulate_rejects_non_finite_constants(args, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"plugmc simulate: error: {message}\n"
+
+
+def test_failed_study_exits_2_with_one_error_line(tmp_path, capsys):
+    # theta0 at the edge of the box: mu_hat leaves it in 13 of 30
+    # replications; this used to end in a RuntimeError traceback with exit 1
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({
+        "theta0": [4.99, 1.0], "n_obs": 50, "replications": 30,
+        "n_paths_price": 1000, "n_paths_correction": 1000,
+    }))
+    assert main(["experiment", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "plugmc experiment: error: 13 of 30 replications failed; first: "
+        "(0, 'bs_small_noise: mu = 5.013156246154012 outside [-5.0, 5.0]')\n"
+    )
 
 
 def test_simulate_blowup_exits_2_with_one_error_line(capsys):

@@ -201,7 +201,7 @@ def test_bs_experiment_aborts_on_many_failures(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(inf, "estimate_C", flaky)
-    with pytest.raises(RuntimeError, match="replications failed"):
+    with pytest.raises(ValueError, match="replications failed"):
         run_bs_experiment(ExperimentConfig(**FAST))
 
 
@@ -419,7 +419,7 @@ def test_study_abort_names_lowest_failure_for_any_worker_count(monkeypatch, tmp_
     _fail_replications(monkeypatch, fail)
     messages = []
     for workers in (1, 2, 3):
-        with pytest.raises(RuntimeError, match="3 of 31 replications failed") as err:
+        with pytest.raises(ValueError, match="3 of 31 replications failed") as err:
             _study_files(monkeypatch, tmp_path, workers, replications=31)
         assert_no_child()
         messages.append(str(err.value))

@@ -5,7 +5,8 @@ file pins what those oracles do not reach: the ends of the quantile's
 domain, infinities and NaN, the scalar/array contract, that importing
 plugmc does not load scipy, that each module's `__all__` names only
 what the module defines, that the package exports each of those names,
-and that no module imports a name it does not use.
+that no module imports a name it does not use, and that no module
+defines a top-level name that the package neither loads nor exports.
 """
 
 import ast
@@ -174,4 +175,40 @@ def test_package_modules_have_no_unused_imports():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{os.path.basename(path)}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
+def test_package_defines_nothing_unused():
+    # a top-level def, class or assignment that no module loads and no
+    # __all__ exports is dead code
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(plugmc.__file__), "*.py")))
+    trees = {}
+    for path in paths:
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(a.name for a in node.names)
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        defined, exported = [], set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if names == ["__all__"]:
+                    exported = set(ast.literal_eval(node.value))
+                else:
+                    defined += names
+        unused += [f"{module}: {n}" for n in defined if n not in exported | loaded]
     assert unused == []
