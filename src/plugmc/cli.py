@@ -29,9 +29,7 @@ import numpy as np
 from .estimate import Observations, contrast_rates, minimize_contrast
 from .experiments import (
     MATRIX,
-    MODEL_FIELDS,
     ExperimentConfig,
-    check_json_types,
     csv_text,
     functional_from_config,
     json_text,
@@ -44,9 +42,9 @@ from .inference import build_report
 from .simulate import SimulationBlowup, TimeGrid, coupled_paths, path_seed, sample_noise
 
 
-# JSON types of the price config fields: the model's, and those cmd_price reads itself
+# JSON types of the price config keys cmd_price reads itself, beside its model's
 _PRICE_FIELDS = {
-    **MODEL_FIELDS, "functional": (dict,), "B": (int,), "seed": (int,), "n": (int,),
+    "functional": (dict,), "B": (int,), "seed": (int,), "n": (int,),
     "rates": (tuple,), "fisher": (MATRIX,), "alpha": (float,),
 }
 
@@ -74,14 +72,9 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if args.epsilon is not None and args.model != "bs":
-        raise ValueError(f"model {args.model!r} takes no --epsilon (only bs has a noise scale)")
-    config = {
-        "model": args.model,
-        "params": [float(v) for v in args.params.split(",")],
-        "x0": args.x0,
-    }
-    if args.model == "bs":
+    params = [float(v) for v in args.params.split(",")]
+    config = {"model": args.model, "params": params, "x0": args.x0}
+    if args.epsilon is not None or args.model == "bs":
         config["epsilon"] = 1.0 if args.epsilon is None else args.epsilon
     if args.jump_intensity is not None:
         config["jump"] = {"intensity": args.jump_intensity}
@@ -144,8 +137,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_price(args) -> int:
     raw = _load_json(args.config)
-    check_json_types(raw, _PRICE_FIELDS)
-    model = model_from_config({k: v for k, v in raw.items() if k in MODEL_FIELDS})
+    model = model_from_config(raw, _PRICE_FIELDS)
     if "functional" not in raw:
         raise ValueError("config lacks 'functional'")
     functional = functional_from_config(raw["functional"])
@@ -240,7 +232,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.out = sys.stdout
     try:
-        return args.func(args)
+        # no numpy warning lines on stderr: what reads a non-finite value
+        # refuses it (blow-up guard, InferenceReport, json_text, study CSVs)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, SimulationBlowup) as exc:
         print(f"plugmc {args.command}: error: {exc}", file=sys.stderr)
         return 2

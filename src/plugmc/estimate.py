@@ -82,10 +82,12 @@ def _unit_coefficients(model: JumpDiffusionModel, x: Array, theta: Array):
     """(a, btilde, a_theta, btilde_theta) at the states x.
 
     btilde = b / eps, broadcast to the shape of x; btilde_theta is the
-    theta-gradient b_theta / eps, entry by entry.
+    theta-gradient b_theta / eps, entry by entry.  eps must be > 0.
     """
-    a, b, _, _, a_th, b_th = model.coefficients(x, theta)[:6]
     eps = model.epsilon
+    if eps == 0:
+        raise ValueError(f"{model.name}: epsilon must be > 0 to estimate, got {eps}")
+    a, b, _, _, a_th, b_th = model.coefficients(x, theta)[:6]
     return a, np.broadcast_to(b / eps, x.shape), a_th, tuple(g / eps for g in b_th)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -96,22 +97,31 @@ def _holds_numbers(value, depth: int) -> bool:
     return isinstance(value, list) and all(_holds_numbers(v, depth - 1) for v in value)
 
 
-def check_json_types(raw: dict, kinds: dict, what: str = "config") -> None:
-    """Raise a ValueError naming the keys of raw that kinds omits, or else
-    the first field whose value has none of the types that kinds lists for
-    it, or whose list holds anything but numbers (a tuple field) or lists
-    of numbers (a MATRIX field).  kinds is the one list of a config's keys."""
-    unknown = sorted(set(raw) - set(kinds))
+def check_json_types(raw: dict, table: dict, what: str, reader: str) -> None:
+    """Raise a ValueError naming the keys of raw that table omits and the
+    reader (the model or kind whose table it is), or else the first field
+    whose value has none of the JSON types that table lists for it, or
+    whose list holds anything but numbers (a tuple field) or lists of
+    numbers (a MATRIX field).  table is the one list of a config's keys."""
+    unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
+        raise ValueError(f"unknown {what} keys: {unknown} for {reader}")
     for name, value in raw.items():
-        accepted = tuple(t for k in kinds[name] for t in _JSON_TYPES[k][0])
+        accepted = tuple(t for k in table[name] for t in _JSON_TYPES[k][0])
         if isinstance(value, bool) or not isinstance(value, accepted):
-            expected = " or ".join(_JSON_TYPES[k][1] for k in kinds[name])
+            expected = " or ".join(_JSON_TYPES[k][1] for k in table[name])
             raise ValueError(f"{what} field {name!r} must be {expected}, got {value!r}")
-        for depth, expected in (_LIST_DEPTHS[k] for k in kinds[name] if k in _LIST_DEPTHS):
+        for depth, expected in (_LIST_DEPTHS[k] for k in table[name] if k in _LIST_DEPTHS):
             if isinstance(value, list) and not _holds_numbers(value, depth):
                 raise ValueError(f"{what} field {name!r} must be {expected}, got {value!r}")
+
+
+def _kind_table(tables: dict, kind, what: str):
+    """tables[kind], or a ValueError naming an unknown kind and the known ones."""
+    if not isinstance(kind, str) or kind not in tables:
+        *others, last = tables
+        raise ValueError(f"unknown {what} {kind!r} (expected {', '.join(others)} or {last})")
+    return tables[kind]
 
 
 # The config fields each kind of study does not read, and so rejects
@@ -129,7 +139,7 @@ class ExperimentConfig:
     theta0: tuple
     x0: float = 1.0
     n_obs: int = 500
-    epsilon: float | str = "1/sqrt(n)"
+    epsilon: float | None = None  # default 1 / sqrt(n_obs)
     n_paths_price: int = 10_000
     n_paths_correction: int = 100_000
     replications: int = 300
@@ -161,17 +171,9 @@ class ExperimentConfig:
                 f"replications must be <= {IDX_PRICING - IDX_OBSERVATION}: "
                 "more observation paths would overlap the pricing seed block"
             )
-        if self.resolved_epsilon() <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def resolved_epsilon(self) -> float:
-        if isinstance(self.epsilon, str):
-            if self.epsilon.replace(" ", "") != "1/sqrt(n)":
-                raise ValueError(f"unknown epsilon rule {self.epsilon!r}")
-            return 1.0 / np.sqrt(self.n_obs)
-        return float(self.epsilon)
+        return 1.0 / np.sqrt(self.n_obs) if self.epsilon is None else float(self.epsilon)
 
     def resolved_eps_smooth(self) -> float:
         # smoothing bias is bounded by e^{-rT} eps_smooth / 2, kept below
@@ -187,14 +189,12 @@ class ExperimentConfig:
         """Config of a study of the given kind (bs or ou_oracle) from a JSON
         object: theta0 (a list) is required, the other fields the kind reads
         are optional, and each value must have its field's JSON type."""
-        if kind not in ("bs", "ou_oracle"):
-            raise ValueError(f"unknown experiment kind {kind!r} (expected bs or ou_oracle)")
+        unread = _kind_table(_UNREAD_FIELDS, kind, "experiment kind")
         if "theta0" not in raw:
             raise ValueError("config lacks 'theta0'")
         hints = typing.get_type_hints(cls)
-        for name in _UNREAD_FIELDS[kind]:
-            del hints[name]
-        check_json_types(raw, {k: typing.get_args(t) or (t,) for k, t in hints.items()})
+        table = {k: typing.get_args(t) or (t,) for k, t in hints.items() if k not in unread}
+        check_json_types(raw, table, "config", f"kind {kind!r}")
         return cls(**{**raw, "theta0": tuple(raw["theta0"])})
 
 
@@ -245,6 +245,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     workers over contiguous index ranges (see workers.in_slices) and are
     merged in index order.
     """
+    grid_obs = TimeGrid(config.obs_horizon, config.n_obs)  # checks n_obs before eps reads it
     eps = config.resolved_epsilon()
     root = config.root_seed
     model = model_from_config(
@@ -259,7 +260,6 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
         eps_smooth=config.resolved_eps_smooth(),
     )
     grid_price = config.price_grid()
-    grid_obs = TimeGrid(config.obs_horizon, config.n_obs)
     rates = contrast_rates(eps, config.n_obs, model.p)
 
     def report(theta, info, n_paths, start_index):
@@ -408,8 +408,9 @@ HIST_EDGES = np.arange(-4.0, 4.0 + 0.25 / 2, 0.25)
 
 
 def json_text(value) -> str:
-    """The text of every JSON output: sorted keys, indent 2, a final newline."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    """The text of every JSON output: sorted keys, indent 2, a final newline;
+    a NaN or an infinity, which JSON (RFC 8259) cannot hold, is a ValueError."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(header, rows) -> str:
@@ -424,6 +425,8 @@ def csv_text(header, rows) -> str:
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer, np.bool_)):  # a bool is an int
         return str(int(value))
+    if not math.isfinite(value):
+        raise ValueError(f"a study CSV would hold the non-finite value {value}")
     return repr(float(value))
 
 
@@ -482,80 +485,69 @@ _PARAM_NAMES = {
     "levy": ("mu", "sigma", "eta"),
 }
 
-# JSON types of the fields model_from_config and functional_from_config read
+# JSON types of the keys each model's config reads, and of the ou jump object
+_MODEL_KEYS = {"model": (str,), "params": (tuple,), "x0": (float,)}
 MODEL_FIELDS = {
-    "model": (str,), "params": (tuple,), "epsilon": (float,), "x0": (float,), "jump": (dict,),
+    "bs": {**_MODEL_KEYS, "epsilon": (float,)},
+    "ou": {**_MODEL_KEYS, "jump": (dict,)},
+    "levy": _MODEL_KEYS,
 }
-_JUMP_FIELDS = {"intensity": (float,), "mean": (float, type(None))}
+_JUMP_FIELDS = {"intensity": (float,)}
+
+# JSON types of the keys each functional kind's config reads, and the
+# Functional field each key but kind sets
+_FUNCTIONAL_ARGS = {
+    "T": "horizon", "K": "strike", "r": "rate", "epsilon_smooth": "eps_smooth", "delta": "discount",
+}
+_FUNCTIONAL_KEYS = {"kind": (str,), "T": (float,)}
+_CALL_KEYS = {**_FUNCTIONAL_KEYS, "K": (float,), "r": (float,), "epsilon_smooth": (float,)}
 _FUNCTIONAL_FIELDS = {
-    "kind": (str,), "T": (float,), "K": (float,), "r": (float,), "delta": (float,),
-    "epsilon_smooth": (float,), "V": (str,),
+    "terminal": _FUNCTIONAL_KEYS,
+    "time_average": _FUNCTIONAL_KEYS,
+    "discounted_integral": {**_FUNCTIONAL_KEYS, "delta": (float,)},
+    "smoothed_call_terminal": _CALL_KEYS,
+    "smoothed_call_average": _CALL_KEYS,
 }
 
 
-def model_from_config(raw: dict) -> JumpDiffusionModel:
-    """Build a model from {model, params, epsilon, x0, jump:{intensity, mean}}.
+def model_from_config(raw: dict, reads: dict | None = None) -> JumpDiffusionModel:
+    """Build a model from {model, params, x0} and its model's own keys:
+    epsilon, the noise scale, which bs requires, and jump: {intensity} for
+    ou (default 1).  levy has no noise scale and a fixed jump law.
 
-    The one place a built-in model is built from a config: one value per
-    parameter, which the model checks against its parameter box.  epsilon,
-    the noise scale, is required for bs and rejected for ou and levy, which
-    have none.  bs has no jumps and the levy jump law is fixed, so any bs
-    jump key but intensity 0, and a levy jump intensity or mean other than
-    1, is rejected.
+    The one place a built-in model is built from a config: raw may hold
+    the keys of its model's table in MODEL_FIELDS and of reads, the types
+    of the caller's own keys in the same object, and nothing else.  One
+    value per parameter, which the model checks against its parameter box.
     """
-    check_json_types(raw, MODEL_FIELDS)
     name = raw.get("model")
-    if name not in _PARAM_NAMES:
-        raise ValueError(f"unknown model {name!r} (expected bs, ou or levy)")
-    params = [float(v) for v in raw.get("params", ())]
-    if len(params) != len(_PARAM_NAMES[name]):
+    fields = _kind_table(MODEL_FIELDS, name, "model")
+    check_json_types(raw, {**fields, **(reads or {})}, "config", f"model {name!r}")
+    names, params = _PARAM_NAMES[name], [float(v) for v in raw.get("params", ())]
+    if len(params) != len(names):
         raise ValueError(
-            f"model {name!r} takes {len(_PARAM_NAMES[name])} params "
-            f"({', '.join(_PARAM_NAMES[name])}), got {len(params)}"
+            f"model {name!r} takes {len(names)} params ({', '.join(names)}), got {len(params)}"
         )
     x0 = float(raw.get("x0", 1.0))
-    jump = raw.get("jump", {})
-    check_json_types(jump, _JUMP_FIELDS, "jump config")
-    if name == "bs":
-        if "epsilon" not in raw:
-            raise ValueError("bs model config lacks 'epsilon'")
-        for key, value in jump.items():
-            if (key, value) != ("intensity", 0.0):
-                raise ValueError(f"model 'bs' has no jumps, got {key} {value!r}")
-        return bs_small_noise_model(*params, float(raw["epsilon"]), x0)
-    if "epsilon" in raw:
-        raise ValueError(f"model {name!r} takes no 'epsilon' (only bs has a noise scale)")
     if name == "ou":
-        mean = jump.get("mean")
-        if mean is not None and float(mean) != params[2]:
-            raise ValueError("jump.mean must equal the eta parameter for the ou model")
+        jump = raw.get("jump", {})
+        check_json_types(jump, _JUMP_FIELDS, "jump config", "model 'ou'")
         return ou_jump_model(*params, float(jump.get("intensity", 1.0)), x0)
-    for key, value in jump.items():
-        if value not in (None, 1.0):
-            raise ValueError(
-                f"model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), "
-                f"got {key} {value!r}"
-            )
-    return levy_model(*params, x0)
+    if name == "levy":
+        return levy_model(*params, x0)
+    if "epsilon" not in raw:
+        raise ValueError("bs model config lacks 'epsilon'")
+    return bs_small_noise_model(*params, float(raw["epsilon"]), x0)
 
 
 def functional_from_config(raw: dict) -> Functional:
-    """Build a functional from {kind, K, r, T, delta, epsilon_smooth, V}.
-
-    V, the integrand of the discounted integral, can only be "identity".
-    """
-    check_json_types(raw, _FUNCTIONAL_FIELDS, "functional config")
-    integrand = raw.get("V", "identity")
-    if integrand != "identity":
-        raise ValueError(f"unknown integrand {integrand!r}")
+    """Build a functional from {kind, T} and its kind's own keys: K, r and
+    epsilon_smooth for the two calls, delta for the discounted integral."""
     for key in ("kind", "T"):
         if key not in raw:
             raise ValueError(f"functional config lacks {key!r}")
-    return Functional(
-        kind=raw["kind"],
-        horizon=float(raw["T"]),
-        strike=float(raw.get("K", 0.0)),
-        rate=float(raw.get("r", 0.0)),
-        eps_smooth=float(raw.get("epsilon_smooth", 0.0)),
-        discount=float(raw.get("delta", 0.0)),
-    )
+    kind = raw["kind"]
+    fields = _kind_table(_FUNCTIONAL_FIELDS, kind, "functional kind")
+    check_json_types(raw, fields, "functional config", f"kind {kind!r}")
+    args = {_FUNCTIONAL_ARGS[k]: float(v) for k, v in raw.items() if k != "kind"}
+    return Functional(kind, **args)

@@ -53,7 +53,8 @@ def smoothed_call(x, strike: float, eps_smooth: float, rate: float, horizon: flo
     """Smooth discounted call payoff; exact as eps_smooth -> 0."""
     x = np.asarray(x, dtype=float)
     d = x - strike
-    return 0.5 * np.exp(-rate * horizon) * (np.sqrt(d * d + eps_smooth**2) + d)
+    # numpy's power, the same float as Python's, overflows to inf, not an OverflowError
+    return 0.5 * np.exp(-rate * horizon) * (np.sqrt(d * d + np.float64(eps_smooth) ** 2) + d)
 
 
 def smoothed_call_deriv(x, strike: float, eps_smooth: float, rate: float, horizon: float):
@@ -62,7 +63,8 @@ def smoothed_call_deriv(x, strike: float, eps_smooth: float, rate: float, horizo
     if eps_smooth == 0.0:
         # sgn convention: 0 exactly at the kink, fixed for determinism
         return 0.5 * np.exp(-rate * horizon) * (np.sign(d) + 1.0)
-    return 0.5 * np.exp(-rate * horizon) * (d / np.sqrt(d * d + eps_smooth**2) + 1.0)
+    width_sq = np.float64(eps_smooth) ** 2
+    return 0.5 * np.exp(-rate * horizon) * (d / np.sqrt(d * d + width_sq) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,12 @@ class Functional:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.kind.startswith("smoothed_call") and self.eps_smooth < 0:
-            raise ValueError("eps_smooth must be >= 0")
+        # the closed forms' domain of strike and discount (ou_discounted_value
+        # also rejects a discount of 0, which it divides by)
+        call, discounted = self.kind.startswith("smoothed_call"), self.kind == "discounted_integral"
+        for name, read in (("strike", call), ("eps_smooth", call), ("discount", discounted)):
+            if read and getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     # -- payoff phi and its derivative on the reduced scalar ---------------
 

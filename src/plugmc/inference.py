@@ -314,16 +314,17 @@ def build_report(
     The correction vector is estimated from the same seeded paths as the
     plug-in mean (common random numbers): paths start_index onwards of
     root_seed.  z_hat is filled when the true functional value is
-    supplied, with the theta-based variance in its denominator.  The
-    rates, alpha and the information are checked before any Monte Carlo
-    pass.
+    supplied, with the theta-based variance in its denominator.  alpha
+    (through z_quantile), the rates (finite and > 0, one per parameter) and
+    the information are checked before any Monte Carlo pass.
     """
+    z_quantile(alpha)
     theta = np.asarray(theta, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if rates.shape != (model.p,):
         raise ValueError(f"rates must have shape ({model.p},), got {rates.shape}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not np.all(np.isfinite(rates) & (rates > 0)):
+        raise ValueError(f"rates must be finite and > 0, got {rates.tolist()}")
     info_inv = information_inverse(model, info)
     c_hat, c_se, h_hat, h_se = estimate_C(
         model, functional, theta, n_paths, root_seed, grid, start_index=start_index

@@ -252,12 +252,13 @@ def bs_small_noise_model(
         dX = mu X dt + eps * sigma X dW,   X_0 = x0,  theta = (mu, sigma)
 
     eps is a known constant (typically 1/sqrt(n) for n observations), not a
-    parameter.  eps = 0 degenerates to the exponential-growth ODE.
+    parameter.  eps = 0 degenerates to the exponential-growth ODE; a
+    positive eps**2, which estimation divides by, must be a normal float.
     """
     _require_finite("eps", eps)
     _require_finite("x0", x0)
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if eps != 0 and not (eps > 0 and np.finfo(float).tiny <= float(eps) * float(eps) < np.inf):
+        raise ValueError(f"eps must be 0, or > 0 with a finite, normal square, got {eps}")
     if x0 <= 0:
         raise ValueError(f"x0 must be > 0, got {x0}")
 

@@ -58,7 +58,9 @@ def norm_ppf(q):
 
 
 def z_quantile(alpha: float) -> float:
-    """Two-sided critical value z_{alpha/2} with P(|Z| > z) = alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return _ppf(1.0 - 0.5 * alpha)
+    """Two-sided critical value z_{alpha/2} with P(|Z| > z) = alpha; alpha
+    must lie in (0, 1) and be large enough for z to be finite."""
+    z = _ppf(1.0 - 0.5 * alpha) if 0.0 < alpha < 1.0 else math.nan
+    if not math.isfinite(z):
+        raise ValueError(f"alpha must be in (0, 1) with z_(alpha/2) finite, got {alpha}")
+    return z

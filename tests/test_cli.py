@@ -78,27 +78,24 @@ def test_simulate_rejects_epsilon_for_models_without_noise_scale(model, capsys):
     assert main(base + ["--epsilon", "0.1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"plugmc simulate: error: model '{model}' takes no --epsilon" in captured.err
+    assert captured.err == (
+        f"plugmc simulate: error: unknown config keys: ['epsilon'] for model '{model}'\n"
+    )
     assert run_cli(base, capsys).startswith("path_id,t,X,Y1,Y2,Y3\n")
 
 
 def test_simulate_rejects_jump_intensities_bs_and_levy_do_not_have(capsys):
-    # the levy jump law is fixed; intensity 5 used to give intensity 1's bytes
-    base = ["simulate", "--model", "levy", "--params", "0.1,0.3,0.5", "--n", "5"]
-    assert main(base + ["--jump-intensity", "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "plugmc simulate: error: model 'levy' has jump intensity 1 and mean 1 "
-        "(Exp(1) sizes), got intensity 5.0\n"
-    )
-    assert run_cli(base + ["--jump-intensity", "1"], capsys) == run_cli(base, capsys)
-    bs = ["simulate", "--model", "bs", "--params", "0.2,1.0", "--n", "5"]
-    assert main(bs + ["--jump-intensity", "5"]) == 2
-    assert capsys.readouterr().err == (
-        "plugmc simulate: error: model 'bs' has no jumps, got intensity 5.0\n"
-    )
-    assert run_cli(bs + ["--jump-intensity", "0"], capsys) == run_cli(bs, capsys)
+    # the levy jump law is fixed and bs has none: levy intensity 5 used to
+    # give intensity 1's bytes, and levy 1 and bs 0 were taken as restating them
+    for model, params in (("levy", "0.1,0.3,0.5"), ("bs", "0.2,1.0")):
+        for intensity in ("0", "1", "5"):
+            argv = ["simulate", "--model", model, "--params", params, "--n", "5"]
+            assert main(argv + ["--jump-intensity", intensity]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"plugmc simulate: error: unknown config keys: ['jump'] for model '{model}'\n"
+            )
 
 
 def test_simulate_bs_epsilon_defaults_to_one(capsys):
@@ -179,8 +176,7 @@ def test_price_with_external_estimator_inputs(tmp_path, capsys):
         "params": [1.0, 0.3, 0.5],
         "x0": 1.0,
         "jump": {"intensity": 1.0},
-        "functional": {"kind": "discounted_integral", "T": 1.0, "delta": 0.05,
-                       "V": "identity"},
+        "functional": {"kind": "discounted_integral", "T": 1.0, "delta": 0.05},
         "B": 1000,
         "seed": 3,
         "n": 200,
@@ -293,6 +289,10 @@ OU_PRICE_CFG = {
     "functional": {"kind": "discounted_integral", "T": 1.0, "delta": 0.05},
     "B": 1000, "n": 20,
 }
+LEVY_PRICE_CFG = {
+    **{k: v for k, v in OU_PRICE_CFG.items() if k != "jump"}, "model": "levy",
+    "params": [0.1, 0.3, 0.5],
+}
 OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
 
 
@@ -324,9 +324,9 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "config field 'replications' must be an integer, got '30'"),
         ("price", [PRICE_CFG], [], "config {file} must be a JSON object, got list"),
         ("price", {**OU_PRICE_CFG, "epsilon": 0.1}, [],
-         "model 'ou' takes no 'epsilon' (only bs has a noise scale)"),
-        ("price", {**OU_PRICE_CFG, "model": "levy", "epsilon": 0.1}, [],
-         "model 'levy' takes no 'epsilon' (only bs has a noise scale)"),
+         "unknown config keys: ['epsilon'] for model 'ou'"),
+        ("price", {**LEVY_PRICE_CFG, "epsilon": 0.1}, [],
+         "unknown config keys: ['epsilon'] for model 'levy'"),
         ("price", {**PRICE_CFG, "params": 0.2}, [], "config field 'params' must be a list, got 0.2"),
         ("price", {**PRICE_CFG, "functional": [1]}, [],
          "config field 'functional' must be an object, got [1]"),
@@ -350,15 +350,15 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "config field 'fisher' must be a list of lists of numbers, "
          "got [[1.0, 0.0], [0.0, False]]"),
         ("price", {**OU_PRICE_CFG, "model": "levy", "jump": {"intensity": 5.0}}, [],
-         "model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), got intensity 5.0"),
+         "unknown config keys: ['jump'] for model 'levy'"),
         ("price", {**OU_PRICE_CFG, "model": "levy", "jump": {"mean": 0.5}}, [],
-         "model 'levy' has jump intensity 1 and mean 1 (Exp(1) sizes), got mean 0.5"),
+         "unknown config keys: ['jump'] for model 'levy'"),
         ("price", {**PRICE_CFG, "epsilon": float("nan")}, [], "eps must be finite, got nan"),
         ("price", json.dumps({**PRICE_CFG, "epsilon": "E"}).replace('"E"', "1e400"), [],
          "eps must be finite, got inf"),
         ("price", {**PRICE_CFG, "x0": float("inf")}, [], "x0 must be finite, got inf"),
         ("price", {**OU_PRICE_CFG, "x0": float("nan")}, [], "x0 must be finite, got nan"),
-        ("price", {**OU_PRICE_CFG, "model": "levy", "x0": float("nan")}, [],
+        ("price", {**LEVY_PRICE_CFG, "x0": float("nan")}, [],
          "x0 must be finite, got nan"),
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": float("nan")}}, [],
          "jump intensity must be finite, got nan"),
@@ -375,21 +375,57 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "model 'ou' takes 3 params (mu, sigma, eta), got 2"),
         # each used to run with the key ignored: "strike" in place of "K"
         # priced at K = 0, and bs ran without jumps
-        ("price", {**PRICE_CFG, "paths": 1000}, [], "unknown config keys: ['paths']"),
+        ("price", {**PRICE_CFG, "paths": 1000}, [],
+         "unknown config keys: ['paths'] for model 'bs'"),
         ("price", {**PRICE_CFG, "functional": {"kind": "smoothed_call_terminal", "strike": 0.75,
                                                "T": 1.0}}, [],
-         "unknown functional config keys: ['strike']"),
+         "unknown functional config keys: ['strike'] for kind 'smoothed_call_terminal'"),
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": 1.0, "size_sd": 0.5}}, [],
-         "unknown jump config keys: ['size_sd']"),
-        ("price", {**PRICE_CFG, "jump": {"mean": 3.0}}, [], "model 'bs' has no jumps, got mean 3.0"),
+         "unknown jump config keys: ['size_sd'] for model 'ou'"),
+        ("price", {**PRICE_CFG, "jump": {"mean": 3.0}}, [],
+         "unknown config keys: ['jump'] for model 'bs'"),
         # each used to run with the other kind's key ignored, or fail on the
         # bound of a field the kind never reads
         ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3, 0.5], "strike": 99}, [],
-         "unknown config keys: ['strike']"),
+         "unknown config keys: ['strike'] for kind 'ou_oracle'"),
         ("experiment", {"theta0": [0.2, 1.0], "discount": 7, "jump_intensity": 3}, [],
-         "unknown config keys: ['discount', 'jump_intensity']"),
+         "unknown config keys: ['discount', 'jump_intensity'] for kind 'bs'"),
         ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3, 0.5], "replications": 5}, [],
-         "unknown config keys: ['replications']"),
+         "unknown config keys: ['replications'] for kind 'ou_oracle'"),
+        # each used to run with the keys its kind does not read ignored, or
+        # read a key that only restated another value
+        ("price", {**OU_PRICE_CFG, "functional": {"kind": "terminal", "T": 1, "K": 5, "delta": 3,
+                                                  "r": 9}}, [],
+         "unknown functional config keys: ['K', 'delta', 'r'] for kind 'terminal'"),
+        ("price", {**OU_PRICE_CFG, "functional": {**OU_PRICE_CFG["functional"], "V": "identity"}},
+         [], "unknown functional config keys: ['V'] for kind 'discounted_integral'"),
+        ("price", {**OU_PRICE_CFG, "jump": {"mean": 0.5}}, [],
+         "unknown jump config keys: ['mean'] for model 'ou'"),
+        ("price", {**PRICE_CFG, "jump": {"intensity": 0.0}}, [],
+         "unknown config keys: ['jump'] for model 'bs'"),
+        ("experiment", {"theta0": [0.2, 1.0], "epsilon": "1/sqrt(n)"}, [],
+         "config field 'epsilon' must be a number or null, got '1/sqrt(n)'"),
+        # each used to exit 0 with an interval of zero width, a masked
+        # coordinate or infinite ends, fail after every path, or end in a
+        # ZeroDivisionError traceback
+        ("price", {**PRICE_CFG, "rates": [0, 0]}, [],
+         "rates must be finite and > 0, got [0.0, 0.0]"),
+        ("price", {**PRICE_CFG, "rates": [-1, 0.1]}, [],
+         "rates must be finite and > 0, got [-1.0, 0.1]"),
+        ("price", json.dumps({**PRICE_CFG, "rates": ["N", 0.1]}).replace('"N"', "NaN"), [],
+         "rates must be finite and > 0, got [nan, 0.1]"),
+        ("price", {**PRICE_CFG, "alpha": 1e-300}, [],
+         "alpha must be in (0, 1) with z_(alpha/2) finite, got 1e-300"),
+        ("experiment", {"theta0": [0.2, 1.0], "alpha": 1e-300}, [],
+         "alpha must be in (0, 1) with z_(alpha/2) finite, got 1e-300"),
+        ("price", {**PRICE_CFG, "epsilon": 0.0}, [],
+         "bs_small_noise: epsilon must be > 0 to estimate, got 0.0"),
+        ("experiment", {"theta0": [0.2, 1.0], "epsilon": 1e-300}, [],
+         "eps must be 0, or > 0 with a finite, normal square, got 1e-300"),
+        ("price", {**PRICE_CFG, "functional": {**PRICE_CFG["functional"], "K": -1}}, [],
+         "strike must be >= 0, got -1.0"),
+        ("price", {**OU_PRICE_CFG, "functional": {**OU_PRICE_CFG["functional"], "delta": -1}}, [],
+         "discount must be >= 0, got -1.0"),
     ],
 )
 def test_config_and_data_errors_exit_2(
@@ -464,12 +500,13 @@ def test_failed_study_exits_2_with_one_error_line(tmp_path, capsys):
 def test_simulate_blowup_exits_2_with_one_error_line(capsys):
     # a finite, accepted noise scale overflows X; this used to end in a
     # SimulationBlowup traceback with exit 1, after numpy overflow warnings
-    argv = ["simulate", "--model", "bs", "--params", "0.2,1", "--epsilon", "1e300", "--n", "5"]
+    # (1e150: a scale whose square overflows, such as 1e300, is refused)
+    argv = ["simulate", "--model", "bs", "--params", "0.2,1", "--epsilon", "1e150", "--n", "5"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "plugmc simulate: error: non-finite state at step 2 in X (path index 0)\n"
+        "plugmc simulate: error: non-finite state at step 3 in X (path index 0)\n"
     )

@@ -73,32 +73,28 @@ def test_config_validation():
         ExperimentConfig(theta0=(0.2, 1.0), replications=10)
     with pytest.raises(ValueError):
         ExperimentConfig(theta0=(0.2, 1.0), n_paths_price=10)
-    with pytest.raises(ValueError):
-        ExperimentConfig(theta0=(0.2, 1.0), epsilon="1/n")
+    with pytest.raises(ValueError, match="must be a number or null"):
+        ExperimentConfig.from_dict({"theta0": [0.2, 1.0], "epsilon": "1/n"})
     cfg = ExperimentConfig(theta0=(0.2, 1.0), n_obs=400)
     assert cfg.resolved_epsilon() == pytest.approx(0.05)
-    with pytest.raises(ValueError, match="unknown config keys"):
+    with pytest.raises(ValueError, match=r"unknown config keys: \['nope'\] for kind 'bs'"):
         ExperimentConfig.from_dict({"theta0": [0.2, 1.0], "nope": 3})
-    # alpha = 1.5 used to run the correction and every pricing pass, then
-    # fail with "30 of 30 replications failed"
-    for alpha in (0.0, 1.0, 1.5, -0.05, float("nan")):
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            ExperimentConfig(theta0=(0.2, 1.0), alpha=alpha)
 
 
 def test_config_from_dict_checks_json_types():
-    # an int is a number, null fills an optional field, a string names an
-    # epsilon rule; a bool is never a number
+    # an int is a number, null fills an optional field (epsilon: 1/sqrt(n));
+    # a bool is never a number
     cfg = ExperimentConfig.from_dict(
         {"theta0": [0.2, 1], "x0": 1, "epsilon": 0.1, "n_grid_price": None}
     )
     assert cfg.theta0 == (0.2, 1) and cfg.x0 == 1 and cfg.n_grid_price is None
-    assert ExperimentConfig.from_dict({"theta0": [0.2, 1.0], "epsilon": "1/sqrt(n)"})
+    null = ExperimentConfig.from_dict({"theta0": [0.2, 1.0], "n_obs": 400, "epsilon": None})
+    assert null.resolved_epsilon() == 0.05
     for key, value, expected in [
         ("n_obs", 50.0, "an integer"),
         ("n_obs", True, "an integer"),
         ("alpha", "0.05", "a number"),
-        ("epsilon", None, "a number or a string"),
+        ("epsilon", "1/sqrt(n)", "a number or null"),
         ("n_grid_price", "100", "an integer or null"),
         ("theta0", [True, 1.0], "a list of numbers"),
         ("theta0", [0.2, "1.0"], "a list of numbers"),
@@ -140,6 +136,13 @@ def test_bs_experiment_singular_information_fails_before_monte_carlo(monkeypatch
     [
         (run_ou_oracle, {"theta0": (1.0, 0.3, 0.5), "discount": 0.0}, "discount must be > 0"),
         (run_bs_experiment, {"strike": -1.0, "eps_smooth": 1e-3}, "strike must be >= 0"),
+        # alpha = 1.5 used to run the correction and every pricing pass, then
+        # fail with "30 of 30 replications failed"; epsilon 1e-300 used to end
+        # in a ZeroDivisionError from bs_closed_form
+        *((run_bs_experiment, {"alpha": alpha}, r"alpha must be in \(0, 1\)")
+          for alpha in (0.0, 1.0, 1.5, -0.05, float("nan"), 1e-300)),
+        (run_bs_experiment, {"epsilon": 1e-300}, "eps must be 0, or > 0 with a finite, normal"),
+        (run_bs_experiment, {"epsilon": 0.0}, "epsilon must be > 0 to estimate"),
     ],
 )
 def test_bad_closed_form_input_fails_before_monte_carlo(monkeypatch, run, overrides, message):
@@ -271,23 +274,26 @@ def test_model_from_config_variants():
     )
     assert bs.name == "bs_small_noise" and bs.epsilon == 0.05
     ou = model_from_config(
-        {"model": "ou", "params": [1.0, 0.3, 0.5], "x0": 1.0,
-         "jump": {"intensity": 2.0, "mean": 0.5}}
+        {"model": "ou", "params": [1.0, 0.3, 0.5], "x0": 1.0, "jump": {"intensity": 2.0}}
     )
     assert ou.jump.intensity == 2.0
-    with pytest.raises(ValueError, match="jump.mean"):
-        model_from_config(
-            {"model": "ou", "params": [1.0, 0.3, 0.5], "jump": {"mean": 0.7}}
-        )
+    assert model_from_config({"model": "ou", "params": [1.0, 0.3, 0.5]}).jump.intensity == 1.0
     levy = model_from_config({"model": "levy", "params": [0.1, 0.3, 0.5]})
-    assert levy.name == "levy"
-    fixed = {"model": "levy", "params": [0.1, 0.3, 0.5], "jump": {"intensity": 1, "mean": 1.0}}
-    assert model_from_config(fixed).jump.intensity == levy.jump.intensity == 1.0
-    for jump in ({"intensity": 2.0}, {"intensity": 0.0}, {"mean": 2.0}):
-        with pytest.raises(ValueError, match="model 'levy' has jump intensity 1 and mean 1"):
-            model_from_config({**fixed, "jump": jump})
-    with pytest.raises(ValueError, match="unknown model"):
-        model_from_config({"model": "heston", "params": []})
+    assert levy.name == "levy" and levy.jump.intensity == 1.0
+    # each model's table is the one list of its keys: jump.mean only restated
+    # ou's eta or levy's fixed 1, and a levy or bs jump intensity its fixed one
+    for raw, message in [
+        ({"model": "ou", "params": [1.0, 0.3, 0.5], "jump": {"mean": 0.5}},
+         "unknown jump config keys: ['mean'] for model 'ou'"),
+        ({"model": "levy", "params": [0.1, 0.3, 0.5], "jump": {"intensity": 1.0}},
+         "unknown config keys: ['jump'] for model 'levy'"),
+        ({"model": "bs", "params": [0.2, 1.0], "epsilon": 0.05, "jump": {"intensity": 0.0}},
+         "unknown config keys: ['jump'] for model 'bs'"),
+        ({"model": "heston", "params": []}, "unknown model 'heston' (expected bs, ou or levy)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            model_from_config(raw)
+        assert str(err.value) == message
     # a wrong count used to end in a bare "not enough values to unpack"
     for name, params, expected in [
         ("bs", [0.2], "model 'bs' takes 2 params (mu, sigma), got 1"),
@@ -295,8 +301,9 @@ def test_model_from_config_variants():
         ("ou", [1.0, 0.3], "model 'ou' takes 3 params (mu, sigma, eta), got 2"),
         ("levy", [], "model 'levy' takes 3 params (mu, sigma, eta), got 0"),
     ]:
+        epsilon = {"epsilon": 0.05} if name == "bs" else {}
         with pytest.raises(ValueError) as err:
-            model_from_config({"model": name, "params": params, "epsilon": 0.05})
+            model_from_config({"model": name, "params": params, **epsilon})
         assert str(err.value) == expected
 
 
@@ -306,11 +313,13 @@ def test_functional_from_config():
          "epsilon_smooth": 0.00075}
     )
     assert f.strike == 0.75 and f.horizon == 1.0
-    g = functional_from_config({"kind": "discounted_integral", "T": 1.0, "delta": 0.05,
-                                "V": "identity"})
+    g = functional_from_config({"kind": "discounted_integral", "T": 1.0, "delta": 0.05})
     assert g.discount == 0.05
-    with pytest.raises(ValueError, match="unknown integrand 'square'"):
-        functional_from_config({"kind": "discounted_integral", "T": 1.0, "V": "square"})
+    # V, the integrand, could only be "identity"
+    with pytest.raises(ValueError, match=r"unknown functional config keys: \['V'\]"):
+        functional_from_config({"kind": "discounted_integral", "T": 1.0, "V": "identity"})
+    with pytest.raises(ValueError, match="unknown functional kind 'lookback'"):
+        functional_from_config({"kind": "lookback", "T": 1.0})
 
 
 def test_seed_blocks_align_to_noise_blocks():

@@ -177,6 +177,18 @@ def test_non_finite_constants_rejected(name, bad):
         Functional(kind="smoothed_call_average", **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kind, name",
+    [("smoothed_call_terminal", "strike"), ("smoothed_call_average", "strike"),
+     ("smoothed_call_terminal", "eps_smooth"), ("discounted_integral", "discount")],
+)
+def test_negative_constants_rejected(kind, name):
+    # the domains of bs_call_closed_form's strike and ou_discounted_value's
+    # discount; a negative one used to be accepted here and priced
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1.0"):
+        Functional(kind=kind, horizon=1.0, **{name: -1.0})
+
+
 def test_batch_weights_are_the_trapezoid_rule():
     grid = TimeGrid(2.0, 4)
     assert Functional(kind="terminal", horizon=2.0).weights(grid) is None

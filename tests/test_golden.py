@@ -115,7 +115,7 @@ def _outputs(tmp_path) -> dict:
     ou_price = {"model": "ou", "params": [1.0, 0.3, 0.5], "x0": 1.0,
                 "jump": {"intensity": 1.0}, "B": 1000, "seed": 3, "n": 100,
                 "functional": {"kind": "discounted_integral", "T": 1.0,
-                               "delta": 0.05, "V": "identity"}}
+                               "delta": 0.05}}
     out["price_ou_discounted"] = _run(
         ["price", "--config", _write_json(tmp_path / "ou.json", ou_price)]
     )

@@ -384,7 +384,13 @@ def test_build_report_checks_rates_and_alpha_before_monte_carlo(
     for rates in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
         with pytest.raises(ValueError, match=r"rates must have shape \(2,\)"):
             build_report(bs_model, call_functional, THETA0, np.array(rates), info, **rest)
+    # zero rates gave an interval of zero width, a negative one masked its
+    # coordinate out, and a NaN one failed after the Monte Carlo pass
+    for rates in ([0.0, 0.0], [-1.0, 0.1], [np.nan, 0.1], [np.inf, 0.1]):
+        with pytest.raises(ValueError, match="rates must be finite and > 0"):
+            build_report(bs_model, call_functional, THETA0, np.array(rates), info, **rest)
     rates = np.array([EPS, 1 / np.sqrt(500)])
-    for alpha in (0.0, 1.0, 1.5, -0.05, np.nan):
+    # alpha = 1e-300 gave z_{alpha/2} = inf and an interval of infinite ends
+    for alpha in (0.0, 1.0, 1.5, -0.05, np.nan, 1e-300):
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             build_report(bs_model, call_functional, THETA0, rates, info, alpha=alpha, **rest)

@@ -117,6 +117,12 @@ def test_bs_factory_rejections():
         bs_small_noise_model(0.2, 1.0, -0.1, 1.0)
     with pytest.raises(ValueError):
         bs_small_noise_model(0.2, 1.0, EPS, 0.0)
+    # eps**2 underflowed to 0, and the closed-form estimator divided by it,
+    # or overflowed the closed-form price with an OverflowError
+    for eps in (1e-300, 1e-155, 1e155, 1e300):
+        with pytest.raises(ValueError, match="eps must be 0, or > 0 with a finite, normal square"):
+            bs_small_noise_model(0.2, 1.0, eps, 1.0)
+    assert bs_small_noise_model(0.2, 1.0, 1e-150, 1.0).epsilon == 1e-150
 
 
 def test_bs_drift_identity():

@@ -64,3 +64,5 @@ def test_quantile_rejects_bad_alpha():
         z_quantile(0.0)
     with pytest.raises(ValueError):
         z_quantile(1.5)
+    with pytest.raises(ValueError, match="finite"):
+        z_quantile(1e-300)  # 1 - alpha / 2 rounds to 1, where z is infinite
