@@ -146,6 +146,7 @@ def cmd_price(args) -> int:
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     n_steps = raw.get("n", 500)
     grid = TimeGrid(functional.horizon, n_steps)
+    model.jump.poisson_mean(grid.horizon)  # a huge intensity fails before the information
     rates = raw.get("rates")
     if rates is None:
         rates = contrast_rates(model.epsilon, n_steps, model.p)

@@ -14,11 +14,12 @@ empirical coverage rate.
 
 Everything is deterministic given the config's root seed: per-path seeds
 are laid out in disjoint counter blocks (correction paths, observation
-paths, pricing paths), so outputs are byte-for-byte reproducible.  A
-replication is a pure function of (config, root seed, index), so the
-replications run in forked worker processes, one per usable CPU, each
-over a contiguous range of indices, and the outputs are the same bytes
-for any number of workers.
+paths, pricing paths), so outputs are byte-for-byte reproducible.  Every
+replication is priced on the same pricing paths, so the replications
+share one Monte Carlo error.  A replication is a pure function of
+(config, root seed, index), so the replications run in forked worker
+processes, one per usable CPU, each over a contiguous range of indices,
+and the outputs are the same bytes for any number of workers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from .inference import (
     build_report,
     central_difference_gradient,
     estimate_C,
+    information_inverse,
     ou_discounted_value,
+    report_from_moments,
 )
 from .models import NO_JUMPS, JumpDiffusionModel, bs_small_noise_model, levy_model, ou_jump_model
 from .normal import norm_cdf, norm_ppf
@@ -69,7 +72,9 @@ __all__ = [
 IDX_CORRECTION = 0
 IDX_OBSERVATION = 1 << 40
 IDX_PRICING = 1 << 41
-PRICING_STRIDE = 1 << 21  # max pricing paths per replication
+# Paths' values one pricing call holds: a study worker prices its
+# estimates max(1, PRICING_VALUES // n_paths_price) at a time
+PRICING_VALUES = 1 << 21
 
 # The kind of a config field that holds a matrix: a list of lists of numbers
 MATRIX = "matrix"
@@ -159,8 +164,6 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 30")
         if self.n_paths_price < 1000:
             raise ValueError("n_paths_price must be >= 1000")
-        if self.n_paths_price > PRICING_STRIDE:
-            raise ValueError(f"n_paths_price must be <= {PRICING_STRIDE}")
         if self.n_paths_correction > IDX_OBSERVATION - IDX_CORRECTION:
             raise ValueError(
                 f"n_paths_correction must be <= {IDX_OBSERVATION - IDX_CORRECTION}: "
@@ -235,15 +238,18 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
 
     Per replication: observe one Euler path of the model at theta0 on the
     observation grid, estimate (mu, sigma) in closed form, price the
-    smoothed call at the estimate with fresh pricing paths, and record the
-    normalized error (true-parameter C and I in the denominator) plus the
-    estimate-based confidence interval.  Replication failures are recorded
-    and tolerated up to 5% of R; beyond that the study raises a ValueError.
+    smoothed call at the estimate on the study's one set of pricing paths,
+    and record the normalized error (true-parameter C and I in the
+    denominator) plus the estimate-based confidence interval.  Replication
+    failures are recorded and tolerated up to 5% of R; beyond that the
+    study raises a ValueError.
 
     The correction pass at theta0 runs first, its paths split over worker
     processes as every batch is; the replications then run in forked
     workers over contiguous index ranges (see workers.in_slices) and are
-    merged in index order.
+    merged in index order.  A worker first observes and estimates each of
+    its replications, refusing there what pricing would refuse, then
+    prices its estimates in groups, one estimate_C call per group.
     """
     grid_obs = TimeGrid(config.obs_horizon, config.n_obs)  # checks n_obs before eps reads it
     eps = config.resolved_epsilon()
@@ -262,12 +268,6 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     grid_price = config.price_grid()
     rates = contrast_rates(eps, config.n_obs, model.p)
 
-    def report(theta, info, n_paths, start_index):
-        return build_report(
-            model, functional, theta, rates, info, n_paths, root, grid_price,
-            alpha=config.alpha, start_index=start_index,
-        )
-
     # The true-parameter report over the correction paths gives the
     # normalization; an unidentified parameter or a bad closed-form input
     # fails before any Monte Carlo pass.
@@ -275,12 +275,24 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     h0 = bs_call_closed_form(
         theta0, eps, config.x0, config.strike, config.rate, config.horizon
     )
-    at_theta0 = report(theta0, info0, config.n_paths_correction, IDX_CORRECTION)
+    at_theta0 = build_report(
+        model, functional, theta0, rates, info0, config.n_paths_correction, root, grid_price,
+        alpha=config.alpha, start_index=IDX_CORRECTION,
+    )
     denom0 = float(np.sqrt(at_theta0.asy_var))
+    per_call = max(1, PRICING_VALUES // config.n_paths_price)
+
+    def price(thetas: list) -> list:
+        """estimate_C's moments at each theta, from one call on the pricing paths."""
+        return estimate_C(
+            model, functional, np.array(thetas), config.n_paths_price, root, grid_price,
+            start_index=IDX_PRICING,
+        )
 
     def replicate(start: int, stop: int) -> tuple[list, list]:
-        """Rows and recorded failures of replications start..stop-1, in order."""
-        rows, failures = [], []
+        """Rows and recorded failures of replications start..stop-1, in order:
+        each is observed and estimated, then all are priced in groups."""
+        estimates, rows, failures = [], [], []
         for r in range(start, stop):
             try:
                 bundle = sample_noise(grid_obs, NO_JUMPS, path_seed(root, IDX_OBSERVATION + r))
@@ -290,26 +302,40 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
                 )
                 if est.info is None:
                     raise ValueError("degenerate estimate: sigma_hat = 0")
-                priced = report(
-                    est.theta, est.info, config.n_paths_price, IDX_PRICING + r * PRICING_STRIDE
-                )
+                # what pricing refuses, refused here as a failure of r alone
+                info_inv = information_inverse(model, est.info)
+                estimates.append((r, model.require_theta(est.theta), info_inv))
             except (ValueError, RuntimeError) as exc:
                 failures.append((r, str(exc)))
-                continue
-            lo, hi = priced.ci
-            rows.append(
-                ReplicationRow(
-                    replication=r,
-                    theta_hat=tuple(float(v) for v in est.theta),
-                    h_hat=priced.h_hat,
-                    h_se=priced.h_se_mc,
-                    z_hat=float((priced.h_hat - h0) / (priced.gamma_star * denom0)),
-                    ci_low=lo,
-                    ci_high=hi,
-                    covered=bool(lo <= h0 <= hi),
+        for i in range(0, len(estimates), per_call):
+            group = estimates[i : i + per_call]
+            try:
+                moments = price([theta for _, theta, _ in group])
+            except (ValueError, RuntimeError):
+                moments = [None] * len(group)
+            for (r, theta, info_inv), m in zip(group, moments):
+                try:
+                    # after an error in the group's call, priced alone, so
+                    # that the error fails its own replication alone
+                    m = m or price([theta])[0]
+                    priced = report_from_moments(theta, rates, info_inv, m, config.alpha)
+                except (ValueError, RuntimeError) as exc:
+                    failures.append((r, str(exc)))
+                    continue
+                lo, hi = priced.ci
+                rows.append(
+                    ReplicationRow(
+                        replication=r,
+                        theta_hat=tuple(float(v) for v in theta),
+                        h_hat=priced.h_hat,
+                        h_se=priced.h_se_mc,
+                        z_hat=float((priced.h_hat - h0) / (priced.gamma_star * denom0)),
+                        ci_low=lo,
+                        ci_high=hi,
+                        covered=bool(lo <= h0 <= hi),
+                    )
                 )
-            )
-        return rows, failures
+        return rows, sorted(failures)
 
     parts = in_slices(
         replicate, config.replications, _worker_count(config.replications), "replications"

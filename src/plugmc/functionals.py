@@ -98,6 +98,22 @@ class Functional:
         for name, read in (("strike", call), ("eps_smooth", call), ("discount", discounted)):
             if read and getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not call:
+            return
+        # the payoff squares x - strike and eps_smooth, and scales by e^{-rT}
+        with np.errstate(over="ignore"):
+            square = self.strike * self.strike + np.float64(self.eps_smooth) ** 2
+            discount_factor = np.exp(-self.rate * self.horizon)
+        if not np.isfinite(square):
+            raise ValueError(
+                f"strike and eps_smooth must have a finite sum of squares, got "
+                f"{self.strike} and {self.eps_smooth}"
+            )
+        if not 0 < discount_factor < np.inf:
+            raise ValueError(
+                f"rate must give a finite, positive discount factor e^(-rT), got "
+                f"rate {self.rate} with horizon {self.horizon}"
+            )
 
     # -- payoff phi and its derivative on the reduced scalar ---------------
 

@@ -75,12 +75,14 @@ def estimate_C(
     grid: TimeGrid,
     *,
     start_index: int = 0,
-) -> tuple[Array, Array, float, float]:
+) -> tuple[Array, Array, float, float] | list[tuple]:
     """Monte Carlo estimate of the correction vector C(theta).
 
     Averages pathwise gradients over n_paths coupled (X, Y) paths; returns
     (C, C_se), with shape (p,) each, and the plug-in (H, H_se) from the
-    same paths (common random numbers).
+    same paths (common random numbers).  theta is one vector, or a (k, p)
+    stack of them, for which the result is a list of k such tuples, all
+    from the same paths; row j's equals the tuple of theta[j] alone.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -94,9 +96,13 @@ def estimate_C(
         want_y=True,
         weights=functional.weights(grid),
     )
-    c_hat, c_se = _mean_se(functional.gradients_from_batch(res))  # (B, p) -> (p,)
-    h, h_se = _mean_se(functional.values_from_batch(res))
-    return c_hat, c_se, float(h), float(h_se)
+
+    def moments(res):
+        c_hat, c_se = _mean_se(functional.gradients_from_batch(res))  # (B, p) -> (p,)
+        h, h_se = _mean_se(functional.values_from_batch(res))
+        return c_hat, c_se, float(h), float(h_se)
+
+    return [moments(r) for r in res] if isinstance(res, list) else moments(res)
 
 
 def _mean_se(values: Array) -> tuple:
@@ -319,16 +325,24 @@ def build_report(
     the information are checked before any Monte Carlo pass.
     """
     z_quantile(alpha)
-    theta = np.asarray(theta, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if rates.shape != (model.p,):
         raise ValueError(f"rates must have shape ({model.p},), got {rates.shape}")
     if not np.all(np.isfinite(rates) & (rates > 0)):
         raise ValueError(f"rates must be finite and > 0, got {rates.tolist()}")
     info_inv = information_inverse(model, info)
-    c_hat, c_se, h_hat, h_se = estimate_C(
+    moments = estimate_C(
         model, functional, theta, n_paths, root_seed, grid, start_index=start_index
     )
+    return report_from_moments(theta, rates, info_inv, moments, alpha, h_true)
+
+
+def report_from_moments(
+    theta, rates, info_inv, moments, alpha: float, h_true: float | None = None
+) -> InferenceReport:
+    """The report at theta from estimate_C's (C, C_se, H, H_se) there, given
+    rates and an information inverse checked as build_report checks them."""
+    c_hat, c_se, h_hat, h_se = moments
     asy_var = asymptotic_variance(c_hat, info_inv, rates=rates)
     gamma_star = float(np.max(rates))
     ci = confidence_interval(h_hat, asy_var, gamma_star, alpha)
@@ -336,7 +350,7 @@ def build_report(
     if h_true is not None:
         z_hat = float((h_hat - h_true) / (gamma_star * np.sqrt(asy_var)))
     return InferenceReport(
-        theta=theta,
+        theta=np.asarray(theta, dtype=float),
         h_hat=h_hat,
         h_se_mc=h_se,
         c_hat=c_hat,

@@ -71,6 +71,9 @@ JUMP_NAMES = ("jump_kernel", "jump_dx", "jump_dtheta")
 # Standard deviation of the ou model's centred jump sizes
 OU_JUMP_SD = 0.25
 
+# The largest mean numpy's Generator.poisson accepts ("lam value too large")
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 def _require_finite(name: str, value: float) -> None:
     """Raise a ValueError naming a constant that is inf or NaN.
@@ -100,6 +103,17 @@ class JumpSpec:
             raise ValueError(f"jump intensity must be >= 0, got {self.intensity}")
         if self.intensity > 0 and self.sampler is None:
             raise ValueError("positive jump intensity requires a size sampler")
+
+    def poisson_mean(self, horizon: float) -> float:
+        """The mean jump count over [0, horizon], which the noise draws use;
+        a ValueError naming the intensity if numpy's draw would refuse it."""
+        mean = self.intensity * horizon
+        if mean > POISSON_MEAN_MAX:
+            raise ValueError(
+                f"jump intensity {self.intensity} over horizon {horizon} gives a "
+                f"Poisson mean above numpy's limit {POISSON_MEAN_MAX:.6g}"
+            )
+        return mean
 
 
 NO_JUMPS = JumpSpec(intensity=0.0, sampler=None)

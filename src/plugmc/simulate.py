@@ -67,9 +67,10 @@ A batch keeps, per path, the terminal (X, Y) and one weighted sum over
 the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
 (a functional's trapezoid rule, see Functional.weights).
 
-The stepper advances one theta at a time.  A run can record its full
-paths (record=True); euler_path and coupled_paths return one recorded
-path.
+The stepper advances one theta at a time; a batch given a stack of
+thetas draws each chunk's noise once and steps it at each theta in turn.
+A run can record its full paths (record=True); euler_path and
+coupled_paths return one recorded path.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def _draw_block(streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec
     normals, jumps = streams.at(key, has_jumps)
     normals.standard_normal(out=out)
     if has_jumps:
-        counts = jumps.poisson(jump.intensity * grid.horizon, BLOCK_PATHS)
+        counts = jumps.poisson(jump.poisson_mean(grid.horizon), BLOCK_PATHS)
         total = int(counts.sum())
         row = np.repeat(np.arange(BLOCK_PATHS), counts)
         times = jumps.uniform(0.0, grid.horizon, total)
@@ -555,16 +556,19 @@ def simulate_batch(
     record: bool = False,
     weights: Array | None = None,
     chunk_size: int = 2048,
-) -> BatchResult:
+) -> BatchResult | list[BatchResult]:
     """Simulate n_paths seeded paths and return streaming reductions.
 
     Path i uses seed path_seed(root_seed, start_index + i); results are
     identical for any chunk_size.  n_paths and chunk_size are integers
     >= 1, checked before any draw.  want_y adds the sensitivity Y; weights
     (one per grid node) adds the weighted sums x_sum and y_sum; record
-    keeps the full paths (small batches only); see _step_block.
+    keeps the full paths (small batches only); see _step_block.  theta is
+    one vector, or a (k, p) stack of them, for which the result is a list
+    of k BatchResults: row j's equals the BatchResult of theta[j] alone.
 
-    The paths go in chunks of chunk_size columns.  With W =
+    The paths go in chunks of chunk_size columns; each chunk's noise is
+    drawn once and stepped at every theta in turn.  With W =
     _worker_count(chunks) > 1 the columns are split into W equal
     contiguous ranges, and each range is drawn and stepped in a forked
     worker, chunk by chunk through one (steps, chunk_size) increment
@@ -574,7 +578,8 @@ def simulate_batch(
     """
     _check_count("n_paths", n_paths)
     _check_count("chunk_size", chunk_size)
-    theta = model.require_theta(theta)
+    stacked = np.ndim(theta) == 2
+    thetas = [model.require_theta(th) for th in (theta if stacked else [theta])]
     if weights is not None and np.shape(weights) != (grid.steps + 1,):
         raise ValueError(
             f"weights must have shape ({grid.steps + 1},), got {np.shape(weights)}"
@@ -586,30 +591,34 @@ def simulate_batch(
         raise ValueError(f"path indices {start_index}..{last_index} run past 2**64 - 1")
     root_key = path_seed(root_seed, 0)  # block b has key root_key | b
 
-    def run_slice(lo: int, hi: int) -> list[BatchResult]:
-        """The chunks of columns lo..hi-1, one after another."""
+    def run_slice(lo: int, hi: int) -> list[list[BatchResult]]:
+        """The chunks of columns lo..hi-1, one after another, per theta."""
         buffer = np.empty((grid.steps, min(chunk_size, hi - lo)))
-        pieces = []
+        pieces = [[] for _ in thetas]
         for done in range(lo, hi, chunk_size):
             increments = buffer[:, : min(chunk_size, hi - done)]
             jumps = _flat_jumps(
                 *_draw_chunk(root_key, grid, model.jump, start_index + done, increments), grid
             )
-            pieces.append(
-                _step_block(
-                    model, theta, grid, increments, jumps,
-                    want_y=want_y, weights=weights, record=record, path_offset=done,
+            for piece, th in zip(pieces, thetas):
+                piece.append(
+                    _step_block(
+                        model, th, grid, increments, jumps,
+                        want_y=want_y, weights=weights, record=record, path_offset=done,
+                    )
                 )
-            )
         return pieces
 
     workers = _worker_count(-(-n_paths // chunk_size))  # at most one per chunk
-    pieces = [p for part in in_slices(run_slice, n_paths, workers, "paths") for p in part]
+    parts = in_slices(run_slice, n_paths, workers, "paths")
 
-    def cat(name):
+    def cat(pieces, name):
         vals = [getattr(p, name) for p in pieces]
         axis = -1 if name.endswith("_path") else 0  # recorded paths end in B
         return None if vals[0] is None else np.concatenate(vals, axis=axis)
 
-    return BatchResult(**{f.name: cat(f.name) for f in fields(BatchResult)})
-
+    results = []
+    for slices in zip(*parts):  # one theta's chunks, slice by slice
+        pieces = [p for piece in slices for p in piece]
+        results.append(BatchResult(**{f.name: cat(pieces, f.name) for f in fields(BatchResult)}))
+    return results if stacked else results[0]

@@ -426,6 +426,19 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
          "strike must be >= 0, got -1.0"),
         ("price", {**OU_PRICE_CFG, "functional": {**OU_PRICE_CFG["functional"], "delta": -1}}, [],
          "discount must be >= 0, got -1.0"),
+        # each used to run every path and then fail with "InferenceReport:
+        # h_hat is not finite", or, for the intensity, "information matrix is
+        # not finite", none of which named the input
+        ("price", {**PRICE_CFG, "functional": {**PRICE_CFG["functional"], "K": 1e308}}, [],
+         "strike and eps_smooth must have a finite sum of squares, got 1e+308 and 0.0"),
+        ("price", {**PRICE_CFG, "functional": {**PRICE_CFG["functional"], "epsilon_smooth": 1e200}},
+         [], "strike and eps_smooth must have a finite sum of squares, got 0.75 and 1e+200"),
+        ("price", {**PRICE_CFG, "functional": {**PRICE_CFG["functional"], "r": -1e308}}, [],
+         "rate must give a finite, positive discount factor e^(-rT), got rate -1e+308 with "
+         "horizon 1.0"),
+        ("price", {**OU_PRICE_CFG, "jump": {"intensity": 1e300}}, [],
+         "jump intensity 1e+300 over horizon 1.0 gives a Poisson mean above numpy's limit "
+         "9.22337e+18"),
     ],
 )
 def test_config_and_data_errors_exit_2(
@@ -469,6 +482,10 @@ def test_config_and_data_errors_exit_2(
          "jump intensity must be finite, got nan"),
         (["--model", "ou", "--params", "1.0,0.3,0.5", "--jump-intensity", "inf"],
          "jump intensity must be finite, got inf"),
+        # finite, but a Poisson mean that numpy's draw refuses
+        (["--model", "ou", "--params", "1.0,0.3,0.5", "--jump-intensity", "1e19"],
+         "jump intensity 1e+19 over horizon 1.0 gives a Poisson mean above numpy's limit "
+         "9.22337e+18"),
     ],
 )
 def test_simulate_rejects_non_finite_constants(args, message, capsys):

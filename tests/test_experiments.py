@@ -23,7 +23,6 @@ from plugmc import (
 from plugmc.experiments import (
     IDX_OBSERVATION,
     IDX_PRICING,
-    PRICING_STRIDE,
     functional_from_config,
     histogram_csv,
     model_from_config,
@@ -192,19 +191,12 @@ def test_bs_experiment_deterministic():
 
 
 def test_bs_experiment_aborts_on_many_failures(monkeypatch):
-    import plugmc.inference as inf
-
-    real = inf.estimate_C
-    calls = {"n": 0}
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] > 1 and calls["n"] % 3 == 0:  # fail a third of replications
+    def fail(r):
+        if r % 3 == 2:  # fail a third of replications
             raise ValueError("synthetic failure")
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(inf, "estimate_C", flaky)
-    with pytest.raises(ValueError, match="replications failed"):
+    _fail_replications(monkeypatch, fail)
+    with pytest.raises(ValueError, match="10 of 30 replications failed"):
         run_bs_experiment(ExperimentConfig(**FAST))
 
 
@@ -323,7 +315,7 @@ def test_functional_from_config():
 
 
 def test_seed_blocks_align_to_noise_blocks():
-    for value in (IDX_OBSERVATION, IDX_PRICING, PRICING_STRIDE):
+    for value in (IDX_OBSERVATION, IDX_PRICING):
         assert value % BLOCK_PATHS == 0
 
 
@@ -393,6 +385,57 @@ def test_study_pricing_in_workers_forks_no_further(monkeypatch, tmp_path):
         for w in (1, 2, 3)
     ]
     assert files[0] == files[1] == files[2]
+
+
+def test_study_draws_each_pricing_chunk_once_per_group(monkeypatch, tmp_path):
+    # A worker prices all its estimates in one call, or in groups of 3 when
+    # a call may hold 9000 paths' values; either way it draws each of the
+    # 3000 pricing paths once per call, and the files keep their bytes
+    draws = tmp_path / "draws"
+    real = plugmc.simulate._draw_chunk
+
+    def draw(root_key, grid, jump, first, increments):
+        if first >= IDX_PRICING:  # in whichever process draws it
+            with open(draws, "a") as log:
+                log.write(f"{increments.shape[1]}\n")
+        return real(root_key, grid, jump, first, increments)
+
+    monkeypatch.setattr(plugmc.simulate, "_draw_chunk", draw)
+    files = []
+    for values, workers in [(1 << 21, 1), (1 << 21, 3), (9000, 1), (9000, 2), (9000, 3)]:
+        monkeypatch.setattr(exp, "PRICING_VALUES", values)
+        draws.write_text("")
+        files.append(_study_files(monkeypatch, tmp_path, workers, n_paths_price=3000))
+        sizes = [30 * (w + 1) // workers - 30 * w // workers for w in range(workers)]
+        calls = sum(-(-size // (values // 3000)) for size in sizes)
+        assert sum(map(int, draws.read_text().split())) == 3000 * calls
+    assert all(f == files[0] for f in files)
+    # an estimate outside the parameter box fails in the first pass, so the
+    # others are still priced in one call
+    monkeypatch.setattr(exp, "PRICING_VALUES", 1 << 21)
+    draws.write_text("")
+    with pytest.raises(ValueError, match="replications failed; first: .* outside"):
+        _study_files(monkeypatch, tmp_path, 1, theta0=(4.99, 1.0), n_paths_price=3000)
+    assert sum(map(int, draws.read_text().split())) == 3000
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pricing_error_fails_its_own_replication_alone(monkeypatch, tmp_path, workers):
+    # an error at one estimate fails its group's pricing call; the group is
+    # then priced one estimate at a time, so only that replication fails
+    clean = replications_csv(run_bs_experiment(ExperimentConfig(**FAST))).splitlines()
+    bad = [float(v) for v in clean[8].split(",")[1:3]]  # replication 7's theta_hat
+    real = exp.estimate_C
+
+    def blow_up(model, functional, theta, *args, **kwargs):
+        if any(list(row) == bad for row in np.atleast_2d(theta)):
+            raise plugmc.simulate.SimulationBlowup(3)
+        return real(model, functional, theta, *args, **kwargs)
+
+    monkeypatch.setattr(exp, "estimate_C", blow_up)
+    files = _study_files(monkeypatch, tmp_path, workers)
+    assert json.loads(files["summary.json"])["failed"] == 1
+    assert files["replications.csv"].splitlines() == clean[:8] + clean[9:]
 
 
 @pytest.mark.parametrize("replications", [30, 31])

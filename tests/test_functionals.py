@@ -1,5 +1,7 @@
 """Payoff rules, smoothing sandwich, pathwise gradients, batch agreement."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -187,6 +189,26 @@ def test_negative_constants_rejected(kind, name):
     # discount; a negative one used to be accepted here and priced
     with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1.0"):
         Functional(kind=kind, horizon=1.0, **{name: -1.0})
+
+
+@pytest.mark.parametrize("kind", ["smoothed_call_terminal", "smoothed_call_average"])
+def test_huge_call_constants_rejected(kind):
+    # each used to be accepted and give a non-finite H after every path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, message in [
+            ({"strike": 1e308}, "strike and eps_smooth must have a finite sum of squares"),
+            ({"eps_smooth": 1e200}, "strike and eps_smooth must have a finite sum of squares"),
+            ({"strike": 1e154, "eps_smooth": 1e154}, "finite sum of squares"),
+            ({"rate": -1e308}, "rate must give a finite, positive discount factor"),
+            ({"rate": 800.0}, "rate must give a finite, positive discount factor"),
+            ({"rate": 1e200, "horizon": 1e200}, "rate must give a finite, positive discount"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Functional(kind=kind, **{"horizon": 1.0, **args})
+        Functional(kind=kind, horizon=1.0, strike=1e154, eps_smooth=1e153, rate=-700.0)
+    # kinds that do not read the call constants do not check them
+    Functional(kind="terminal", horizon=1.0, strike=1e308, rate=-1e308)
 
 
 def test_batch_weights_are_the_trapezoid_rule():

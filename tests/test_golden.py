@@ -34,6 +34,13 @@ from those.  The layout (rows of a block, draw order within it) did not
 change, but every number drawn did, so every output moved, `estimate_bs`
 (row 0 of block 0) included.  The statistical criteria and the exact-law
 test of the stream (test_acceptance.py) pass at unchanged tolerances.
+
+The five `experiment_bs_*` digests were re-recorded once more when the
+study's replications moved onto one shared set of pricing paths: every
+replication now prices from path index IDX_PRICING, where replication r
+used to start at IDX_PRICING + r * 2**21.  The new files equal those of
+the previous code with that one start index set to IDX_PRICING; the
+other eight digests kept their values.
 """
 
 import contextlib
@@ -53,11 +60,11 @@ GOLDEN = {
     "price_bs_call": "8c5a7070df5977267e96550473e6dcec60aa825b8993b780893efef1d86874c9",
     "price_bs_average_call": "190cc4dfb48f0d472b7b452f3af9d741d197ddeb2c867afd4a1ec55f8d34c36a",
     "price_ou_discounted": "e4e60c34e90bd87791ccefd82d8310c67262d77a003d4f46443d9aa9aca809aa",
-    "experiment_bs_stdout": "44683386ed708659b22e315567e28d202aed7dba0c92e2afa7567e0e422aa0e0",
-    "experiment_bs_replications.csv": "e33f18a513aab85abb78fb8db5ff672190a3c37a6d51a3057d337667e6381024",
-    "experiment_bs_summary.json": "44683386ed708659b22e315567e28d202aed7dba0c92e2afa7567e0e422aa0e0",
-    "experiment_bs_qq.csv": "81d4446f3422b411fba0cc5b66c1a2d9a92b5fed398576e8d872f8472cf90d5f",
-    "experiment_bs_histogram.csv": "609355e9fa17d23e14b9720662495df71a9e35be2c448dbe61f7b72d1e13f354",
+    "experiment_bs_stdout": "4e0b5e147ae1b2a35629276664653a13df7a16c24ab1dad055698d0d22a99e88",
+    "experiment_bs_replications.csv": "660562e990e89e827d44797c6cf2d2a9f8b6a426b0da8b743c05c46b5f58086a",
+    "experiment_bs_summary.json": "4e0b5e147ae1b2a35629276664653a13df7a16c24ab1dad055698d0d22a99e88",
+    "experiment_bs_qq.csv": "2e7ebfa19ce75f167a7b0e8de71a8913e95579c3b720587d575053585df8cf61",
+    "experiment_bs_histogram.csv": "14412400dd43f1479dc5551aba269963fd822608d723c64ddaa4b62ad3c3681f",
     "experiment_ou_oracle": "2c196bc964a71880abf3571e041ded0d348e9a7f597f75accf7160100a088f2e",
 }
 

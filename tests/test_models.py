@@ -170,6 +170,22 @@ def test_jump_spec_validation():
         JumpSpec(intensity=1.0, sampler=None)
 
 
+def test_poisson_mean_refused_above_numpys_limit():
+    # the limit is where numpy's Generator.poisson starts to refuse a mean
+    from plugmc.models import POISSON_MEAN_MAX
+
+    spec = JumpSpec(intensity=POISSON_MEAN_MAX, sampler=lambda rng, count: np.zeros(count))
+    assert spec.poisson_mean(1.0) == POISSON_MEAN_MAX
+    assert spec.poisson_mean(0.5) == POISSON_MEAN_MAX / 2
+    with pytest.raises(ValueError, match="jump intensity .* over horizon 2.0 gives a Poisson"):
+        spec.poisson_mean(2.0)
+    above = np.nextafter(POISSON_MEAN_MAX, np.inf)
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(above)
+    with pytest.raises(ValueError, match="jump intensity"):
+        JumpSpec(intensity=above, sampler=spec.sampler).poisson_mean(1.0)
+
+
 def _fd_theta(fn, x, theta, i, h=1e-6):
     tp, tm = theta.copy(), theta.copy()
     tp[i] += h

@@ -14,6 +14,7 @@ from plugmc import (
     SimulationBlowup,
     TimeGrid,
     bs_small_noise_model,
+    estimate_C,
     levy_model,
     ou_jump_model,
     simulate_batch,
@@ -31,6 +32,14 @@ MODELS = {
 
 def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(plugmc.simulate, "_worker_count", lambda chunks: workers)
+
+
+def _assert_same_batch(a: BatchResult, b: BatchResult) -> None:
+    for f in fields(BatchResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x is None) == (y is None), f.name
+        if x is not None:
+            assert np.array_equal(x, y), f.name
 
 
 # (n_paths, chunk_size, start_index): 1, 2, 5 and 3 chunks; starts and
@@ -65,13 +74,8 @@ def test_pipeline_matches_serial_run(monkeypatch, name, want_y, weighted, record
             )
         )
         assert_no_child()
-    serial = results[0]
     for split in results[1:]:
-        for f in fields(BatchResult):
-            a, b = getattr(split, f.name), getattr(serial, f.name)
-            assert (a is None) == (b is None), f.name
-            if a is not None:
-                assert np.array_equal(a, b), f.name
+        _assert_same_batch(split, results[0])
 
 
 def test_blowup_round_trips_through_pickle():
@@ -167,3 +171,47 @@ def test_sampler_error_in_any_chunk_surfaces_as_raised(monkeypatch, fail_at):
                 model, model.theta0, TimeGrid(1.0, 6), 3, 5 * BLOCK_PATHS, chunk_size=BLOCK_PATHS
             )
         assert_no_child()
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 2048])
+@pytest.mark.parametrize("name", ["bs", "ou"])
+def test_stacked_thetas_match_single_theta_batches(monkeypatch, name, chunk_size):
+    # one draw of each chunk, stepped at every row of the stack: row j is
+    # bit for bit the batch of theta[j] alone, for any split
+    model = MODELS[name]
+    thetas = model.theta0 * np.array([[1.0], [1.1], [0.9]])
+    grid = TimeGrid(1.0, 9)
+    weights = Functional(kind="time_average", horizon=1.0).weights(grid)
+    kwargs = dict(start_index=BLOCK_PATHS - 5, want_y=True, weights=weights, record=True,
+                  chunk_size=chunk_size)
+    _force_workers(monkeypatch, 1)
+    single = [simulate_batch(model, th, grid, 2024, 20, **kwargs) for th in thetas]
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        stacked = simulate_batch(model, thetas, grid, 2024, 20, **kwargs)
+        assert_no_child()
+        assert isinstance(stacked, list) and len(stacked) == len(thetas)
+        for a, b in zip(stacked, single):
+            _assert_same_batch(a, b)
+    one = simulate_batch(model, thetas[:1], grid, 2024, 20, **kwargs)
+    assert isinstance(one, list) and len(one) == 1
+    _assert_same_batch(one[0], single[0])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", ["bs", "ou"])
+def test_stacked_estimate_C_matches_single_theta_calls(monkeypatch, name, workers):
+    model = MODELS[name]
+    thetas = model.theta0 * np.array([[1.0], [1.2]])
+    grid = TimeGrid(1.0, 9)
+    functional = Functional(kind="time_average", horizon=1.0)
+    _force_workers(monkeypatch, workers)
+    # 4100 paths are three chunks of 2048
+    stacked = estimate_C(model, functional, thetas, 4100, 7, grid, start_index=3)
+    assert_no_child()
+    _force_workers(monkeypatch, 1)
+    for row, th in zip(stacked, thetas):
+        single = estimate_C(model, functional, th, 4100, 7, grid, start_index=3)
+        assert len(row) == len(single) == 4
+        for a, b in zip(row, single):
+            assert np.array_equal(a, b) and type(a) is type(b)
