@@ -132,8 +132,8 @@ def _kind_table(tables: dict, kind, what: str):
 # The config fields each kind of study does not read, and so rejects
 _UNREAD_FIELDS = {
     "bs": ("discount", "jump_intensity"),
-    "ou_oracle": ("epsilon", "n_paths_price", "replications", "alpha", "strike", "rate",
-                  "obs_horizon", "eps_smooth"),
+    "ou_oracle": ("n_obs", "epsilon", "n_paths_price", "replications", "alpha", "strike",
+                  "rate", "obs_horizon", "eps_smooth"),
 }
 
 

@@ -36,7 +36,6 @@ Array = np.ndarray
 
 __all__ = [
     "InferenceReport",
-    "plugin_H",
     "estimate_C",
     "bs_call_closed_form",
     "ou_discounted_value",
@@ -46,24 +45,6 @@ __all__ = [
     "information_inverse",
     "build_report",
 ]
-
-
-def plugin_H(
-    model: JumpDiffusionModel,
-    functional: Functional,
-    theta,
-    n_paths: int,
-    root_seed: int,
-    grid: TimeGrid,
-    *,
-    start_index: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the functional at theta: the
-    (H, H_se) of estimate_C, whose X paths do not depend on whether Y is
-    stepped beside them."""
-    return estimate_C(
-        model, functional, theta, n_paths, root_seed, grid, start_index=start_index
-    )[2:]
 
 
 def estimate_C(
@@ -227,16 +208,18 @@ def central_difference_gradient(h_fn, theta) -> Array:
 
 
 def information_inverse(model: JumpDiffusionModel, info) -> Array:
-    """Inverse of the estimator's information matrix, checked up front.
+    """Inverse of the estimator's information matrix, the one judge of it.
 
-    Callers invert before any Monte Carlo pass, so a parameter the
-    observations carry no information about (for example the jump mean
-    eta of the ou model at jump intensity 0, or mu and eta of the levy
-    model, which enter the drift identically) fails at once.  A matrix
-    that is singular to working precision (a singular value at or below
-    p * machine epsilon times the largest) raises a ValueError naming the
-    parameters with a component in its null space; inverting it instead
-    would give a variance made of rounding error.
+    Callers invert before any Monte Carlo pass, so a matrix that is not
+    the inverse of a covariance fails at once, naming the information
+    matrix: one of the wrong shape, not finite, not symmetric (at the
+    tolerance of asymptotic_variance) or with a negative eigenvalue.  A
+    matrix singular to working precision (an eigenvalue at or below p *
+    machine epsilon times the largest in size) raises a ValueError naming
+    the parameters with a component in its null space, for example the
+    jump mean eta of the ou model at jump intensity 0, or mu and eta of
+    the levy model, which enter the drift identically; inverting it
+    instead would give a variance made of rounding error.
     """
     info = np.asarray(info, dtype=float)
     if info.shape != (model.p, model.p):
@@ -245,13 +228,16 @@ def information_inverse(model: JumpDiffusionModel, info) -> Array:
         )
     if not np.all(np.isfinite(info)):
         raise ValueError(f"information matrix is not finite: {info.tolist()}")
-    _, s, vt = np.linalg.svd(info)
-    null = vt[s <= s[0] * model.p * np.finfo(float).eps]
-    if not len(null):
+    if not np.allclose(info, info.T, atol=1e-10):
+        raise ValueError(f"information matrix is not symmetric: {info.tolist()}")
+    w, v = np.linalg.eigh(info)
+    tol = np.max(np.abs(w)) * model.p * np.finfo(float).eps
+    if np.any(w < -tol):
+        raise ValueError(f"information matrix is not positive definite: eigenvalues {w.tolist()}")
+    null = v[:, np.abs(w) <= tol]
+    if not null.shape[1]:
         return np.linalg.inv(info)
-    names = [
-        name for k, name in enumerate(model.param_names) if np.any(np.abs(null[:, k]) > 1e-8)
-    ]
+    names = [name for k, name in enumerate(model.param_names) if np.any(np.abs(null[k]) > 1e-8)]
     raise ValueError(
         f"{model.name}: singular information matrix, parameter(s) "
         f"{', '.join(names)} not identified"
@@ -271,7 +257,6 @@ class InferenceReport:
     gamma_star: float
     alpha: float
     ci: tuple[float, float]
-    z_hat: float | None = None
 
     def __post_init__(self):
         # a NaN would otherwise surface as a CI that misses its own point
@@ -297,7 +282,6 @@ class InferenceReport:
             "alpha": self.alpha,
             "ci_low": self.ci[0],
             "ci_high": self.ci[1],
-            "z_hat": self.z_hat,
         }
 
 
@@ -312,17 +296,15 @@ def build_report(
     grid: TimeGrid,
     *,
     alpha: float = 0.05,
-    h_true: float | None = None,
     start_index: int = 0,
 ) -> InferenceReport:
     """Assemble the plug-in report at theta.
 
     The correction vector is estimated from the same seeded paths as the
     plug-in mean (common random numbers): paths start_index onwards of
-    root_seed.  z_hat is filled when the true functional value is
-    supplied, with the theta-based variance in its denominator.  alpha
-    (through z_quantile), the rates (finite and > 0, one per parameter) and
-    the information are checked before any Monte Carlo pass.
+    root_seed.  alpha (through z_quantile), the rates (finite and > 0, one
+    per parameter) and the information (by information_inverse) are
+    checked before any Monte Carlo pass.
     """
     z_quantile(alpha)
     rates = np.asarray(rates, dtype=float)
@@ -334,21 +316,16 @@ def build_report(
     moments = estimate_C(
         model, functional, theta, n_paths, root_seed, grid, start_index=start_index
     )
-    return report_from_moments(theta, rates, info_inv, moments, alpha, h_true)
+    return report_from_moments(theta, rates, info_inv, moments, alpha)
 
 
-def report_from_moments(
-    theta, rates, info_inv, moments, alpha: float, h_true: float | None = None
-) -> InferenceReport:
+def report_from_moments(theta, rates, info_inv, moments, alpha: float) -> InferenceReport:
     """The report at theta from estimate_C's (C, C_se, H, H_se) there, given
     rates and an information inverse checked as build_report checks them."""
     c_hat, c_se, h_hat, h_se = moments
     asy_var = asymptotic_variance(c_hat, info_inv, rates=rates)
     gamma_star = float(np.max(rates))
     ci = confidence_interval(h_hat, asy_var, gamma_star, alpha)
-    z_hat = None
-    if h_true is not None:
-        z_hat = float((h_hat - h_true) / (gamma_star * np.sqrt(asy_var)))
     return InferenceReport(
         theta=np.asarray(theta, dtype=float),
         h_hat=h_hat,
@@ -359,5 +336,4 @@ def report_from_moments(
         gamma_star=gamma_star,
         alpha=alpha,
         ci=ci,
-        z_hat=z_hat,
     )

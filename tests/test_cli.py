@@ -439,6 +439,21 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
         ("price", {**OU_PRICE_CFG, "jump": {"intensity": 1e300}}, [],
          "jump intensity 1e+300 over horizon 1.0 gives a Poisson mean above numpy's limit "
          "9.22337e+18"),
+        # each used to run every path and then fail with "covariance must be
+        # symmetric" or "... positive semi-definite", naming no input
+        ("price", {**PRICE_CFG, "fisher": [[1.0, 0.5], [0.0, 1.0]]}, [],
+         "information matrix is not symmetric: [[1.0, 0.5], [0.0, 1.0]]"),
+        ("price", {**PRICE_CFG, "fisher": [[1.0, 0.0], [0.0, -1.0]]}, [],
+         "information matrix is not positive definite: eigenvalues [-1.0, 1.0]"),
+        ("price", {**PRICE_CFG, "fisher": [[float("nan"), 0.0], [0.0, 1.0]]}, [],
+         "information matrix is not finite: [[nan, 0.0], [0.0, 1.0]]"),
+        # a time 0.004 off the grid used to pass numpy's default relative
+        # tolerance (1e-5 * t), and the estimator took every step as exact
+        ("estimate", "t,X\n0.0,1.0\n500.004,1.1\n1000.0,1.2\n", [],
+         "data must be sampled on a uniform grid"),
+        # the oracle observes nothing: n_obs only restated its pricing grid
+        ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3, 0.5], "n_obs": 20}, [],
+         "unknown config keys: ['n_obs'] for kind 'ou_oracle'"),
     ],
 )
 def test_config_and_data_errors_exit_2(

@@ -62,7 +62,7 @@ FUNCTIONALS = {
 STUDIES = {
     "bs": {"theta0": [0.2, 1.0], "n_obs": 20, "n_paths_price": 1000,
            "n_paths_correction": 1000, "replications": 30},
-    "ou_oracle": {"theta0": [1.0, 0.3, 0.5], "n_obs": 20, "n_paths_correction": 1000},
+    "ou_oracle": {"theta0": [1.0, 0.3, 0.5], "n_grid_price": 20, "n_paths_correction": 1000},
 }
 STUDY_FIELDS = {
     k: typing.get_args(t) or (t,) for k, t in typing.get_type_hints(ExperimentConfig).items()

@@ -1,5 +1,7 @@
 """Plug-in estimation, closed-form prices, variance routes, intervals."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,13 @@ from plugmc import (
     bs_small_noise_model,
     build_report,
     confidence_interval,
+    deterministic_path,
     estimate_C,
+    fisher_info,
+    information_inverse,
+    levy_model,
     ou_discounted_value,
-    plugin_H,
+    ou_jump_model,
 )
 
 from conftest import EPS, RATE, STRIKE, THETA0
@@ -104,7 +110,7 @@ def test_ou_value_without_jump_mean():
 
 
 # ---------------------------------------------------------------------------
-# plugin_H / estimate_C
+# estimate_C: the plug-in (H, H_se) and the correction vector C
 # ---------------------------------------------------------------------------
 
 
@@ -113,27 +119,27 @@ def test_plugin_h_deterministic_model():
     # rounding noise of averaging identical doubles
     model = bs_small_noise_model(0.2, 1.0, 0.0, 1.0)
     f = Functional(kind="terminal", horizon=1.0)
-    h, se = plugin_H(model, f, THETA0, 200, 5, GRID)
+    h, se = estimate_C(model, f, THETA0, 200, 5, GRID)[2:]
     assert se <= 1e-15
     assert h == pytest.approx(np.exp(0.2), abs=5e-4)  # Euler ODE error
 
 
 def test_plugin_h_matches_closed_form(bs_model, call_functional):
     # the study's setting: 10^4 paths resolve the closed-form value
-    h, se = plugin_H(bs_model, call_functional, THETA0, 10_000, 42, GRID)
+    h, se = estimate_C(bs_model, call_functional, THETA0, 10_000, 42, GRID)[2:]
     bias_bound = np.exp(-RATE) * call_functional.eps_smooth / 2
     assert abs(h - H_BASE_CASE) < 3 * se + bias_bound + 2e-3 / GRID.steps
 
 
 def test_plugin_h_stderr_halves_with_4x_paths(bs_model, call_functional):
-    _, se1 = plugin_H(bs_model, call_functional, THETA0, 2_000, 7, GRID)
-    _, se4 = plugin_H(bs_model, call_functional, THETA0, 8_000, 7, GRID)
+    _, se1 = estimate_C(bs_model, call_functional, THETA0, 2_000, 7, GRID)[2:]
+    _, se4 = estimate_C(bs_model, call_functional, THETA0, 8_000, 7, GRID)[2:]
     assert se4 == pytest.approx(se1 / 2, rel=0.1)
 
 
 def test_plugin_h_requires_enough_paths(bs_model, call_functional):
     with pytest.raises(ValueError):
-        plugin_H(bs_model, call_functional, THETA0, 50, 7, GRID)
+        estimate_C(bs_model, call_functional, THETA0, 50, 7, GRID)
 
 
 @pytest.mark.parametrize(
@@ -147,12 +153,11 @@ def test_plugin_h_requires_enough_paths(bs_model, call_functional):
 @pytest.mark.parametrize("horizon", [0.5, 2.0])
 def test_batch_grid_must_span_the_functional_horizon(bs_model, functional, horizon):
     grid = TimeGrid(horizon, 50)
-    for route in (plugin_H, estimate_C):
-        with pytest.raises(
-            ValueError,
-            match=f"batch grid horizon {horizon} must equal functional horizon 1.0",
-        ):
-            route(bs_model, functional, THETA0, 200, 7, grid)
+    with pytest.raises(
+        ValueError,
+        match=f"batch grid horizon {horizon} must equal functional horizon 1.0",
+    ):
+        estimate_C(bs_model, functional, THETA0, 200, 7, grid)
 
 
 def test_estimate_c_levy_terminal_identity(levy):
@@ -269,8 +274,8 @@ def test_gradient_consistency_common_random_numbers(bs_model, call_functional):
     for i in range(2):
         u = np.zeros(2)
         u[i] = h
-        hp, _ = plugin_H(bs_model, call_functional, THETA0 + u, 5_000, 31, GRID)
-        hm, _ = plugin_H(bs_model, call_functional, THETA0 - u, 5_000, 31, GRID)
+        hp, _ = estimate_C(bs_model, call_functional, THETA0 + u, 5_000, 31, GRID)[2:]
+        hm, _ = estimate_C(bs_model, call_functional, THETA0 - u, 5_000, 31, GRID)[2:]
         fd = (hp - hm) / (2 * h)
         # shared noise cancels the MC error; only curvature O(h^2 / eps_smooth)
         # and rounding remain
@@ -302,15 +307,13 @@ def test_build_report_fields(bs_model, call_functional):
         n_paths=2_000,
         root_seed=23,
         grid=GRID,
-        h_true=H_BASE_CASE,
     )
     assert report.ci[0] <= report.h_hat <= report.ci[1]
     assert report.asy_var >= 0
-    assert report.z_hat is not None
     d = report.to_dict()
     assert set(d) == {
         "theta", "H_hat", "H_se_mc", "C_hat", "C_se", "asy_var",
-        "gamma_star", "alpha", "ci_low", "ci_high", "z_hat",
+        "gamma_star", "alpha", "ci_low", "ci_high",
     }
 
 
@@ -366,6 +369,45 @@ def test_build_report_checks_information_before_monte_carlo(bs_model, call_funct
         build_report(*args, np.eye(3), **rest)
     with pytest.raises(ValueError, match="not finite"):
         build_report(*args, np.diag([1.0, np.nan]), **rest)
+    # each used to run every path and then fail in asymptotic_variance with
+    # a message about a "covariance"
+    with pytest.raises(ValueError, match="information matrix is not symmetric"):
+        build_report(*args, np.array([[1.0, 0.5], [0.0, 1.0]]), **rest)
+    with pytest.raises(ValueError, match="information matrix is not positive definite"):
+        build_report(*args, np.diag([1.0, -1.0]), **rest)
+
+
+def test_information_inverse_judges_the_matrix():
+    bs = bs_small_noise_model(0.2, 1.0, EPS, 1.0)
+    info = np.array([[4.0, 1.0], [1.0, 2.0]])
+    assert np.array_equal(information_inverse(bs, info), np.linalg.inv(info))
+    for bad, message in [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite"),  # eigenvalues -1, 3
+        (np.diag([-1.0, -2.0]), "not positive definite"),
+        (np.diag([np.inf, 1.0]), "not finite"),
+    ]:
+        with pytest.raises(ValueError, match=f"^information matrix is {message}"):
+            information_inverse(bs, bad)
+    # asymmetry within asymptotic_variance's tolerance is rounding, not a defect
+    information_inverse(bs, info + np.array([[0.0, 1e-12], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "model, names",
+    [
+        # mu and eta enter the levy drift identically
+        (levy_model(0.1, 0.3, 0.5, 1.0), "mu, eta"),
+        # at jump intensity 0 the ou observations say nothing about eta
+        (ou_jump_model(1.0, 0.3, 0.5, 0.0, 1.0), "eta"),
+    ],
+    ids=["levy", "ou_no_jumps"],
+)
+def test_information_inverse_names_unidentified_parameters(model, names):
+    theta = model.theta0
+    info = fisher_info(model, theta, deterministic_path(model, theta, TimeGrid(1.0, 100)))
+    message = f"{model.name}: singular information matrix, parameter(s) {names} not identified"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        information_inverse(model, info)
 
 
 def test_build_report_checks_rates_and_alpha_before_monte_carlo(
