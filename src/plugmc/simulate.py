@@ -63,6 +63,27 @@ of paths, after its last step, since each update adds to or scales the
 previous state; a block that fails is stepped again from the same noise
 with a check after every step, which names the first non-finite step.
 
+Each array term goes through out= into buffers made once per block, in
+the order of the formulas above; X and Y swap between two buffers each,
+so a model must not keep the x it is given.  A term is skipped only where
+that moves no bit: v - (+0.0) and v + (-0.0) are v, but v + (+0.0) turns
+v = -0.0 into +0.0.  With dW_k and Y_k finite (otherwise the step raises
+either way, X before Y), the skips are:
+
+  - b_x dW_k for b_x the float +0.0: g_k = 1 + a_x dt, a scalar when a_x
+    is, as b_x dW_k is +-0.0 and 1 + v is never -0.0;
+  - comp_x dt or comp_theta[j] dt for the float +0.0;
+  - a multiply by b, b_x or b_theta[j] the float 1.0;
+  - b_theta[j] dW_k for b_theta[j] the float +0.0 when a_theta[j] dt is
+    a scalar other than -0.0, which +-0.0 leaves as it is;
+  - c_x Y_k for c_x the float +0.0 when each c_theta entry is a float
+    other than -0.0: the jumps add the entries as one (p, 1) column.
+
+Skipping a_theta[j] dt = +0.0 before an array b_theta[j] dW_k, or
+b_theta[j] dW_k = +-0.0 beside an array a_theta[j] dt (ou's -x dt is -0.0
+at x = 0), would move bits where Y_k g_k is -0.0 (g_k < 0, Y_k = +0.0),
+so neither is made.
+
 A batch keeps, per path, the terminal (X, Y) and one weighted sum over
 the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
 (a functional's trapezoid rule, see Functional.weights).
@@ -363,8 +384,19 @@ def _flat_jumps(paths: Array, times: Array, sizes: Array, grid: TimeGrid):
 
 
 def _pos_zero(v) -> bool:
-    """v is a float +0.0, so s - v * dt is s bit for bit (dt > 0)."""
+    """v is the float +0.0: s - v * dt is s bit for bit (dt > 0), and v * w
+    is +-0.0 for a finite w."""
     return isinstance(v, float) and v == 0.0 and math.copysign(1.0, v) > 0
+
+
+def _keeps_sign(v) -> bool:
+    """v is a float other than -0.0, so v + (+-0.0) is v bit for bit."""
+    return isinstance(v, float) and (v != 0.0 or math.copysign(1.0, v) > 0)
+
+
+def _is_one(v) -> bool:
+    """v is the float 1.0, so v * dw is dw bit for bit."""
+    return isinstance(v, float) and v == 1.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -388,11 +420,16 @@ def _step_block(
     SimulationBlowup at the first step where X or Y turns non-finite,
     found by a re-run with check_steps=True if the end-of-block check fails;
     numpy's overflow warnings are silenced, as that error reports them.
+    The terms the module docstring lists are skipped.
     """
     n, m = increments.shape
     dt = grid.dt
     p = model.p
     x = np.full(m, float(model.initial(theta)))
+    x_prev = np.empty(m)  # the two swap each step
+    # a term, a partial sum, a row term, the factor g: a sum goes into a buffer
+    # other than its inputs where one is free (in place costs more at m = 1)
+    tmp, acc, row, g_buf = (np.empty(m) for _ in range(4))
     has_jumps = model.has_jumps
 
     y = None
@@ -406,6 +443,7 @@ def _step_block(
         x_sum = weights[0] * x
         if y is not None:
             y_sum = weights[0] * y
+            y_term = np.empty_like(y)
 
     rec_x = rec_y = None
     if record:
@@ -415,28 +453,37 @@ def _step_block(
             rec_y = np.empty((n + 1, p, m))
             rec_y[0] = y
 
+    ndarray, add, sub, mul = np.ndarray, np.add, np.subtract, np.multiply
     for k in range(n):
         dw = increments[k]
-        x_prev = x
+        x, x_prev = x_prev, x
 
         coef = model.coefficients(x_prev, theta)
         a, b, a_x, b_x, a_th, b_th = coef[:6]
-        x = x_prev + a * dt + b * dw
+        add(x_prev, mul(a, dt, tmp) if isinstance(a, ndarray) else a * dt, acc)
+        add(acc, dw if _is_one(b) else mul(b, dw, tmp), x)
         if has_jumps:
             comp, comp_x, comp_th = coef[6:]
-            x -= comp * dt
+            sub(x, mul(comp, dt, tmp) if isinstance(comp, ndarray) else comp * dt, x)
 
         if y is not None:
             # factored tangent step: the factor g is shared by all p rows
-            g = 1.0 + a_x * dt + b_x * dw
+            g = mul(a_x, dt, g_buf) if isinstance(a_x, ndarray) else a_x * dt
+            g = add(1.0, g, g_buf) if isinstance(g, ndarray) else 1.0 + g
+            if not _pos_zero(b_x):
+                g = add(g, dw if _is_one(b_x) else mul(b_x, dw, tmp), g_buf)
             if has_jumps and not _pos_zero(comp_x):
-                g -= comp_x * dt
+                g = sub(g, comp_x * dt, g_buf)
             y, y_prev = y_prev, y
-            np.multiply(y_prev, g, out=y)
+            mul(y_prev, g, y)
             for j in range(p):
-                y[j] += a_th[j] * dt + b_th[j] * dw
+                a_j, b_j, y_j = a_th[j], b_th[j], y[j]
+                r = mul(a_j, dt, row) if isinstance(a_j, ndarray) else a_j * dt
+                if not (_pos_zero(b_j) and _keeps_sign(r)):
+                    r = add(r, dw if _is_one(b_j) else mul(b_j, dw, tmp), acc)
+                add(y_j, r, y_j)
                 if has_jumps and not _pos_zero(comp_th[j]):
-                    y[j] -= comp_th[j] * dt
+                    sub(y_j, comp_th[j] * dt, y_j)
 
         if jumps is not None:
             paths_j, sizes_j, bounds = jumps
@@ -446,10 +493,13 @@ def _step_block(
                 c, c_x, c_th = model.jump_kernel(x_prev[pj], sizes_j[lo:hi], theta)
                 np.add.at(x, pj, c)
                 if y is not None:
-                    c_th_rows = np.empty((p, hi - lo))  # each entry broadcast to its row
-                    for j in range(p):
-                        c_th_rows[j] = c_th[j]
-                    np.add.at(y, (slice(None), pj), c_x * y_prev[:, pj] + c_th_rows)
+                    if _pos_zero(c_x) and all(map(_keeps_sign, c_th)):
+                        c_y = np.array(c_th)[:, None]  # one column for every jump
+                    else:
+                        c_y = c_x * y_prev[:, pj]
+                        for j in range(p):
+                            c_y[j] += c_th[j]
+                    np.add.at(y, (slice(None), pj), c_y)
 
         if check_steps:
             for label, state in (("X", x), ("Y", y)):
@@ -461,9 +511,9 @@ def _step_block(
                     )
 
         if x_sum is not None:
-            x_sum += weights[k + 1] * x
+            add(x_sum, mul(x, weights[k + 1], tmp), x_sum)
             if y_sum is not None:
-                y_sum += weights[k + 1] * y
+                add(y_sum, mul(y, weights[k + 1], y_term), y_sum)
 
         if record:
             rec_x[k + 1] = x

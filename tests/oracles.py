@@ -13,6 +13,9 @@ another road:
   by central differences, where the package averages pathwise gradients;
 - the closed-form sensitivity paths of the mean-reverting jump model
   solve the Y system exactly, where the package steps it with Euler;
+- reference_step_block is the Euler stepper as it was before the
+  stepper skipped terms and reused buffers, one new array per
+  operation; the stepper must give its floats bit for bit;
 - the coupling-order study measures X^{theta+u} - X^theta - u.Y from two
   recorded batches on the same seeds, (X, Y) at theta and X alone at
   theta + u.  On shared noise it is small pathwise (order |u|^2 in sup
@@ -21,6 +24,7 @@ another road:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,14 @@ import numpy as np
 from plugmc.functionals import _AVERAGE, _TERMINAL, Functional
 from plugmc.inference import central_difference_gradient
 from plugmc.models import JumpDiffusionModel
-from plugmc.simulate import NoiseBundle, Path, TimeGrid, simulate_batch
+from plugmc.simulate import (
+    BatchResult,
+    NoiseBundle,
+    Path,
+    SimulationBlowup,
+    TimeGrid,
+    simulate_batch,
+)
 
 Array = np.ndarray
 
@@ -170,6 +181,140 @@ def ou_derivative_closed_form(theta, noise: NoiseBundle, x0: float) -> Array:
         x_prev = x0 * np.exp(-mu * (k + 1) * dt) + stoch
         y[k + 1] = (y1, y2, y3)
     return y
+
+
+# ---------------------------------------------------------------------------
+# Reference Euler stepper
+# ---------------------------------------------------------------------------
+
+
+def _pos_zero(v) -> bool:
+    """v is a float +0.0, so s - v * dt is s bit for bit (dt > 0)."""
+    return isinstance(v, float) and v == 0.0 and math.copysign(1.0, v) > 0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_step_block(
+    model: JumpDiffusionModel,
+    theta: Array,
+    grid: TimeGrid,
+    increments: Array,  # (steps, m), one column per path
+    jumps,  # output of _flat_jumps or None
+    *,
+    want_y: bool = False,
+    weights: Array | None = None,  # (steps + 1,), one per grid node
+    record: bool = False,
+    path_offset: int = 0,
+    check_steps: bool = False,
+) -> BatchResult:
+    """Advance a block of m paths over the full grid.
+
+    weights adds the weighted sums x_sum (and y_sum); record=True keeps
+    the full paths in x_path and y_path (small blocks only).  Raises
+    SimulationBlowup at the first step where X or Y turns non-finite,
+    found by a re-run with check_steps=True if the end-of-block check fails;
+    numpy's overflow warnings are silenced, as that error reports them.
+    """
+    n, m = increments.shape
+    dt = grid.dt
+    p = model.p
+    x = np.full(m, float(model.initial(theta)))
+    has_jumps = model.has_jumps
+
+    y = None
+    if want_y:
+        y0 = np.asarray(model.initial_grad(theta), dtype=float)
+        y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
+        y_prev = np.empty_like(y)  # the two swap each step
+
+    x_sum = y_sum = None
+    if weights is not None:
+        x_sum = weights[0] * x
+        if y is not None:
+            y_sum = weights[0] * y
+
+    rec_x = rec_y = None
+    if record:
+        rec_x = np.empty((n + 1, m))
+        rec_x[0] = x
+        if y is not None:
+            rec_y = np.empty((n + 1, p, m))
+            rec_y[0] = y
+
+    for k in range(n):
+        dw = increments[k]
+        x_prev = x
+
+        coef = model.coefficients(x_prev, theta)
+        a, b, a_x, b_x, a_th, b_th = coef[:6]
+        x = x_prev + a * dt + b * dw
+        if has_jumps:
+            comp, comp_x, comp_th = coef[6:]
+            x -= comp * dt
+
+        if y is not None:
+            # factored tangent step: the factor g is shared by all p rows
+            g = 1.0 + a_x * dt + b_x * dw
+            if has_jumps and not _pos_zero(comp_x):
+                g -= comp_x * dt
+            y, y_prev = y_prev, y
+            np.multiply(y_prev, g, out=y)
+            for j in range(p):
+                y[j] += a_th[j] * dt + b_th[j] * dw
+                if has_jumps and not _pos_zero(comp_th[j]):
+                    y[j] -= comp_th[j] * dt
+
+        if jumps is not None:
+            paths_j, sizes_j, bounds = jumps
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                pj = paths_j[lo:hi]
+                c, c_x, c_th = model.jump_kernel(x_prev[pj], sizes_j[lo:hi], theta)
+                np.add.at(x, pj, c)
+                if y is not None:
+                    c_th_rows = np.empty((p, hi - lo))  # each entry broadcast to its row
+                    for j in range(p):
+                        c_th_rows[j] = c_th[j]
+                    np.add.at(y, (slice(None), pj), c_x * y_prev[:, pj] + c_th_rows)
+
+        if check_steps:
+            for label, state in (("X", x), ("Y", y)):
+                if state is not None and not np.isfinite(state).all():
+                    finite = np.isfinite(state).reshape(-1, m).all(axis=0)
+                    bad = int(np.flatnonzero(~finite)[0])
+                    raise SimulationBlowup(
+                        k + 1, detail=f" in {label} (path index {path_offset + bad})"
+                    )
+
+        if x_sum is not None:
+            x_sum += weights[k + 1] * x
+            if y_sum is not None:
+                y_sum += weights[k + 1] * y
+
+        if record:
+            rec_x[k + 1] = x
+            if rec_y is not None:
+                rec_y[k + 1] = y
+
+    if not check_steps and not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
+        reference_step_block(
+            model, theta, grid, increments, jumps,
+            want_y=want_y, path_offset=path_offset, check_steps=True,
+        )
+
+    def per_path(block):
+        # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
+        # summation order of the reductions over paths (mean(axis=0))
+        return None if block is None else np.ascontiguousarray(block.T)
+
+    return BatchResult(
+        x_terminal=x,
+        x_sum=x_sum,
+        y_terminal=per_path(y),
+        y_sum=per_path(y_sum),
+        x_path=rec_x,
+        y_path=rec_y,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,253 @@
+"""The Euler stepper gives the floats of oracles.reference_step_block bit
+for bit: skipping a term or reusing a buffer must not move a bit, the sign
+of a zero included.
+
+The cases reach the signed zeros where a skip could differ: a state
+X = 0 (ou at x0 = 0, where the drift's theta-gradient -x is -0.0),
+increments of +0.0 and -0.0, a tangent factor g < 0 (ou with mu dt > 1,
+so Y g is -0.0 where Y is +0.0), an initial gradient holding -0.0, and
+constants -0.0, +0.0 and 1.0 in every slot of the model's outputs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from oracles import reference_step_block
+
+import plugmc.simulate
+from plugmc import Functional, JumpSpec, bs_small_noise_model, levy_model, ou_jump_model
+from plugmc.models import JumpDiffusionModel
+from plugmc.simulate import (
+    BatchResult,
+    SimulationBlowup,
+    TimeGrid,
+    _draw_chunk,
+    _flat_jumps,
+    _step_block,
+    path_seed,
+    simulate_batch,
+)
+
+EPS = 1.0 / np.sqrt(500)
+
+
+def array_gradient_model() -> JumpDiffusionModel:
+    """Every derivative an array, some of them -0.0 throughout, with jumps
+    whose kernel derivatives are arrays too; initial_grad holds -0.0."""
+
+    def coefficients(x, th):
+        z = np.zeros_like(x)
+        return (
+            th[0] * x, th[1] + z, th[0] + z, -z, (x, -z), (z, 1.0 + z),
+            2.0 * th[1] * x, 2.0 * th[1] + z, (-z, 2.0 * x),
+        )
+
+    def jump_kernel(x, s, th):
+        return (th[1] * s * x, th[1] * s, (-0.0 * s, s * x))
+
+    return JumpDiffusionModel(
+        name="arrays", param_names=("a", "b"),
+        initial=lambda th: 0.5, initial_grad=lambda th: np.array([-0.0, 0.0]),
+        coefficients=coefficients, param_box=np.array([[-5.0, 5.0], [-5.0, 5.0]]),
+        growth_const=10.0, theta0=np.array([0.3, 0.2]),
+        jump=JumpSpec(2.0, lambda rng, count: rng.normal(0.0, 0.5, count)),
+        jump_kernel=jump_kernel,
+    )
+
+
+def signed_constant_model() -> JumpDiffusionModel:
+    """Scalar +0.0, -0.0 and 1.0 in every slot: the g factor, each row and
+    the jump column each meet a constant that may be skipped and one that
+    may not; initial_grad holds -0.0."""
+
+    def coefficients(x, th):
+        return (
+            -th[0] * x, 1.0, -th[0], 0.0,
+            (-x, -0.0, 0.0, 1.0, -0.0), (0.0, 0.0, 0.0, -0.0, 1.0),
+            0.0, -0.0, (0.0, 0.0, th[1], 0.0, -0.0),
+        )
+
+    def jump_kernel(x, s, th):
+        c_th = (0.0, -0.0, 1.0, 0.0, 0.0) if s.size % 2 else (0.0, 0.0, 1.0, 0.0, 0.0)
+        return (s + th[1], 0.0, c_th)
+
+    return JumpDiffusionModel(
+        name="signed", param_names=("mu", "eta", "c", "d", "e"),
+        initial=lambda th: 0.0, initial_grad=lambda th: np.array([0.0, -0.0, 0.0, -0.0, 0.0]),
+        coefficients=coefficients, param_box=np.array([[-5.0, 5.0]] * 5),
+        growth_const=10.0, theta0=np.array([3.0, 0.5, 0.0, 0.0, 0.0]),
+        jump=JumpSpec(3.0, lambda rng, count: rng.normal(0.0, 0.5, count)),
+        jump_kernel=jump_kernel,
+    )
+
+
+# Each stepped at its theta0.  mu = 3 ("ou_stiff", "signed") gives g < 0 on
+# the 2-step grid (mu dt = 1.5) and g > 0 on the 12-step one.
+MODELS = {
+    "bs": bs_small_noise_model(0.2, 1.0, EPS, 1.0),
+    "ou_lam0": ou_jump_model(1.0, 0.3, 0.5, 0.0, 1.0),
+    "ou_lam1": ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0),
+    "ou_x0_zero": ou_jump_model(1.0, 0.3, 0.5, 1.0, 0.0),
+    "ou_lam0_x0_zero": ou_jump_model(1.0, 0.0, 0.0, 0.0, 0.0),
+    "ou_stiff": ou_jump_model(3.0, 0.3, 0.5, 4.0, 0.0),
+    "ou_stiff_lam0": ou_jump_model(3.0, 0.3, 0.5, 0.0, 0.0),
+    "levy": levy_model(0.1, 0.3, 0.5, 1.0),
+    "arrays": array_gradient_model(),
+    "signed": signed_constant_model(),
+}
+
+settings = pytest.mark.parametrize(
+    "want_y, weighted, record",
+    [(y, w, r) for y in (False, True) for w in (False, True) for r in (False, True)],
+)
+
+
+def hand_increments(steps: int, m: int) -> np.ndarray:
+    """Columns of +0.0 and -0.0 alone, and columns that mix signed zeros with
+    small and large increments of both signs."""
+    pattern = np.array([0.0, -0.0, 0.1, -0.0, -0.2, 0.0, 1e-300, -1e-300, 0.05])
+    inc = np.empty((steps, m))
+    inc[:, 0] = 0.0
+    inc[:, 1] = -0.0
+    inc[:, 2] = [(-0.0, 0.0)[k % 2] for k in range(steps)]
+    for col in range(3, m):
+        inc[:, col] = np.roll(pattern, col)[np.arange(steps) % pattern.size]
+    return inc
+
+
+def hand_jumps(grid: TimeGrid, m: int):
+    """Jumps in every column, two in one step of column 1, sizes of both
+    signs and zeros of both signs."""
+    dt = grid.dt
+    cols = np.array([0, 1, 1, 2, 3, 4, 5, 5])
+    times = np.array([0.5, 0.5, 0.7, 1.0, 1.5, 2.0, 0.2, 1.9]) * dt
+    times = np.minimum(times, grid.horizon)
+    sizes = np.array([0.0, -0.0, 0.3, -0.4, 1.2, -0.0, 0.0, -0.1])
+    keep = cols < m
+    return _flat_jumps(cols[keep], times[keep], sizes[keep], grid)
+
+
+def assert_same_bits(got: BatchResult, want: BatchResult) -> None:
+    for f in fields(BatchResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f.name
+        if a is not None:
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64, f.name
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), f.name
+
+
+def assert_steps_as_reference(model, grid, increments, jumps, want_y, weighted, record):
+    weights = None
+    if weighted:
+        functional = Functional(kind="discounted_integral", horizon=grid.horizon, discount=0.5)
+        weights = functional.weights(grid)
+    args = (model, model.theta0, grid, increments, jumps)
+    kw = dict(want_y=want_y, weights=weights, record=record)
+    assert_same_bits(_step_block(*args, **kw), reference_step_block(*args, **kw))
+
+
+@settings
+@pytest.mark.parametrize("name", MODELS)
+def test_step_matches_reference_on_drawn_noise(name, want_y, weighted, record):
+    model = MODELS[name]
+    grid = TimeGrid(1.0, 12)
+    increments = np.empty((grid.steps, 9))
+    jumps = _flat_jumps(*_draw_chunk(path_seed(31, 0), grid, model.jump, 0, increments), grid)
+    assert_steps_as_reference(model, grid, increments, jumps, want_y, weighted, record)
+
+
+@pytest.mark.parametrize("steps", [2, 12])
+@settings
+@pytest.mark.parametrize("name", MODELS)
+def test_step_matches_reference_on_signed_zero_increments(name, want_y, weighted, record, steps):
+    model = MODELS[name]
+    grid = TimeGrid(1.0, steps)
+    jumps = hand_jumps(grid, 7) if model.has_jumps else None
+    assert_steps_as_reference(
+        model, grid, hand_increments(steps, 7), jumps, want_y, weighted, record
+    )
+
+
+def test_signed_zero_cases_reach_a_negative_zero():
+    # the cases above are only a check if some output holds -0.0 that a
+    # careless skip would turn into +0.0, or the other way round
+    grid = TimeGrid(1.0, 2)
+    model = MODELS["ou_stiff_lam0"]
+    res = reference_step_block(model, model.theta0, grid, hand_increments(2, 7), None,
+                               want_y=True, record=True)
+    y = res.y_path
+    assert np.any((y == 0) & np.signbit(y)) and np.any((y == 0) & ~np.signbit(y))
+
+
+def scalar_g_tripwire(model, theta, grid, root, n_paths, path, step):
+    """b_x stays +0.0 and a_x turns NaN, a scalar, once a block's state
+    holds the value `path` reaches at `step`: g is a scalar NaN there."""
+    target = simulate_batch(model, theta, grid, root, n_paths, record=True).x_path[step, path]
+
+    def coefficients(x, th):
+        coef = list(model.coefficients(x, th))
+        if np.any(x == target):
+            coef[2] = float("nan")
+        return tuple(coef)
+
+    return replace(model, coefficients=coefficients)
+
+
+def jump_column_tripwire(model, theta, grid, root, n_paths, path, step):
+    """c_x stays +0.0 and one c_theta entry turns inf once a jump starts
+    from the value `path` reaches at `step`: the jumps add one column."""
+    target = simulate_batch(model, theta, grid, root, n_paths, record=True).x_path[step, path]
+
+    def jump_kernel(x, z, th):
+        c, c_x, c_th = model.jump_kernel(x, z, th)
+        if np.any(x == target):
+            c_th = c_th[:-1] + (float("inf"),)
+        return c, c_x, c_th
+
+    return replace(model, jump_kernel=jump_kernel)
+
+
+def first_jump(model, grid, root, n_paths, after):
+    """(path, step) of the first jump of the batch at or after step `after`."""
+    increments = np.empty((grid.steps, n_paths))
+    cols, sizes, bounds = _flat_jumps(
+        *_draw_chunk(path_seed(root, 0), grid, model.jump, 0, increments), grid
+    )
+    k = int(np.searchsorted(bounds, bounds[after], side="right")) - 1
+    return int(cols[bounds[k]]), k
+
+
+def blowup(monkeypatch, model, theta, grid, root, n_paths, workers, stepper):
+    monkeypatch.setattr(plugmc.simulate, "_worker_count", lambda chunks: min(workers, chunks))
+    monkeypatch.setattr(plugmc.simulate, "_step_block", stepper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationBlowup) as err:
+            simulate_batch(model, theta, grid, root, n_paths, want_y=True, chunk_size=3)
+    return err.value
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("branch", ["scalar_g", "jump_column"])
+def test_blowup_through_skipping_branches_matches_reference(monkeypatch, branch, workers):
+    ou = ou_jump_model(1.0, 0.3, 0.5, 5.0, 1.0)
+    grid, root, n_paths = TimeGrid(1.0, 20), 17, 10
+    if branch == "scalar_g":
+        path, step = 7, 9
+        model = scalar_g_tripwire(ou, ou.theta0, grid, root, n_paths, path, step)
+    else:
+        path, step = first_jump(ou, grid, root, n_paths, after=8)
+        model = jump_column_tripwire(ou, ou.theta0, grid, root, n_paths, path, step)
+    got = blowup(monkeypatch, model, ou.theta0, grid, root, n_paths, workers, _step_block)
+    want = blowup(
+        monkeypatch, model, ou.theta0, grid, root, n_paths, workers, reference_step_block
+    )
+    assert (got.step, str(got)) == (want.step, str(want))
+    assert got.step == step + 1 and " in Y " in str(got)
+    index = int(str(got).rsplit(" ", 1)[1].rstrip(")"))
+    if branch == "scalar_g":  # every column of the path's chunk turns NaN
+        assert path - 2 <= index <= path
+    else:
+        assert index == path
