@@ -4,13 +4,13 @@ Subcommands:
   simulate    seeded (X, Y) paths as CSV
   estimate    contrast estimation from an observation CSV, JSON out
   price       plug-in Monte Carlo value with confidence interval, JSON out
-  experiment  replicated study driver, writes CSV/JSON artifacts
+  experiment  replicated study driver, JSON out, and its files in --out
 
 All outputs are deterministic given the config and seed.  An input the
-program rejects (an unreadable file, a config that is not a JSON object,
-lacks a required field or holds an unknown key or a value of the wrong
-type, bad data: a ValueError raised by a command), and a path that blows
-up (a SimulationBlowup), is reported as
+program rejects (an unreadable file, an output it cannot write, a config
+that is not a JSON object, lacks a required field or holds an unknown
+key or a value of the wrong type, bad data: a ValueError raised by a
+command), and a path that blows up (a SimulationBlowup), is reported as
 `plugmc <command>: error: <message>` on standard error, with exit code 2,
 the code argparse uses for its own usage errors.
 """
@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path as FsPath
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .experiments import (
     model_from_config,
     run_bs_experiment,
     run_ou_oracle,
+    study_files,
     write_experiment_outputs,
 )
 from .inference import build_report
@@ -175,17 +175,15 @@ def cmd_experiment(args) -> int:
     raw = _load_json(args.config)
     kind = raw.pop("kind", "bs")
     config = ExperimentConfig.from_dict(raw, kind)
+    if args.out_dir is not None:
+        write_experiment_outputs({}, args.out_dir)  # a bad --out fails before any path
     if kind == "bs":
-        output = run_bs_experiment(config)
-        if args.out_dir:
-            write_experiment_outputs(output, args.out_dir)
-        summary = output.summary
+        files = study_files(run_bs_experiment(config))
     else:
-        summary = run_ou_oracle(config)
-        if args.out_dir:
-            FsPath(args.out_dir).mkdir(parents=True, exist_ok=True)
-            (FsPath(args.out_dir) / "summary.json").write_text(json_text(summary))
-    args.out.write(json_text(summary))
+        files = {"summary.json": json_text(run_ou_oracle(config))}
+    if args.out_dir is not None:
+        write_experiment_outputs(files, args.out_dir)
+    args.out.write(files["summary.json"])
     return 0
 
 

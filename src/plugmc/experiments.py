@@ -29,7 +29,7 @@ import io
 import json
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -50,8 +50,6 @@ from .normal import norm_cdf, norm_ppf
 from .simulate import TimeGrid, euler_path, path_seed, sample_noise
 from .workers import in_slices
 from .workers import worker_count as _worker_count
-
-Array = np.ndarray
 
 __all__ = [
     "ExperimentConfig",
@@ -216,9 +214,7 @@ class ReplicationRow:
 @dataclass(frozen=True)
 class ExperimentOutput:
     rows: tuple
-    z_values: Array
     summary: dict
-    failures: tuple = field(default_factory=tuple)
 
 
 def ks_statistic(samples) -> float:
@@ -241,8 +237,8 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
     smoothed call at the estimate on the study's one set of pricing paths,
     and record the normalized error (true-parameter C and I in the
     denominator) plus the estimate-based confidence interval.  Replication
-    failures are recorded and tolerated up to 5% of R; beyond that the
-    study raises a ValueError.
+    failures are tolerated up to 5% of R, counted as the summary's failed;
+    beyond that the study raises a ValueError naming the first.
 
     The correction pass at theta0 runs first, its paths split over worker
     processes as every batch is; the replications then run in forked
@@ -366,12 +362,7 @@ def run_bs_experiment(config: ExperimentConfig) -> ExperimentOutput:
         "coverage": sum(row.covered for row in rows) / len(rows) if rows else float("nan"),
         "alpha": config.alpha,
     }
-    return ExperimentOutput(
-        rows=tuple(rows),
-        z_values=z_arr,
-        summary=summary,
-        failures=tuple(failures),
-    )
+    return ExperimentOutput(rows=tuple(rows), summary=summary)
 
 
 def run_ou_oracle(config: ExperimentConfig) -> dict:
@@ -470,14 +461,14 @@ def replications_csv(output: ExperimentOutput) -> str:
     return csv_text(header, ([_fmt(v) for v in row] for row in rows))
 
 
-def qq_csv(z_values: Array) -> str:
+def qq_csv(z_values) -> str:
     z = np.sort(np.asarray(z_values, dtype=float))
     n = z.size
     theo = norm_ppf((np.arange(1, n + 1) - 0.5) / n)
     return csv_text(["theoretical", "empirical"], ([_fmt(t), _fmt(e)] for t, e in zip(theo, z)))
 
 
-def histogram_csv(z_values: Array) -> str:
+def histogram_csv(z_values) -> str:
     counts, edges = np.histogram(z_values, bins=HIST_EDGES)
     return csv_text(
         ["bin_left", "bin_right", "count"],
@@ -485,18 +476,33 @@ def histogram_csv(z_values: Array) -> str:
     )
 
 
-def write_experiment_outputs(output: ExperimentOutput, out_dir) -> dict:
-    """Write replications.csv, summary.json, qq.csv, histogram.csv."""
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {
+def study_files(output: ExperimentOutput) -> dict:
+    """A bs study's file texts by name; qq.csv and histogram.csv show the rows' z_hat."""
+    z = [row.z_hat for row in output.rows]
+    return {
         "replications.csv": replications_csv(output),
         "summary.json": json_text(output.summary),
-        "qq.csv": qq_csv(output.z_values),
-        "histogram.csv": histogram_csv(output.z_values),
+        "qq.csv": qq_csv(z),
+        "histogram.csv": histogram_csv(z),
     }
-    for name, content in files.items():
-        (out / name).write_text(content)
+
+
+def write_experiment_outputs(files: dict, out_dir) -> dict:
+    """The one writer of an experiment's files: each text of files, keyed
+    by file name, into the directory out_dir, made with its parents if
+    missing; returns files.  Called with no files, it only makes out_dir,
+    as a study does before its first path.  An empty out_dir, or an
+    OSError, is a ValueError (cannot write <path>: <reason>)."""
+    if not out_dir:
+        raise ValueError("the output directory path is empty")
+    path = FsPath(out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = FsPath(out_dir) / name
+            path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
     return files
 
 

@@ -24,10 +24,9 @@ regenerated in isolation by drawing its block's rows up to its own.
 
 A batch builds no generator per block: it re-keys one Philox bit
 generator and re-sets two SFC64 ones through their state setters (see
-_BlockStreams); a block without jumps sets the increments state alone.
-SFC64 draws a normal faster than Philox, and setting the states costs a
-few microseconds per block; what the noise layer still costs is the
-normal draws themselves.
+_BlockStreams).  SFC64 draws a normal faster than Philox, and setting
+the states costs a few microseconds per block; what the noise layer
+still costs is the normal draws themselves.
 
 A batch is split over worker processes: with W = min(usable CPUs,
 chunks) > 1, each of W equal contiguous ranges of paths is drawn and
@@ -249,9 +248,7 @@ class _BlockStreams:
     for its jumps; each setter also clears the cached 32-bit half
     (has_uint32 0, uinteger 0).  So the two generators draw exactly as
     fresh Generator(SFC64) objects given those states, and nothing of the
-    previous block survives.  No generator is built per block.  For a
-    block without jumps only words 0-3 are taken and set: its jump
-    generator is never drawn from.
+    previous block survives.  No generator is built per block.
     """
 
     def __init__(self):
@@ -274,14 +271,13 @@ class _BlockStreams:
             "uinteger": 0,
         }
 
-    def at(self, key: int, jumps: bool) -> tuple[np.random.Generator, np.random.Generator]:
-        """The block's (increments, jumps) generators, set from key; with
-        jumps False the jumps generator is left as it was, not to be used."""
+    def at(self, key: int) -> tuple[np.random.Generator, np.random.Generator]:
+        """The block's (increments, jumps) generators, set from key."""
         self._key[0] = key & _MASK64
         self._key[1] = key >> 64
         self._philox.state = self._philox_state  # the setter copies, the dict stays as built
-        words = self._philox.random_raw(8 if jumps else 4)
-        for bits, lo in zip(self._sfc if jumps else self._sfc[:1], (0, 4)):
+        words = self._philox.random_raw(8)
+        for bits, lo in zip(self._sfc, (0, 4)):
             self._sfc_state["state"]["state"] = words[lo : lo + 4]
             bits.state = self._sfc_state
         return self._gens
@@ -301,10 +297,9 @@ def _draw_block(streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec
     time, then every size.  A row's normals do not depend on `rows`, and
     its jumps do not depend on which rows the caller keeps.
     """
-    has_jumps = jump.intensity > 0
-    normals, jumps = streams.at(key, has_jumps)
+    normals, jumps = streams.at(key)
     normals.standard_normal(out=out)
-    if has_jumps:
+    if jump.intensity > 0:
         counts = jumps.poisson(jump.poisson_mean(grid.horizon), BLOCK_PATHS)
         total = int(counts.sum())
         row = np.repeat(np.arange(BLOCK_PATHS), counts)

@@ -16,6 +16,9 @@ another road:
 - reference_step_block is the Euler stepper as it was before the
   stepper skipped terms and reused buffers, one new array per
   operation; the stepper must give its floats bit for bit;
+- complex_step_terminal runs the Euler recursion of X alone in complex
+  arithmetic at theta + i h e_j, whose imaginary part over h is the
+  derivative the package's Y steps, free of cancellation;
 - the coupling-order study measures X^{theta+u} - X^theta - u.Y from two
   recorded batches on the same seeds, (X, Y) at theta and X alone at
   theta + u.  On shared noise it is small pathwise (order |u|^2 in sup
@@ -315,6 +318,56 @@ def reference_step_block(
         x_path=rec_x,
         y_path=rec_y,
     )
+
+
+# ---------------------------------------------------------------------------
+# Complex-step derivative
+# ---------------------------------------------------------------------------
+
+# The complex step h: Im f(theta + i h e_j) / h is df/dtheta_j up to
+# O(h^2) and involves no subtraction, so h can be tiny (Squire and Trapp,
+# "Using complex variables to estimate derivatives of real functions",
+# SIAM Review 40, 1998).
+COMPLEX_STEP = 1e-30
+
+
+def complex_step_terminal(
+    model: JumpDiffusionModel, theta, grid: TimeGrid, increments: Array, jumps
+) -> tuple[Array, Array]:
+    """(Re X_T, Im X_T / h) of the Euler iterates of X, each of shape (p, m):
+    row j is stepped at theta + i h e_j, so Im X_T / h is dX_T/dtheta_j.
+
+    For each coordinate j, X's recursion alone runs in complex arithmetic
+    at theta + i h e_j, in _step_block's order: (X_k + a dt) + b dW_k,
+    minus comp dt, plus the step's jumps (jumps is _flat_jumps' output
+    or None) one at a time from the left limit X_k.  The model's
+    coefficients and jump_kernel are called on the complex values as they
+    are, so they must be complex-analytic in x and theta (the built-ins
+    are polynomials).  Each row of Re X_T is X_T: a product of two
+    imaginary parts lies below the rounding of the real one beside it.
+    """
+    n, m = increments.shape
+    dt = grid.dt
+    x_t, dx = np.empty((model.p, m)), np.empty((model.p, m))
+    for j in range(model.p):
+        th = np.asarray(theta, dtype=complex)
+        th[j] += 1j * COMPLEX_STEP
+        x = np.full(m, model.initial(th), dtype=complex)
+        for k in range(n):
+            x_prev = x
+            coef = model.coefficients(x_prev, th)
+            x = x_prev + coef[0] * dt + coef[1] * increments[k]
+            if model.has_jumps:
+                x = x - coef[6] * dt
+            if jumps is not None:
+                paths_j, sizes_j, bounds = jumps
+                pj = paths_j[bounds[k] : bounds[k + 1]]
+                if pj.size:
+                    c = model.jump_kernel(x_prev[pj], sizes_j[bounds[k] : bounds[k + 1]], th)[0]
+                    np.add.at(x, pj, c)
+        x_t[j] = x.real
+        dx[j] = x.imag / COMPLEX_STEP
+    return x_t, dx
 
 
 # ---------------------------------------------------------------------------

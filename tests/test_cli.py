@@ -542,3 +542,63 @@ def test_simulate_blowup_exits_2_with_one_error_line(capsys):
     assert captured.err == (
         "plugmc simulate: error: non-finite state at step 3 in X (path index 0)\n"
     )
+
+
+STUDY_CFGS = {
+    "bs": {"kind": "bs", "theta0": [0.2, 1.0], "n_obs": 20, "n_paths_price": 1000,
+           "n_paths_correction": 1000, "replications": 30, "root_seed": 3},
+    "ou_oracle": {"kind": "ou_oracle", "theta0": [1.0, 0.3, 0.5],
+                  "n_paths_correction": 1000, "n_grid_price": 20, "root_seed": 3},
+}
+
+
+@pytest.mark.parametrize("where", ["existing_file", "under_a_file", "empty"])
+@pytest.mark.parametrize("kind", sorted(STUDY_CFGS))
+def test_unwritable_out_exits_2_before_any_path(kind, where, tmp_path, monkeypatch, capsys):
+    # each used to run the whole study or oracle and then end in a
+    # FileExistsError or NotADirectoryError traceback with exit 1; an
+    # empty --out exited 0 and wrote nothing
+    import plugmc.inference
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths simulated before the output directory was made")
+
+    monkeypatch.setattr(plugmc.inference, "simulate_batch", no_simulation)
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(STUDY_CFGS[kind]))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir, message = {
+        "existing_file": (str(blocker), f"cannot write {blocker}: File exists"),
+        "under_a_file": (str(blocker / "d"), f"cannot write {blocker / 'd'}: Not a directory"),
+        "empty": ("", "the output directory path is empty"),
+    }[where]
+    assert main(["experiment", "--config", str(config), "--out", out_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"plugmc experiment: error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", sorted(STUDY_CFGS))
+def test_out_dir_gets_the_printed_summary(kind, tmp_path, capsys):
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(STUDY_CFGS[kind]))
+    out_dir = tmp_path / "a" / "b"
+    out = run_cli(["experiment", "--config", str(config), "--out", str(out_dir)], capsys)
+    names = ["summary.json"]
+    if kind == "bs":
+        names += ["histogram.csv", "qq.csv", "replications.csv"]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+    assert (out_dir / "summary.json").read_text() == out
+
+
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps(STUDY_CFGS["ou_oracle"]))
+    (tmp_path / "summary.json").mkdir()
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"plugmc experiment: error: cannot write {tmp_path / 'summary.json'}: Is a directory\n"
+    )

@@ -16,9 +16,11 @@ from plugmc import (
     sample_noise,
 )
 from plugmc.models import JumpDiffusionModel
+from plugmc.simulate import _draw_chunk, _flat_jumps, _step_block, simulate_batch
 
 from conftest import EPS, THETA0, coupling_residual_sup
-from oracles import order_check, ou_derivative_closed_form
+from oracles import complex_step_terminal, order_check, ou_derivative_closed_form
+from test_stepper_bits import hand_increments, hand_jumps
 
 
 def test_composition_matches_independent_expressions(bs_model):
@@ -216,3 +218,41 @@ def test_ou_affine_directions_are_exact(ou_model):
             b = sample_noise(grid, ou_model.jump, path_seed(59, i))
             assert coupling_residual_sup(ou_model, ou_model.theta0, u, b) < 1e-10
 
+
+
+# ---------------------------------------------------------------------------
+# Complex step: Y against Im X / h, to machine precision
+# ---------------------------------------------------------------------------
+
+COMPLEX_STEP_MODELS = {
+    "bs": bs_small_noise_model(0.2, 1.0, EPS, 1.0),
+    "ou_lam0": ou_jump_model(1.0, 0.3, 0.5, 0.0, 1.0),
+    "ou_lam2": ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0),
+    "levy": levy_model(0.1, 0.3, 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("noise", ["drawn", "hand_built"])
+@pytest.mark.parametrize("name", sorted(COMPLEX_STEP_MODELS))
+def test_y_is_complex_step_derivative_of_euler_x(name, noise):
+    # Re X of the complex recursion is the stepper's X bit for bit, and
+    # Y_T is Im X_T / h to rounding, with no difference quotient
+    model = COMPLEX_STEP_MODELS[name]
+    theta = model.theta0
+    if noise == "drawn":
+        # the increments and jumps simulate_batch draws for paths 0..255 of root 23
+        grid, m = TimeGrid(1.0, 200), 256
+        increments = np.empty((grid.steps, m))
+        jumps = _flat_jumps(*_draw_chunk(path_seed(23, 0), grid, model.jump, 0, increments), grid)
+        got = simulate_batch(model, theta, grid, 23, m, want_y=True)
+    else:
+        grid = TimeGrid(1.0, 12)
+        increments = hand_increments(grid.steps, 7)
+        jumps = hand_jumps(grid, 7) if model.has_jumps else None
+        got = _step_block(model, theta, grid, increments, jumps, want_y=True)
+    if jumps is not None:
+        assert jumps[0].size > 0
+    x_re, dx = complex_step_terminal(model, theta, grid, increments, jumps)
+    assert all(np.array_equal(row, got.x_terminal) for row in x_re)
+    y = got.y_terminal.T  # (p, m)
+    assert np.max(np.abs(y - dx)) <= 1e-12 * (1.0 + np.max(np.abs(y)))

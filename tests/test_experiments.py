@@ -28,6 +28,7 @@ from plugmc.experiments import (
     model_from_config,
     qq_csv,
     replications_csv,
+    study_files,
 )
 from plugmc.simulate import BLOCK_PATHS
 from plugmc.workers import in_slices
@@ -160,7 +161,7 @@ def test_bs_experiment_rows_and_summary():
     out = run_bs_experiment(cfg)
     assert len(out.rows) == 30
     assert out.summary["failed"] == 0
-    assert out.z_values.shape == (30,)
+    assert np.asarray([row.z_hat for row in out.rows]).shape == (30,)
     assert 0.0 <= out.summary["ks_statistic"] <= 1.0
     assert 0.5 <= out.summary["coverage"] <= 1.0
     # z roughly centered at this scale
@@ -218,7 +219,7 @@ def test_replications_csv_round_trip():
 
 def test_output_files_written(tmp_path):
     out = run_bs_experiment(ExperimentConfig(**FAST))
-    files = write_experiment_outputs(out, tmp_path)
+    files = write_experiment_outputs(study_files(out), tmp_path)
     for name in ("replications.csv", "summary.json", "qq.csv", "histogram.csv"):
         assert (tmp_path / name).exists()
         assert (tmp_path / name).read_text() == files[name]
@@ -326,7 +327,7 @@ def test_seed_blocks_align_to_noise_blocks():
 def _study_files(monkeypatch, tmp_path, workers, **overrides):
     monkeypatch.setattr(exp, "_worker_count", lambda replications: workers)
     out = run_bs_experiment(ExperimentConfig(**{**FAST, **overrides}))
-    files = write_experiment_outputs(out, tmp_path / f"workers{workers}")
+    files = write_experiment_outputs(study_files(out), tmp_path / f"workers{workers}")
     assert_no_child()
     return files
 
