@@ -6,8 +6,8 @@ The workflow the package supports end to end:
 1. define a parametric jump-diffusion model by two callables that return
    its coefficients with their closed-form derivatives (`models`),
 2. simulate it together with its parameter-sensitivity process from
-   seeded, reusable noise; the model's one fused `coefficients` call
-   drives both (`simulate`),
+   seeded, reusable noise; a built-in model's linear table, or a user
+   model's one fused `coefficients` call, drives both (`simulate`),
 3. estimate the parameter from discrete observations (`estimate`),
 4. evaluate an expected functional at the estimate by Monte Carlo and
    attach a confidence interval that accounts for the estimation error

@@ -18,9 +18,11 @@ the code argparse uses for its own usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -171,16 +173,36 @@ def cmd_price(args) -> int:
     return 0
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """path and those of its parents that do not exist, deepest first: the
+    directories that making path with its parents creates."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def cmd_experiment(args) -> int:
     raw = _load_json(args.config)
     kind = raw.pop("kind", "bs")
     config = ExperimentConfig.from_dict(raw, kind)
+    made = []
     if args.out_dir is not None:
+        made = _missing_dirs(args.out_dir)
         write_experiment_outputs({}, args.out_dir)  # a bad --out fails before any path
-    if kind == "bs":
-        files = study_files(run_bs_experiment(config))
-    else:
-        files = {"summary.json": json_text(run_ou_oracle(config))}
+    try:
+        if kind == "bs":
+            files = study_files(run_bs_experiment(config))
+        else:
+            files = {"summary.json": json_text(run_ou_oracle(config))}
+    except (ValueError, SimulationBlowup):
+        # a study that refuses its input leaves no directory it made
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     if args.out_dir is not None:
         write_experiment_outputs(files, args.out_dir)
     args.out.write(files["summary.json"])

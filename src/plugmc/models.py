@@ -30,6 +30,12 @@ drift `a` must already include any compensator contribution.  The exact
 compensator comp(x, theta) = integral of c(x, z, theta) against the Levy
 measure is returned in closed form, so the simulator never integrates the
 jump law at runtime.
+
+The built-in models are affine in x and linear in theta.  Each is one
+LinearTable, a column per parameter holding its part in the drift, the
+diffusion and the jump size; its factory builds coefficients and
+jump_kernel from the table, so the two cannot disagree, and the simulator
+steps it from the table itself.  A user model has no table.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ __all__ = [
     "JumpSpec",
     "NO_JUMPS",
     "JumpDiffusionModel",
+    "LinearTable",
     "ValidationReport",
     "bs_small_noise_model",
     "ou_jump_model",
@@ -119,6 +126,159 @@ class JumpSpec:
 NO_JUMPS = JumpSpec(intensity=0.0, sampler=None)
 
 
+# The table's arithmetic.  A value is None (a term left out), a number, or
+# Python source text: run on numbers it gives the theta-scalars, run on
+# the names th, x and z it writes the source of the fused calls.
+
+
+def _src(value) -> str:
+    return value if isinstance(value, str) else repr(float(value))
+
+
+def _plus(u, v):
+    """u + v, leaving out a part that is None."""
+    if u is None or v is None:
+        return v if u is None else u
+    if isinstance(u, str) or isinstance(v, str):
+        return f"({_src(u)} + {_src(v)})"
+    return u + v
+
+
+def _lin(const, slope, v):
+    """const + slope * v, leaving out a part that is None; None if both are.
+    A slope of 1.0 adds v itself, which equals 1.0 * v bit for bit."""
+    if slope is None:
+        return const
+    if isinstance(slope, str) or isinstance(v, str):
+        term = v if slope == 1.0 else f"({_src(slope)} * {_src(v)})"
+    else:
+        term = v if slope == 1.0 else slope * v
+    return _plus(const, term)
+
+
+def _weighted(base, entries, theta):
+    """base + sum_j theta_j entries[j] over the entries that are not None,
+    in order; None if nothing is left."""
+    total = base
+    for th, entry in zip(theta, entries):
+        total = _plus(total, _lin(None, entry, th))
+    return total
+
+
+def _entries(row) -> tuple:
+    """A table row as it is read: a 0 entry is None, so its term is left
+    out once, and any other entry a finite float."""
+    if not all(np.isfinite(row)):
+        raise ValueError(f"table entries must be finite, got {row}")
+    return tuple(None if v == 0 else float(v) for v in row)
+
+
+def _render(value) -> str:
+    """The source of a fused call's entry: 0.0 for None, a tuple for a list."""
+    if isinstance(value, list):
+        return "(" + ", ".join(map(_render, value)) + ",)"
+    return "0.0" if value is None else _src(value)
+
+
+@dataclass(frozen=True)
+class LinearTable:
+    """The linear description of a model, one column per parameter j.
+
+    Entry j of each row is theta_j's part in one term of the dynamics:
+
+        drift net of the compensator   sum_j theta_j (alpha_j + beta_j x)
+        diffusion                      sum_j theta_j (gamma_j + delta_j x)
+        size of a jump of centred z    kappa_0 + nu_0 z
+                                       + sum_j theta_j (kappa_j + nu_j z)
+
+    with (kappa_0, nu_0) = jump_base; kappa and nu default to zeros, for a
+    model without jumps.  The compensator is intensity * (kappa(theta) +
+    nu(theta) size_mean), size_mean the mean of the jump law's z, and the
+    drift of `coefficients` adds it back.  A 0 entry is stored as None,
+    and every term it scales is left out, here and in the simulator's step.
+
+    `coefficients(x, th)` and `jump_kernel(x, z, th)`, the fused calls of
+    the module docstring, are compiled once from the table: the same
+    arithmetic run on names writes their source, one expression per
+    entry, so a call costs what a hand-written one does.
+    """
+
+    alpha: tuple
+    beta: tuple
+    gamma: tuple
+    delta: tuple
+    kappa: tuple | None = None
+    nu: tuple | None = None
+    jump_base: tuple = (0.0, 0.0)
+    size_mean: float = 0.0
+    intensity: float = 0.0
+
+    def __post_init__(self):
+        zeros = (0.0,) * len(self.alpha)
+        for name in ("alpha", "beta", "gamma", "delta", "kappa", "nu", "jump_base"):
+            row = getattr(self, name)
+            object.__setattr__(self, name, _entries(zeros if row is None else row))
+        # the theta-scalars that are expressions become locals of the calls
+        names = ("alpha", "beta", "gamma", "delta", "kappa", "nu")
+        th = [f"th[{j}]" for j in range(len(self.alpha))]
+        scalars = self.scalars(th)
+        head = "".join(
+            f"    {name} = {value}\n"
+            for name, value in zip(names, scalars)
+            if isinstance(value, str)
+        )
+        scalars = [name if isinstance(v, str) else v for name, v in zip(names, scalars)]
+        coef = self._coefficients("x", scalars)
+        kernel = [_lin(*scalars[4:], "z"), None, list(self.jump_shares("z"))]
+        source = (
+            f"def coefficients(x, th):\n{head}    return {_render(list(coef))}\n"
+            f"def jump_kernel(x, z, th):\n{head}    return {_render(kernel)}\n"
+        )
+        calls = {}
+        exec(source, calls)  # the source holds only names and float reprs
+        object.__setattr__(self, "coefficients", calls["coefficients"])
+        object.__setattr__(self, "jump_kernel", calls["jump_kernel"])
+
+    def scalars(self, theta) -> tuple:
+        """(alpha, beta, gamma, delta, kappa, nu) at theta: each row's base
+        (kappa_0, nu_0 or none) plus sum_j theta_j entry_j, None where all
+        of them are 0."""
+        rows = (self.alpha, self.beta, self.gamma, self.delta, self.kappa, self.nu)
+        bases = (None,) * 4 + self.jump_base
+        return tuple(_weighted(base, row, theta) for base, row in zip(bases, rows))
+
+    def jump_size(self, z, theta):
+        """kappa(theta) + nu(theta) z, the jump of each centred size z."""
+        size = _lin(*self.scalars(theta)[4:], z)
+        return 0.0 if size is None else size
+
+    def jump_shares(self, z) -> tuple:
+        """kappa_j + nu_j z for each parameter j, the theta-derivative of the
+        jump of each centred size z; None for a column without a jump part."""
+        return tuple(_lin(k_j, n_j, z) for k_j, n_j in zip(self.kappa, self.nu))
+
+    def _compensator(self, kappa, nu):
+        """intensity * (kappa + nu * size_mean) for the scalars kappa, nu,
+        None if both are."""
+        mean = _lin(kappa, nu, self.size_mean) if self.size_mean != 0 else kappa
+        return _lin(None, self.intensity, mean) if mean is not None else None
+
+    def _coefficients(self, x, scalars) -> tuple:
+        """The entries of coefficients(x, th) from the theta-scalars, with
+        None for 0.0 and a list for a tuple: the drift is the net drift
+        plus the compensator."""
+        alpha, beta, gamma, delta, kappa, nu = scalars
+        comp = self._compensator(kappa, nu)
+        comp_th = [self._compensator(k_j, n_j) for k_j, n_j in zip(self.kappa, self.nu)]
+        a = _plus(_lin(alpha, beta, x), comp)
+        a_th = [
+            _plus(_lin(a_j, b_j, x), c_j) for a_j, b_j, c_j in zip(self.alpha, self.beta, comp_th)
+        ]
+        b_th = [_lin(g_j, d_j, x) for g_j, d_j in zip(self.gamma, self.delta)]
+        coef = (a, _lin(gamma, delta, x), beta, delta, a_th, b_th)
+        return coef + (comp, None, comp_th) if self.intensity > 0 else coef
+
+
 @dataclass(frozen=True)
 class JumpDiffusionModel:
     """Coefficients, derivatives and jump law of a parametric jump diffusion.
@@ -130,6 +290,9 @@ class JumpDiffusionModel:
     at 1.  ``jump`` is the law the noise generator draws from.
     ``param_box`` is the parameter set: one [low, high] row per parameter,
     checked by ``require_theta``, which ``theta0`` passes at construction.
+    ``table`` is the linear description of a built-in model; a model with
+    one takes its coefficients, jump kernel and intensity from it, so one
+    that replaces any of them sets ``table=None``.
     """
 
     name: str
@@ -143,6 +306,7 @@ class JumpDiffusionModel:
     epsilon: float = 1.0
     jump: JumpSpec = NO_JUMPS
     jump_kernel: Callable[..., tuple] | None = None
+    table: LinearTable | None = None
 
     def __post_init__(self):
         box = np.asarray(self.param_box, dtype=float)
@@ -152,6 +316,16 @@ class JumpDiffusionModel:
         object.__setattr__(self, "theta0", self.require_theta(self.theta0))
         if self.jump.intensity > 0 and self.jump_kernel is None:
             raise ValueError("model has jumps but no jump kernel")
+        table = self.table
+        if table is not None and (
+            self.coefficients != table.coefficients
+            or self.jump_kernel != (table.jump_kernel if self.has_jumps else None)
+            or self.jump.intensity != table.intensity
+        ):
+            raise ValueError(
+                f"{self.name}: a model with a table takes its coefficients, jump "
+                "kernel and intensity from it"
+            )
 
     @property
     def p(self) -> int:
@@ -276,19 +450,19 @@ def bs_small_noise_model(
     if x0 <= 0:
         raise ValueError(f"x0 must be > 0, got {x0}")
 
-    def coefficients(x, th):
-        return (th[0] * x, eps * th[1] * x, th[0], eps * th[1], (x, 0.0), (0.0, eps * x))
-
+    # columns (mu, sigma): drift mu x, diffusion eps sigma x
+    table = LinearTable(alpha=(0, 0), beta=(1, 0), gamma=(0, 0), delta=(0, eps))
     return JumpDiffusionModel(
         name="bs_small_noise",
         param_names=("mu", "sigma"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(2),
-        coefficients=coefficients,
+        coefficients=table.coefficients,
         param_box=np.array([[-5.0, 5.0], [1e-8, 10.0]]),
         growth_const=abs(mu) + eps * sigma,
         theta0=np.array([mu, sigma], dtype=float),
         epsilon=eps,
+        table=table,
     )
 
 
@@ -310,28 +484,24 @@ def ou_jump_model(mu: float, sigma: float, eta: float, lam: float, x0: float) ->
     # z = 0 (probes use |z| >= 0.5), |z + eta| <= (1 + 2|eta|)|z|.
     kappa = max(mu, lam * abs(eta) + sigma, 1.0 + 2.0 * abs(eta))
 
-    def coefficients(x, th):
-        drift = -th[0] * x + lam * th[2]
-        coef = (drift, th[1], -th[0], 0.0, (-x, 0.0, lam), (0.0, 1.0, 0.0))
-        if lam > 0:
-            coef += (lam * th[2], 0.0, (0.0, 0.0, lam))
-        return coef
-
-    def jump_kernel(x, z, th):
-        return (z + th[2], 0.0, (0.0, 0.0, 1.0))
-
+    # columns (mu, sigma, eta): drift -mu x, diffusion sigma, jump z + eta
+    table = LinearTable(
+        alpha=(0, 0, 0), beta=(-1, 0, 0), gamma=(0, 1, 0), delta=(0, 0, 0),
+        kappa=(0, 0, 1), jump_base=(0, 1), intensity=lam,
+    )
     return JumpDiffusionModel(
         name="ou_jump",
         param_names=("mu", "sigma", "eta"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(3),
-        coefficients=coefficients,
+        coefficients=table.coefficients,
         # mu > 0: the closed forms divide by mu
         param_box=np.array([[1e-8, 20.0], [0.0, 10.0], [-10.0, 10.0]]),
         growth_const=kappa,
         theta0=np.array([mu, sigma, eta], dtype=float),
         jump=spec,
-        jump_kernel=jump_kernel if lam > 0 else None,
+        jump_kernel=table.jump_kernel if lam > 0 else None,
+        table=table,
     )
 
 
@@ -350,21 +520,21 @@ def levy_model(mu: float, sigma: float, eta: float, x0: float) -> JumpDiffusionM
 
     spec = JumpSpec(intensity=1.0, sampler=lambda rng, count: rng.exponential(1.0, count))
 
-    def coefficients(x, th):
-        return (
-            th[0] + th[2], th[1], 0.0, 0.0, (1.0, 0.0, 1.0), (0.0, 1.0, 0.0),
-            th[2], 0.0, (0.0, 0.0, 1.0),
-        )
-
+    # columns (mu, sigma, eta): drift mu, diffusion sigma, jump eta z
+    table = LinearTable(
+        alpha=(1, 0, 0), beta=(0, 0, 0), gamma=(0, 1, 0), delta=(0, 0, 0),
+        nu=(0, 0, 1), size_mean=1.0, intensity=spec.intensity,
+    )
     return JumpDiffusionModel(
         name="levy",
         param_names=("mu", "sigma", "eta"),
         initial=lambda th: x0,
         initial_grad=lambda th: np.zeros(3),
-        coefficients=coefficients,
+        coefficients=table.coefficients,
         param_box=np.array([[-10.0, 10.0], [0.0, 10.0], [-10.0, 10.0]]),
         growth_const=abs(mu + eta) + sigma + abs(eta),
         theta0=np.array([mu, sigma, eta], dtype=float),
         jump=spec,
-        jump_kernel=lambda x, z, th: (th[2] * z, 0.0, (0.0, 0.0, z)),
+        jump_kernel=table.jump_kernel,
+        table=table,
     )

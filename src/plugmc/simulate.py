@@ -33,8 +33,8 @@ chunks) > 1, each of W equal contiguous ranges of paths is drawn and
 stepped, chunk by chunk, in a forked child (see workers.in_slices), and
 the parent joins the pieces in path order.  A path's numbers depend only
 on its block's key and its own column, so the outputs are those of a
-serial run.  The model's coefficients and jump_kernel and the jump law's
-sampler run in the workers.
+serial run.  The model's table or its coefficients and jump_kernel, and
+the jump law's sampler, run in the workers.
 
 The Euler step applied everywhere (single paths and vectorized batches
 share one stepper) is
@@ -46,28 +46,50 @@ share one stepper) is
 i.e. jumps enter with the left-limit state and the compensator drift is
 evaluated in closed form from the model.  The sensitivity Y = dX/dtheta,
 held as a (p, m) array for m paths, is advanced on the same grid from the
-same noise by differentiating that step.  In the factored (pathwise
+same noise by differentiating that step, in the factored (pathwise
 tangent) form of Glasserman, Monte Carlo Methods in Financial
-Engineering (2004), section 7.2,
+Engineering (2004), section 7.2: a factor g_k, computed once per step,
+scales all p rows.  So the Euler iterates of Y are the exact
+theta-derivatives of the Euler iterates of X, up to rounding.  X and Y
+are checked for finiteness once per block of paths, after its last step,
+since each update adds to or scales the previous state; a block that
+fails is stepped again from the same noise with a check after every
+step, which names the first non-finite step.  One skeleton
+(_step_block) holds the state, its buffers, the weighted sums, the
+recorded paths and that check; only the body of a step depends on the
+model, and on nothing else.
 
+A model with a table (models.LinearTable: the built-ins) takes the
+affine step.  The table's theta-scalars alpha, beta, gamma, delta (the
+drift net of the compensator is alpha + beta x, the diffusion gamma +
+delta x) are computed once per block, and
+
+    g_k       = (1 + beta dt) + delta dW_k
+    X_{k+1}   = X_k g_k + alpha dt + gamma dW_k + sum of jumps
+    Y_{k+1,j} = Y_{k,j} g_k + (alpha_j + beta_j X_k) dt
+                + (gamma_j + delta_j X_k) dW_k + sum of jump shares,
+
+with the compensator gone from both, as it cancels in the net drift.  A
+table entry of 0 leaves its term out once per block, so a step calls no
+model and tests no coefficient: for bs the X step is X_k g_k alone.  A
+jump's size kappa(theta) + nu(theta) z and each row's share kappa_j +
+nu_j z do not depend on x, so a block computes all of them in one call,
+and a step adds its own slice.
+
+A model without a table takes the generic step: one `model.coefficients`
+call per step,
+
+    X_{k+1} = (X_k + a dt) + b dW_k - comp dt + sum of c(X_k, z_j)
     g_k     = 1 + a_x dt + b_x dW_k - comp_x dt
     Y_{k+1} = Y_k g_k + (a_theta dt + b_theta dW_k - comp_theta dt)
-              + sum of (c_x Y_k + c_theta) over jumps,
-
-the factor g_k is computed once per step and shared by all p rows.  Every
-coefficient comes from one `model.coefficients` call per step, so the
-Euler iterates of Y are the exact theta-derivatives of the Euler iterates
-of X, up to rounding.  X and Y are checked for finiteness once per block
-of paths, after its last step, since each update adds to or scales the
-previous state; a block that fails is stepped again from the same noise
-with a check after every step, which names the first non-finite step.
+              + sum of (c_x Y_k + c_theta) over jumps.
 
 Each array term goes through out= into buffers made once per block, in
 the order of the formulas above; X and Y swap between two buffers each,
-so a model must not keep the x it is given.  A term is skipped only where
-that moves no bit: v - (+0.0) and v + (-0.0) are v, but v + (+0.0) turns
-v = -0.0 into +0.0.  With dW_k and Y_k finite (otherwise the step raises
-either way, X before Y), the skips are:
+so a model must not keep the x it is given.  In the generic step a term
+is skipped only where that moves no bit: v - (+0.0) and v + (-0.0) are
+v, but v + (+0.0) turns v = -0.0 into +0.0.  With dW_k and Y_k finite
+(otherwise the step raises either way, X before Y), the skips are:
 
   - b_x dW_k for b_x the float +0.0: g_k = 1 + a_x dt, a scalar when a_x
     is, as b_x dW_k is +-0.0 and 1 + v is never -0.0;
@@ -79,9 +101,9 @@ either way, X before Y), the skips are:
     other than -0.0: the jumps add the entries as one (p, 1) column.
 
 Skipping a_theta[j] dt = +0.0 before an array b_theta[j] dW_k, or
-b_theta[j] dW_k = +-0.0 beside an array a_theta[j] dt (ou's -x dt is -0.0
-at x = 0), would move bits where Y_k g_k is -0.0 (g_k < 0, Y_k = +0.0),
-so neither is made.
+b_theta[j] dW_k = +-0.0 beside an array a_theta[j] dt (a gradient -x dt
+is -0.0 at x = 0), would move bits where Y_k g_k is -0.0 (g_k < 0,
+Y_k = +0.0), so neither is made.
 
 A batch keeps, per path, the terminal (X, Y) and one weighted sum over
 the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
@@ -394,65 +416,16 @@ def _is_one(v) -> bool:
     return isinstance(v, float) and v == 1.0
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _step_block(
-    model: JumpDiffusionModel,
-    theta: Array,
-    grid: TimeGrid,
-    increments: Array,  # (steps, m), one column per path
-    jumps,  # output of _flat_jumps or None
-    *,
-    want_y: bool = False,
-    weights: Array | None = None,  # (steps + 1,), one per grid node
-    record: bool = False,
-    path_offset: int = 0,
-    check_steps: bool = False,
-) -> BatchResult:
-    """Advance a block of m paths over the full grid.
-
-    weights adds the weighted sums x_sum (and y_sum); record=True keeps
-    the full paths in x_path and y_path (small blocks only).  Raises
-    SimulationBlowup at the first step where X or Y turns non-finite,
-    found by a re-run with check_steps=True if the end-of-block check fails;
-    numpy's overflow warnings are silenced, as that error reports them.
-    The terms the module docstring lists are skipped.
-    """
-    n, m = increments.shape
-    dt = grid.dt
-    p = model.p
-    x = np.full(m, float(model.initial(theta)))
-    x_prev = np.empty(m)  # the two swap each step
-    # a term, a partial sum, a row term, the factor g: a sum goes into a buffer
-    # other than its inputs where one is free (in place costs more at m = 1)
-    tmp, acc, row, g_buf = (np.empty(m) for _ in range(4))
-    has_jumps = model.has_jumps
-
-    y = None
-    if want_y:
-        y0 = np.asarray(model.initial_grad(theta), dtype=float)
-        y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
-        y_prev = np.empty_like(y)  # the two swap each step
-
-    x_sum = y_sum = None
-    if weights is not None:
-        x_sum = weights[0] * x
-        if y is not None:
-            y_sum = weights[0] * y
-            y_term = np.empty_like(y)
-
-    rec_x = rec_y = None
-    if record:
-        rec_x = np.empty((n + 1, m))
-        rec_x[0] = x
-        if y is not None:
-            rec_y = np.empty((n + 1, p, m))
-            rec_y[0] = y
-
+def _generic_body(model: JumpDiffusionModel, theta: Array, dt: float, increments: Array, jumps,
+                  scratch: tuple):
+    """The step of a model without a table: one coefficients call per step,
+    and the skips of the module docstring."""
+    p, has_jumps = model.p, model.has_jumps
+    tmp, acc, row, g_buf = scratch
     ndarray, add, sub, mul = np.ndarray, np.add, np.subtract, np.multiply
-    for k in range(n):
-        dw = increments[k]
-        x, x_prev = x_prev, x
 
+    def step(k, x_prev, x, y_prev, y):
+        dw = increments[k]
         coef = model.coefficients(x_prev, theta)
         a, b, a_x, b_x, a_th, b_th = coef[:6]
         add(x_prev, mul(a, dt, tmp) if isinstance(a, ndarray) else a * dt, acc)
@@ -469,7 +442,6 @@ def _step_block(
                 g = add(g, dw if _is_one(b_x) else mul(b_x, dw, tmp), g_buf)
             if has_jumps and not _pos_zero(comp_x):
                 g = sub(g, comp_x * dt, g_buf)
-            y, y_prev = y_prev, y
             mul(y_prev, g, y)
             for j in range(p):
                 a_j, b_j, y_j = a_th[j], b_th[j], y[j]
@@ -495,6 +467,144 @@ def _step_block(
                         for j in range(p):
                             c_y[j] += c_th[j]
                     np.add.at(y, (slice(None), pj), c_y)
+
+    return step
+
+
+def _affine_body(model: JumpDiffusionModel, theta: Array, dt: float, increments: Array, jumps,
+                 scratch: tuple):
+    """The step of a model with a table, from the block's theta-scalars: no
+    model call and no test of a coefficient per step (module docstring)."""
+    table = model.table
+    alpha, beta, gamma, delta = table.scalars(theta)[:4]
+    tmp, xdw_buf, _, g_buf = scratch
+    add, mul, add_at = np.add, np.multiply, np.add.at
+    g0 = 1.0 if beta is None else 1.0 + beta * dt
+    alpha_dt = None if alpha is None else alpha * dt
+    # Y row j's terms, added in this order: alpha_j dt, then scale * source
+    # for source 0 = dW_k, 1 = X_k, 2 = X_k dW_k, those of scale 1.0 (the
+    # source itself) first
+    consts = [(j, a_j * dt) for j, a_j in enumerate(table.alpha) if a_j is not None]
+    beta_dt = [None if b_j is None else b_j * dt for b_j in table.beta]
+    terms = [
+        (j, source, scale)
+        for source, scales in enumerate((table.gamma, beta_dt, table.delta))
+        for j, scale in enumerate(scales)
+        if scale is not None
+    ]
+    units = [(j, source) for j, source, scale in terms if scale == 1.0]
+    scaled = [term for term in terms if term[2] != 1.0]
+    want_xdw = any(d_j is not None for d_j in table.delta)
+
+    bounds = ()
+    if jumps is not None:
+        cols, sizes, jump_bounds = jumps
+        bounds = jump_bounds.tolist()
+        # every jump of the block, and each row's share of it, in one call
+        size = np.broadcast_to(table.jump_size(sizes, theta), sizes.shape)
+        shares = [
+            (j, np.broadcast_to(share, sizes.shape))
+            for j, share in enumerate(table.jump_shares(sizes))
+            if share is not None
+        ]
+
+    def step(k, x_prev, x, y_prev, y):
+        dw = increments[k]
+        g = g0 if delta is None else add(g0, mul(dw, delta, g_buf), g_buf)
+        mul(x_prev, g, x)
+        if alpha_dt is not None:
+            add(x, alpha_dt, x)
+        if gamma is not None:
+            add(x, mul(dw, gamma, tmp), x)
+
+        if y is not None:
+            mul(y_prev, g, y)
+            sources = (dw, x_prev, mul(x_prev, dw, xdw_buf) if want_xdw else None)
+            for j, c in consts:
+                y_j = y[j]
+                add(y_j, c, y_j)
+            for j, source in units:
+                y_j = y[j]
+                add(y_j, sources[source], y_j)
+            for j, source, scale in scaled:
+                y_j = y[j]
+                add(y_j, mul(sources[source], scale, tmp), y_j)
+
+        if bounds:
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                pj = cols[lo:hi]
+                add_at(x, pj, size[lo:hi])
+                if y is not None:
+                    for j, share in shares:
+                        add_at(y[j], pj, share[lo:hi])
+
+    return step
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _step_block(
+    model: JumpDiffusionModel,
+    theta: Array,
+    grid: TimeGrid,
+    increments: Array,  # (steps, m), one column per path
+    jumps,  # output of _flat_jumps or None
+    *,
+    want_y: bool = False,
+    weights: Array | None = None,  # (steps + 1,), one per grid node
+    record: bool = False,
+    path_offset: int = 0,
+    check_steps: bool = False,
+) -> BatchResult:
+    """Advance a block of m paths over the full grid.
+
+    weights adds the weighted sums x_sum (and y_sum); record=True keeps
+    the full paths in x_path and y_path (small blocks only).  Raises
+    SimulationBlowup at the first step where X or Y turns non-finite,
+    found by a re-run with check_steps=True if the end-of-block check fails;
+    numpy's overflow warnings are silenced, as that error reports them.
+    Each step's body is the affine one for a model with a table, else the
+    generic one (module docstring).
+    """
+    n, m = increments.shape
+    p = model.p
+    x = np.full(m, float(model.initial(theta)))
+    x_prev = np.empty(m)  # the two swap each step
+    # the bodies' scratch: a term, a partial sum (or X_k dW_k), a row term, the
+    # factor g; a sum goes into a buffer other than its inputs where one is
+    # free (in place costs more at m = 1)
+    scratch = tuple(np.empty(m) for _ in range(4))
+    tmp = scratch[0]
+    body = _generic_body if model.table is None else _affine_body
+    step = body(model, theta, grid.dt, increments, jumps, scratch)
+
+    y = y_prev = None
+    if want_y:
+        y0 = np.asarray(model.initial_grad(theta), dtype=float)
+        y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
+        y_prev = np.empty_like(y)  # the two swap each step
+
+    x_sum = y_sum = None
+    if weights is not None:
+        x_sum = weights[0] * x
+        if y is not None:
+            y_sum = weights[0] * y
+            y_term = np.empty_like(y)
+
+    rec_x = rec_y = None
+    if record:
+        rec_x = np.empty((n + 1, m))
+        rec_x[0] = x
+        if y is not None:
+            rec_y = np.empty((n + 1, p, m))
+            rec_y[0] = y
+
+    add, mul = np.add, np.multiply
+    for k in range(n):
+        x, x_prev = x_prev, x
+        if y is not None:
+            y, y_prev = y_prev, y
+        step(k, x_prev, x, y_prev, y)
 
         if check_steps:
             for label, state in (("X", x), ("Y", y)):

@@ -13,12 +13,18 @@ another road:
   by central differences, where the package averages pathwise gradients;
 - the closed-form sensitivity paths of the mean-reverting jump model
   solve the Y system exactly, where the package steps it with Euler;
+- the hand-written coefficient tuples of the built-in models are those
+  the models had before they were built from their linear tables; the
+  table-built ones must give their values bit for bit;
 - reference_step_block is the Euler stepper as it was before the
   stepper skipped terms and reused buffers, one new array per
-  operation; the stepper must give its floats bit for bit;
+  operation, stepping every model through its coefficients; a user
+  model's step must give its floats bit for bit, a built-in's, which
+  steps from its table, within rounding;
 - complex_step_terminal runs the Euler recursion of X alone in complex
-  arithmetic at theta + i h e_j, whose imaginary part over h is the
-  derivative the package's Y steps, free of cancellation;
+  arithmetic at theta + i h e_j, in the stepper's order for the model,
+  whose imaginary part over h is the derivative the package's Y steps,
+  free of cancellation;
 - the coupling-order study measures X^{theta+u} - X^theta - u.Y from two
   recorded batches on the same seeds, (X, Y) at theta and X alone at
   theta + u.  On shared noise it is small pathwise (order |u|^2 in sup
@@ -187,6 +193,51 @@ def ou_derivative_closed_form(theta, noise: NoiseBundle, x0: float) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# Hand-written coefficients of the built-in models
+# ---------------------------------------------------------------------------
+
+
+def hand_written_bs(eps: float):
+    """(coefficients, jump_kernel) of bs_small_noise_model as written by hand:
+    dX = mu X dt + eps sigma X dW."""
+
+    def coefficients(x, th):
+        return (th[0] * x, eps * th[1] * x, th[0], eps * th[1], (x, 0.0), (0.0, eps * x))
+
+    return coefficients, None
+
+
+def hand_written_ou(lam: float):
+    """(coefficients, jump_kernel) of ou_jump_model as written by hand: the
+    compensated drift -mu x + lam eta and the kernel z + eta."""
+
+    def coefficients(x, th):
+        drift = -th[0] * x + lam * th[2]
+        coef = (drift, th[1], -th[0], 0.0, (-x, 0.0, lam), (0.0, 1.0, 0.0))
+        if lam > 0:
+            coef += (lam * th[2], 0.0, (0.0, 0.0, lam))
+        return coef
+
+    def jump_kernel(x, z, th):
+        return (z + th[2], 0.0, (0.0, 0.0, 1.0))
+
+    return coefficients, jump_kernel if lam > 0 else None
+
+
+def hand_written_levy():
+    """(coefficients, jump_kernel) of levy_model as written by hand: the
+    compensated drift mu + eta and the kernel eta z."""
+
+    def coefficients(x, th):
+        return (
+            th[0] + th[2], th[1], 0.0, 0.0, (1.0, 0.0, 1.0), (0.0, 1.0, 0.0),
+            th[2], 0.0, (0.0, 0.0, 1.0),
+        )
+
+    return coefficients, lambda x, z, th: (th[2] * z, 0.0, (0.0, 0.0, z))
+
+
+# ---------------------------------------------------------------------------
 # Reference Euler stepper
 # ---------------------------------------------------------------------------
 
@@ -338,13 +389,16 @@ def complex_step_terminal(
     row j is stepped at theta + i h e_j, so Im X_T / h is dX_T/dtheta_j.
 
     For each coordinate j, X's recursion alone runs in complex arithmetic
-    at theta + i h e_j, in _step_block's order: (X_k + a dt) + b dW_k,
-    minus comp dt, plus the step's jumps (jumps is _flat_jumps' output
-    or None) one at a time from the left limit X_k.  The model's
-    coefficients and jump_kernel are called on the complex values as they
-    are, so they must be complex-analytic in x and theta (the built-ins
-    are polynomials).  Each row of Re X_T is X_T: a product of two
-    imaginary parts lies below the rounding of the real one beside it.
+    at theta + i h e_j, in _step_block's order.  Without a table that is
+    (X_k + a dt) + b dW_k, minus comp dt; with one, X_k g_k + alpha dt +
+    gamma dW_k with g_k = (1 + beta dt) + delta dW_k, the table's
+    theta-scalars, each term left out where the table's entries are all 0.
+    Then come the step's jumps (jumps is _flat_jumps' output or None) one
+    at a time from the left limit X_k.  The model's coefficients, table
+    and jump_kernel are called on the complex values as they are, so they
+    must be complex-analytic in x and theta (the built-ins are
+    polynomials).  Each row of Re X_T is X_T: a product of two imaginary
+    parts lies below the rounding of the real one beside it.
     """
     n, m = increments.shape
     dt = grid.dt
@@ -353,12 +407,24 @@ def complex_step_terminal(
         th = np.asarray(theta, dtype=complex)
         th[j] += 1j * COMPLEX_STEP
         x = np.full(m, model.initial(th), dtype=complex)
+        if model.table is not None:
+            alpha, beta, gamma, delta = model.table.scalars(th)[:4]
         for k in range(n):
-            x_prev = x
-            coef = model.coefficients(x_prev, th)
-            x = x_prev + coef[0] * dt + coef[1] * increments[k]
-            if model.has_jumps:
-                x = x - coef[6] * dt
+            x_prev, dw = x, increments[k]
+            if model.table is None:
+                coef = model.coefficients(x_prev, th)
+                x = x_prev + coef[0] * dt + coef[1] * dw
+                if model.has_jumps:
+                    x = x - coef[6] * dt
+            else:
+                g = 1.0 if beta is None else 1.0 + beta * dt
+                if delta is not None:
+                    g = g + delta * dw
+                x = x_prev * g
+                if alpha is not None:
+                    x = x + alpha * dt
+                if gamma is not None:
+                    x = x + gamma * dw
             if jumps is not None:
                 paths_j, sizes_j, bounds = jumps
                 pj = paths_j[bounds[k] : bounds[k + 1]]

@@ -525,7 +525,7 @@ def test_failed_study_exits_2_with_one_error_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "plugmc experiment: error: 13 of 30 replications failed; first: "
-        "(0, 'bs_small_noise: mu = 5.013156246154012 outside [-5.0, 5.0]')\n"
+        "(0, 'bs_small_noise: mu = 5.013156246154017 outside [-5.0, 5.0]')\n"
     )
 
 
@@ -602,3 +602,28 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys):
     assert captured.err == (
         f"plugmc experiment: error: cannot write {tmp_path / 'summary.json'}: Is a directory\n"
     )
+
+
+REFUSED_STUDIES = {
+    "bs": ({**STUDY_CFGS["bs"], "theta0": [9.0, 1.0]},
+           "bs_small_noise: mu = 9.0 outside [-5.0, 5.0]"),
+    "ou_oracle": ({**STUDY_CFGS["ou_oracle"], "jump_intensity": -1.0},
+                  "jump intensity must be >= 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED_STUDIES))
+def test_refused_study_leaves_no_directory_it_made(kind, tmp_path, capsys):
+    # each used to exit 2 and leave the new --out directory behind, empty
+    config, message = REFUSED_STUDIES[kind]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out_dir in (tmp_path / "new" / "deeper", existing / "new", existing):
+        assert main(["experiment", "--config", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"plugmc experiment: error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "study.json"]
+        assert list(existing.iterdir()) == []

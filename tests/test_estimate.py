@@ -248,6 +248,7 @@ def test_fisher_doubling_drift_gradient_quadruples_entry():
         **{
             **{f: getattr(base, f) for f in base.__dataclass_fields__},
             "coefficients": doubled_drift,
+            "table": None,
         }
     )
     driver = deterministic_path(base, THETA0, GRID)

@@ -20,6 +20,7 @@ from plugmc import (
 from plugmc.models import JumpDiffusionModel
 
 from conftest import EPS, THETA0
+from oracles import hand_written_bs, hand_written_levy, hand_written_ou
 
 
 def zero_model():
@@ -304,3 +305,71 @@ def test_dimension_is_the_number_of_parameter_names():
         levy_model(0.1, 0.3, 0.5, 1.0),
     ):
         assert model.p == len(model.param_names) == model.param_box.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# The linear tables give the hand-written coefficients
+# ---------------------------------------------------------------------------
+
+TABLE_CASES = {
+    "bs": (bs_small_noise_model(0.2, 1.0, EPS, 1.0), hand_written_bs(EPS)),
+    "ou_lam0": (ou_jump_model(1.0, 0.3, 0.5, 0.0, 1.0), hand_written_ou(0.0)),
+    "ou_lam2": (ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0), hand_written_ou(2.0)),
+    "levy": (levy_model(0.1, 0.3, 0.5, 1.0), hand_written_levy()),
+}
+
+
+def assert_same_entries(got, want, where):
+    """Equal bits entry by entry, tuples entry-wise; a float want may come
+    as an array of its value, but an array want must stay an array."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_entries(g, w, (*where, i))
+        return
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+    g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert g.shape == np.broadcast_shapes(g.shape, w.shape), where
+    w = np.broadcast_to(w, g.shape)
+    assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (where, got, want)
+
+
+def table_probes(model, rng):
+    """default_probe_grid, its x in one array, signed zeros, and random
+    theta in the box with random x and z arrays."""
+    probes = list(default_probe_grid(model))
+    xs = np.array([x for x, _, _ in probes[::4]] + [0.0, -0.0])
+    probes += [(xs, 0.5, model.theta0), (0.0, -0.0, model.theta0), (-0.0, 0.0, model.theta0)]
+    box = model.param_box
+    for _ in range(20):
+        theta = rng.uniform(box[:, 0], box[:, 1])
+        probes.append((rng.normal(0.0, 3.0, 7), rng.normal(0.0, 1.0, 7), theta))
+        probes.append((float(rng.normal(0.0, 3.0)), float(rng.normal(0.0, 1.0)), theta))
+    return probes
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_table_built_coefficients_equal_hand_written_bit_for_bit(name):
+    model, (coefficients, jump_kernel) = TABLE_CASES[name]
+    assert model.table is not None
+    assert (model.jump_kernel is None) == (jump_kernel is None)
+    rng = np.random.default_rng(2024)
+    for x, z, theta in table_probes(model, rng):
+        where = (name, x, z, theta)
+        assert_same_entries(model.coefficients(x, theta), coefficients(x, theta), where)
+        if jump_kernel is not None:
+            assert_same_entries(model.jump_kernel(x, z, theta), jump_kernel(x, z, theta), where)
+
+
+def test_model_with_a_table_refuses_other_coefficients():
+    # a replaced coefficient call would be ignored by the table's step
+    model = ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0)
+    for change in (
+        {"coefficients": lambda x, th: model.coefficients(x, th)},
+        {"jump_kernel": lambda x, z, th: model.jump_kernel(x, z, th)},
+        {"jump": JumpSpec(3.0, model.jump.sampler)},
+    ):
+        with pytest.raises(ValueError, match="takes its coefficients, jump kernel and intensity"):
+            replace(model, **change)
+        assert replace(model, table=None, **change).table is None

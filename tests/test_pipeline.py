@@ -88,7 +88,9 @@ def test_blowup_round_trips_through_pickle():
 def _tripwires(model, grid, root, n_paths, trips):
     """The model with its drift made infinite at the state each path of
     trips {path: step} reaches at that step, so the path turns non-finite
-    at step + 1."""
+    at step + 1.  The model steps without its table, through the patched
+    coefficients."""
+    model = replace(model, table=None)
     x_path = simulate_batch(model, model.theta0, grid, root, n_paths, record=True).x_path
     targets = [x_path[step, path] for path, step in trips.items()]
 

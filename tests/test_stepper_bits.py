@@ -1,6 +1,8 @@
-"""The Euler stepper gives the floats of oracles.reference_step_block bit
-for bit: skipping a term or reusing a buffer must not move a bit, the sign
-of a zero included.
+"""The Euler stepper gives the floats of oracles.reference_step_block: bit
+for bit for a model without a table ("arrays", "signed"), where skipping
+a term or reusing a buffer must not move a bit, the sign of a zero
+included; within rounding for the built-ins, which step from their
+tables in another order (X_k g_k + ..., see simulate).
 
 The cases reach the signed zeros where a skip could differ: a state
 X = 0 (ou at x0 = 0, where the drift's theta-gradient -x is -0.0),
@@ -139,6 +141,17 @@ def assert_same_bits(got: BatchResult, want: BatchResult) -> None:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), f.name
 
 
+def assert_close(got: BatchResult, want: BatchResult) -> None:
+    """Each field within 1e-12 (1 + max |field|): the rounding of the
+    affine step's other order, a few ulps per step."""
+    for f in fields(BatchResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f.name
+        if a is not None:
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64, f.name
+            assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b))), f.name
+
+
 def assert_steps_as_reference(model, grid, increments, jumps, want_y, weighted, record):
     weights = None
     if weighted:
@@ -146,7 +159,8 @@ def assert_steps_as_reference(model, grid, increments, jumps, want_y, weighted, 
         weights = functional.weights(grid)
     args = (model, model.theta0, grid, increments, jumps)
     kw = dict(want_y=want_y, weights=weights, record=record)
-    assert_same_bits(_step_block(*args, **kw), reference_step_block(*args, **kw))
+    check = assert_same_bits if model.table is None else assert_close
+    check(_step_block(*args, **kw), reference_step_block(*args, **kw))
 
 
 @settings
@@ -184,7 +198,9 @@ def test_signed_zero_cases_reach_a_negative_zero():
 
 def scalar_g_tripwire(model, theta, grid, root, n_paths, path, step):
     """b_x stays +0.0 and a_x turns NaN, a scalar, once a block's state
-    holds the value `path` reaches at `step`: g is a scalar NaN there."""
+    holds the value `path` reaches at `step`: g is a scalar NaN there.
+    The model steps without its table, through the generic branches."""
+    model = replace(model, table=None)
     target = simulate_batch(model, theta, grid, root, n_paths, record=True).x_path[step, path]
 
     def coefficients(x, th):
@@ -198,7 +214,9 @@ def scalar_g_tripwire(model, theta, grid, root, n_paths, path, step):
 
 def jump_column_tripwire(model, theta, grid, root, n_paths, path, step):
     """c_x stays +0.0 and one c_theta entry turns inf once a jump starts
-    from the value `path` reaches at `step`: the jumps add one column."""
+    from the value `path` reaches at `step`: the jumps add one column.
+    The model steps without its table, through the generic branches."""
+    model = replace(model, table=None)
     target = simulate_batch(model, theta, grid, root, n_paths, record=True).x_path[step, path]
 
     def jump_kernel(x, z, th):
@@ -251,3 +269,42 @@ def test_blowup_through_skipping_branches_matches_reference(monkeypatch, branch,
         assert path - 2 <= index <= path
     else:
         assert index == path
+
+
+def hand_chunk(columns):
+    """A _draw_chunk that fills each chunk's increments from columns, shape
+    (steps, n_paths), one column per path of the batch, and draws no jumps."""
+
+    def draw(root_key, grid, jump, first, increments):
+        increments[:] = columns[:, first : first + increments.shape[1]]
+        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+
+    return draw
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("label", ["X", "Y"])
+def test_affine_blowup_names_first_step_and_path(monkeypatch, label, workers):
+    # bs with eps = 1 and sigma = 10 on hand-built increments, stepped from
+    # its table: path 7 alone overflows, in the fourth of four chunks
+    n_paths = 10
+    if label == "X":
+        # dW = 1e80 from step 6 on: X grows by g ~ 1e81 a step, past the
+        # largest float at step 9, while Y_sigma ~ k X / 10 is still finite
+        model, grid = bs_small_noise_model(0.2, 10.0, 1.0, 1.0), TimeGrid(1.0, 20)
+        increments = np.zeros((grid.steps, n_paths))
+        increments[5:, 7] = 1e80
+        step = 9
+    else:
+        # dt = 5 and x0 = 1e300: path 7 (dW = 0) has g = 2, so X_k = 2^k x0
+        # stays finite while Y_mu ~ 2.5 k X_k overflows at step 22; the
+        # others (dW = -0.1) have g = 1 and stay finite
+        model, grid = bs_small_noise_model(0.2, 10.0, 1.0, 1e300), TimeGrid(120.0, 24)
+        increments = np.full((grid.steps, n_paths), -0.1)
+        increments[:, 7] = 0.0
+        step = 22
+    assert model.table is not None
+    monkeypatch.setattr(plugmc.simulate, "_draw_chunk", hand_chunk(increments))
+    err = blowup(monkeypatch, model, model.theta0, grid, 0, n_paths, workers, _step_block)
+    assert err.step == step
+    assert str(err) == f"non-finite state at step {step} in {label} (path index 7)"
