@@ -1,0 +1,68 @@
+"""The Euler stepper's time per path-step, in one process.
+
+Each case draws one chunk of noise, then times simulate._step_block on it
+and prints the best of --repeat calls in ns per path-step (for the
+recorded path, ns per step of its one column).  The noise draw is not
+timed.  Run it from the repository root, pinned to one CPU for steadier
+numbers:
+
+    PYTHONPATH=src taskset -c 1 python scripts/step_timing.py --repeat 21
+
+The cases are bs X only and X + Y at 2 000 x 50 and at 2 048 x 500, ou
+(lambda = 1, so with jumps) X + Y at 2 048 x 500, and one recorded bs
+path X + Y over 500 steps, the route of `plugmc simulate`.  It uses only
+names the stepper has had since the linear tables, so the same script
+times an older tree given on PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+from plugmc import bs_small_noise_model, ou_jump_model
+from plugmc.simulate import TimeGrid, _draw_chunk, _flat_jumps, _step_block, path_seed
+
+EPS = 1.0 / np.sqrt(500)
+BS = bs_small_noise_model(0.2, 1.0, EPS, 1.0)
+OU = ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0)
+
+# Name, model, paths, steps, want_y, record
+CASES = (
+    ("bs X, 2000 x 50", BS, 2000, 50, False, False),
+    ("bs X + Y, 2000 x 50", BS, 2000, 50, True, False),
+    ("bs X, 2048 x 500", BS, 2048, 500, False, False),
+    ("bs X + Y, 2048 x 500", BS, 2048, 500, True, False),
+    ("ou (lambda 1) X + Y, 2048 x 500", OU, 2048, 500, True, False),
+    ("bs X + Y, 1 recorded path x 500", BS, 1, 500, True, True),
+)
+
+
+def measure(repeat: int) -> dict[str, float]:
+    """Each case's best time over `repeat` calls, in ns per path-step."""
+    out = {}
+    for name, model, m, n, want_y, record in CASES:
+        grid = TimeGrid(1.0, n)
+        increments = np.empty((n, m))
+        jumps = _flat_jumps(*_draw_chunk(path_seed(7, 0), grid, model.jump, 0, increments), grid)
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            _step_block(model, model.theta0, grid, increments, jumps, want_y=want_y, record=record)
+            best = min(best, time.perf_counter() - t0)
+        out[name] = best * 1e9 / (m * n)
+    return out
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=7, help="calls per case (best is kept)")
+    args = parser.parse_args(argv)
+    for name, ns in measure(args.repeat).items():
+        print(f"{name:<34}{ns:>10.2f} ns/path-step")
+
+
+if __name__ == "__main__":
+    main()

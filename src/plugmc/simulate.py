@@ -55,55 +55,76 @@ are checked for finiteness once per block of paths, after its last step,
 since each update adds to or scales the previous state; a block that
 fails is stepped again from the same noise with a check after every
 step, which names the first non-finite step.  One skeleton
-(_step_block) holds the state, its buffers, the weighted sums, the
-recorded paths and that check; only the body of a step depends on the
-model, and on nothing else.
+(_step_block) holds the recursion's state, its buffers, the weighted
+sums, the recorded paths and that check; only the body of a step depends
+on the model, and on nothing else.  The product form (below) steps
+without a body, in _product_block.
 
-A model with a table (models.LinearTable: the built-ins) takes the
-affine step.  The table's theta-scalars alpha, beta, gamma, delta (the
-drift net of the compensator is alpha + beta x, the diffusion gamma +
-delta x) are computed once per block, and
+A model with a table (models.LinearTable: the built-ins) steps from the
+table's theta-scalars alpha, beta, gamma, delta (the drift net of the
+compensator is alpha + beta x, the diffusion gamma + delta x), computed
+once per block, with no model call and no test of a coefficient per
+step.  With
 
-    g_k       = (1 + beta dt) + delta dW_k
+    g_k = (1 + beta dt) + delta dW_k,
+
+the recursion is
+
     X_{k+1}   = X_k g_k + alpha dt + gamma dW_k + sum of jumps
     Y_{k+1,j} = Y_{k,j} g_k + (alpha_j + beta_j X_k) dt
                 + (gamma_j + delta_j X_k) dW_k + sum of jump shares,
 
-with the compensator gone from both, as it cancels in the net drift.  A
-table entry of 0 leaves its term out once per block, so a step calls no
-model and tests no coefficient: for bs the X step is X_k g_k alone.  A
-jump's size kappa(theta) + nu(theta) z and each row's share kappa_j +
-nu_j z do not depend on x, so a block computes all of them in one call,
-and a step adds its own slice.
+with the compensator gone from both, as it cancels in the net drift.
 
-A model without a table takes the generic step: one `model.coefficients`
-call per step,
+A table whose only entries are beta and delta, with some delta and no
+jump law (bs), takes the product form: X_n = x0 g_0 g_1 ... g_{n-1},
+and, since X_k / X_{k+1} = 1 / g_k and Y_0 = 0,
+
+    Y_{n,j} = X_n (beta_j dt S1_n + delta_j S2_n),
+    S1_n = sum_{k<n} 1 / g_k,   S2_n = sum_{k<n} dW_k / g_k,
+
+a product and two sums over the grid (the factored pathwise tangent of
+Glasserman 2004, section 7.2, taken as a scan in the sense of Blelloch,
+"Prefix sums and their applications", CMU-CS-90-190, 1990).  The steps
+go in blocks of BLOCK_STEPS.  Each block's factors are made in whole-block
+calls into carry rows, with the running value in row 0: [X; g_lo ...
+g_hi-1], then [S1; 1/g_lo ...] and [S2; dW_lo/g_lo ...].  Where only the
+terminal values are wanted, a chunk of m >= 2 columns reduces each block
+down its columns (multiply.reduce, add.reduce over axis 0), which takes
+each column's rows in order, so X is the recursion's left-to-right
+product bit for bit.  Where rows are wanted (record, weights) the same
+sequence is taken row by row, one call per step; a chunk of one column
+takes every route as one 1-D accumulate over the whole grid, since an
+add.reduce of one column sums pairwise and would move bits.  So every
+route gives the same bits.  The carry rows are made once per thread and
+kept, as the noise streams are: a fresh (3, BLOCK_STEPS + 1, 2 048)
+buffer per call pays its page faults on every call.
+
+A factor g_k = 0 (delta dW_k = -(1 + beta dt) exactly) leaves X = 0 but
+makes 1/g_k infinite, and Y = 0 * inf is NaN.  The end-of-block check
+then re-runs the chunk through the recursion, with a check after every
+step: that names the first non-finite step of a real blow-up, and
+otherwise gives the recursion's values for the paths the product form
+failed on, while every other path keeps its own.  A path's values
+therefore still do not depend on the chunk it is stepped in.
+
+A table without delta entries (ou, levy) takes the affine step, the
+recursion above with a scalar g: a table entry of 0 leaves its term out
+once per block.  A jump's size kappa(theta) + nu(theta) z and each row's
+share kappa_j + nu_j z do not depend on x, so a block computes all of
+them in one call, and a step adds its own slice.
+
+Any other model takes the generic step: one `model.coefficients` call
+per step,
 
     X_{k+1} = (X_k + a dt) + b dW_k - comp dt + sum of c(X_k, z_j)
     g_k     = 1 + a_x dt + b_x dW_k - comp_x dt
     Y_{k+1} = Y_k g_k + (a_theta dt + b_theta dW_k - comp_theta dt)
-              + sum of (c_x Y_k + c_theta) over jumps.
+              + sum of (c_x Y_k + c_theta) over jumps,
 
-Each array term goes through out= into buffers made once per block, in
-the order of the formulas above; X and Y swap between two buffers each,
-so a model must not keep the x it is given.  In the generic step a term
-is skipped only where that moves no bit: v - (+0.0) and v + (-0.0) are
-v, but v + (+0.0) turns v = -0.0 into +0.0.  With dW_k and Y_k finite
-(otherwise the step raises either way, X before Y), the skips are:
-
-  - b_x dW_k for b_x the float +0.0: g_k = 1 + a_x dt, a scalar when a_x
-    is, as b_x dW_k is +-0.0 and 1 + v is never -0.0;
-  - comp_x dt or comp_theta[j] dt for the float +0.0;
-  - a multiply by b, b_x or b_theta[j] the float 1.0;
-  - b_theta[j] dW_k for b_theta[j] the float +0.0 when a_theta[j] dt is
-    a scalar other than -0.0, which +-0.0 leaves as it is;
-  - c_x Y_k for c_x the float +0.0 when each c_theta entry is a float
-    other than -0.0: the jumps add the entries as one (p, 1) column.
-
-Skipping a_theta[j] dt = +0.0 before an array b_theta[j] dW_k, or
-b_theta[j] dW_k = +-0.0 beside an array a_theta[j] dt (a gradient -x dt
-is -0.0 at x = 0), would move bits where Y_k g_k is -0.0 (g_k < 0,
-Y_k = +0.0), so neither is made.
+term by term, each array term through out= into buffers made once per
+block, in the order of the formulas; X and Y swap between two buffers
+each, so a model must not keep the x it is given.
 
 A batch keeps, per path, the terminal (X, Y) and one weighted sum over
 the grid nodes, sum_k weights[k] (X, Y)_{t_k}, with the caller's weights
@@ -117,7 +138,6 @@ coupled_paths return one recorded path.
 
 from __future__ import annotations
 
-import math
 import operator
 import threading
 from dataclasses import dataclass, fields
@@ -400,26 +420,9 @@ def _flat_jumps(paths: Array, times: Array, sizes: Array, grid: TimeGrid):
     return paths[order], sizes[order], np.searchsorted(steps[order], np.arange(grid.steps + 1))
 
 
-def _pos_zero(v) -> bool:
-    """v is the float +0.0: s - v * dt is s bit for bit (dt > 0), and v * w
-    is +-0.0 for a finite w."""
-    return isinstance(v, float) and v == 0.0 and math.copysign(1.0, v) > 0
-
-
-def _keeps_sign(v) -> bool:
-    """v is a float other than -0.0, so v + (+-0.0) is v bit for bit."""
-    return isinstance(v, float) and (v != 0.0 or math.copysign(1.0, v) > 0)
-
-
-def _is_one(v) -> bool:
-    """v is the float 1.0, so v * dw is dw bit for bit."""
-    return isinstance(v, float) and v == 1.0
-
-
 def _generic_body(model: JumpDiffusionModel, theta: Array, dt: float, increments: Array, jumps,
                   scratch: tuple):
-    """The step of a model without a table: one coefficients call per step,
-    and the skips of the module docstring."""
+    """The generic step (module docstring): one coefficients call per step."""
     p, has_jumps = model.p, model.has_jumps
     tmp, acc, row, g_buf = scratch
     ndarray, add, sub, mul = np.ndarray, np.add, np.subtract, np.multiply
@@ -429,7 +432,7 @@ def _generic_body(model: JumpDiffusionModel, theta: Array, dt: float, increments
         coef = model.coefficients(x_prev, theta)
         a, b, a_x, b_x, a_th, b_th = coef[:6]
         add(x_prev, mul(a, dt, tmp) if isinstance(a, ndarray) else a * dt, acc)
-        add(acc, dw if _is_one(b) else mul(b, dw, tmp), x)
+        add(acc, mul(b, dw, tmp), x)
         if has_jumps:
             comp, comp_x, comp_th = coef[6:]
             sub(x, mul(comp, dt, tmp) if isinstance(comp, ndarray) else comp * dt, x)
@@ -438,18 +441,15 @@ def _generic_body(model: JumpDiffusionModel, theta: Array, dt: float, increments
             # factored tangent step: the factor g is shared by all p rows
             g = mul(a_x, dt, g_buf) if isinstance(a_x, ndarray) else a_x * dt
             g = add(1.0, g, g_buf) if isinstance(g, ndarray) else 1.0 + g
-            if not _pos_zero(b_x):
-                g = add(g, dw if _is_one(b_x) else mul(b_x, dw, tmp), g_buf)
-            if has_jumps and not _pos_zero(comp_x):
+            g = add(g, mul(b_x, dw, tmp), g_buf)
+            if has_jumps:
                 g = sub(g, comp_x * dt, g_buf)
             mul(y_prev, g, y)
             for j in range(p):
-                a_j, b_j, y_j = a_th[j], b_th[j], y[j]
+                a_j, y_j = a_th[j], y[j]
                 r = mul(a_j, dt, row) if isinstance(a_j, ndarray) else a_j * dt
-                if not (_pos_zero(b_j) and _keeps_sign(r)):
-                    r = add(r, dw if _is_one(b_j) else mul(b_j, dw, tmp), acc)
-                add(y_j, r, y_j)
-                if has_jumps and not _pos_zero(comp_th[j]):
+                add(y_j, add(r, mul(b_th[j], dw, tmp), acc), y_j)
+                if has_jumps:
                     sub(y_j, comp_th[j] * dt, y_j)
 
         if jumps is not None:
@@ -460,12 +460,9 @@ def _generic_body(model: JumpDiffusionModel, theta: Array, dt: float, increments
                 c, c_x, c_th = model.jump_kernel(x_prev[pj], sizes_j[lo:hi], theta)
                 np.add.at(x, pj, c)
                 if y is not None:
-                    if _pos_zero(c_x) and all(map(_keeps_sign, c_th)):
-                        c_y = np.array(c_th)[:, None]  # one column for every jump
-                    else:
-                        c_y = c_x * y_prev[:, pj]
-                        for j in range(p):
-                            c_y[j] += c_th[j]
+                    c_y = c_x * y_prev[:, pj]
+                    for j in range(p):
+                        c_y[j] += c_th[j]
                     np.add.at(y, (slice(None), pj), c_y)
 
     return step
@@ -473,28 +470,28 @@ def _generic_body(model: JumpDiffusionModel, theta: Array, dt: float, increments
 
 def _affine_body(model: JumpDiffusionModel, theta: Array, dt: float, increments: Array, jumps,
                  scratch: tuple):
-    """The step of a model with a table, from the block's theta-scalars: no
-    model call and no test of a coefficient per step (module docstring)."""
+    """The step of a table without delta entries, from the block's
+    theta-scalars: no model call and no test of a coefficient per step
+    (module docstring)."""
     table = model.table
-    alpha, beta, gamma, delta = table.scalars(theta)[:4]
-    tmp, xdw_buf, _, g_buf = scratch
+    alpha, beta, gamma = table.scalars(theta)[:3]
+    tmp = scratch[0]
     add, mul, add_at = np.add, np.multiply, np.add.at
-    g0 = 1.0 if beta is None else 1.0 + beta * dt
+    g = 1.0 if beta is None else 1.0 + beta * dt
     alpha_dt = None if alpha is None else alpha * dt
     # Y row j's terms, added in this order: alpha_j dt, then scale * source
-    # for source 0 = dW_k, 1 = X_k, 2 = X_k dW_k, those of scale 1.0 (the
-    # source itself) first
+    # for source 0 = dW_k, 1 = X_k, those of scale 1.0 (the source itself)
+    # first
     consts = [(j, a_j * dt) for j, a_j in enumerate(table.alpha) if a_j is not None]
     beta_dt = [None if b_j is None else b_j * dt for b_j in table.beta]
     terms = [
         (j, source, scale)
-        for source, scales in enumerate((table.gamma, beta_dt, table.delta))
+        for source, scales in enumerate((table.gamma, beta_dt))
         for j, scale in enumerate(scales)
         if scale is not None
     ]
     units = [(j, source) for j, source, scale in terms if scale == 1.0]
     scaled = [term for term in terms if term[2] != 1.0]
-    want_xdw = any(d_j is not None for d_j in table.delta)
 
     bounds = ()
     if jumps is not None:
@@ -510,7 +507,6 @@ def _affine_body(model: JumpDiffusionModel, theta: Array, dt: float, increments:
 
     def step(k, x_prev, x, y_prev, y):
         dw = increments[k]
-        g = g0 if delta is None else add(g0, mul(dw, delta, g_buf), g_buf)
         mul(x_prev, g, x)
         if alpha_dt is not None:
             add(x, alpha_dt, x)
@@ -519,7 +515,7 @@ def _affine_body(model: JumpDiffusionModel, theta: Array, dt: float, increments:
 
         if y is not None:
             mul(y_prev, g, y)
-            sources = (dw, x_prev, mul(x_prev, dw, xdw_buf) if want_xdw else None)
+            sources = (dw, x_prev)
             for j, c in consts:
                 y_j = y[j]
                 add(y_j, c, y_j)
@@ -542,7 +538,160 @@ def _affine_body(model: JumpDiffusionModel, theta: Array, dt: float, increments:
     return step
 
 
-@np.errstate(over="ignore", invalid="ignore")
+# Steps per block of the product form: the block's factors are made in a
+# few whole-block calls and reduced in one.  Chosen from measurement: bs
+# X + Y at 2 048 x 500 took 3.2-3.7 ns per path-step at 8, 16 and 32 and
+# 4.5 ns at 64, where the carry rows outgrow the cache (2-vCPU x86-64
+# host, scripts/step_timing.py).
+BLOCK_STEPS = 32
+
+
+def _product_form(model: JumpDiffusionModel, theta: Array, want_y: bool) -> bool:
+    """The model takes the product form (module docstring): a table whose
+    only entries are beta and delta, some delta among them, no jump law,
+    and a zero initial gradient where Y is wanted."""
+    table = model.table
+    return (
+        table is not None
+        and not model.has_jumps
+        and all(v is None for v in table.alpha + table.gamma)
+        and any(v is not None for v in table.delta)
+        and not (want_y and np.any(model.initial_grad(theta)))
+    )
+
+
+# Each thread's product-form block rows, made when a block needs more rows
+# or columns than the last one made: a fresh (3, BLOCK_STEPS + 1, 2 048)
+# buffer per call costs its page faults each time.
+_thread_carry = threading.local()
+
+
+def _carry_rows(rows: int, m: int) -> Array:
+    """This thread's block rows, as a (3, rows, m) view."""
+    buf = getattr(_thread_carry, "rows", None)
+    if buf is None or buf.shape[1] < rows or buf.shape[2] < m:
+        _, old_rows, old_m = (0, 0, 0) if buf is None else buf.shape
+        buf = _thread_carry.rows = np.empty((3, max(rows, old_rows), max(m, old_m)))
+    return buf[:, :rows, :m]
+
+
+def _tangent(scales, x: Array, s1: Array, s2: Array, out: Array) -> None:
+    """Y row j = X (c1_j S1 + c2_j S2) into out[..., j, :], for scales of
+    (c1_j, c2_j) = (beta_j dt, delta_j), a None term left out; 0 where both
+    are None."""
+    for j, (c1, c2) in enumerate(scales):
+        y_j = out[..., j, :]
+        if c1 is None and c2 is None:
+            y_j[...] = 0.0
+            continue
+        if c1 is None:
+            np.multiply(s2, c2, y_j)
+        else:
+            np.multiply(s1, c1, y_j)
+            if c2 is not None:
+                y_j += s2 * c2
+        np.multiply(y_j, x, y_j)
+
+
+def _product_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, increments: Array,
+                   *, want_y: bool, weights: Array | None, record: bool):
+    """X, Y and their sums and paths in the product form (module docstring),
+    unchecked: the caller checks that X and Y are finite."""
+    n, m = increments.shape
+    dt = grid.dt
+    table = model.table
+    _, beta, _, delta = table.scalars(theta)[:4]
+    g0 = 1.0 if beta is None else 1.0 + beta * dt
+    scales = [(None if b_j is None else b_j * dt, d_j) for b_j, d_j in zip(table.beta, table.delta)]
+    add, mul = np.add, np.multiply
+    by_rows = m == 1 or record or weights is not None
+    block = n if m == 1 else BLOCK_STEPS
+    # the carry rows [X; g], [S1; 1/g] and [S2; dW/g]; one column's hold the grid
+    rows = min(block, n) + 1
+    fac, inv, dinv = np.empty((3, rows, 1)) if m == 1 else _carry_rows(rows, m)
+
+    x = np.full(m, float(model.initial(theta)))
+    y = s1 = s2 = None
+    if want_y:
+        y, s1, s2 = np.zeros((model.p, m)), np.zeros(m), np.zeros(m)
+    x_sum = y_sum = None
+    if weights is not None:
+        x_sum, tmp = weights[0] * x, np.empty(m)
+        if want_y:
+            y_sum, y_k, y_term = weights[0] * y, np.empty_like(y), np.empty_like(y)
+    rec_x = rec_y = None
+    if record:
+        rec_x = np.empty((n + 1, m))
+        rec_x[0] = x
+        if want_y:
+            rec_y = np.empty((n + 1, model.p, m))
+            rec_y[0] = y
+
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dw, f, v, d = increments[lo:hi], fac[: hi - lo + 1], inv[: hi - lo + 1], dinv[: hi - lo + 1]
+        f[0] = x
+        add(mul(dw, delta, f[1:]), g0, f[1:])
+        if not by_rows:
+            # in order down each column, as m >= 2; each sum is reduced while
+            # its rows are in cache: 1/g_k into v, then dW_k/g_k in place
+            mul.reduce(f, axis=0, out=x)
+            if want_y:
+                v[0] = s1
+                np.divide(1.0, f[1:], v[1:])
+                add.reduce(v, axis=0, out=s1)
+                v[0] = s2
+                mul(v[1:], dw, v[1:])
+                add.reduce(v, axis=0, out=s2)
+            continue
+        # row i of each becomes X, S1, S2 at step lo + i
+        carried = [(f, mul, x)]
+        if want_y:
+            v[0], d[0] = s1, s2
+            np.divide(1.0, f[1:], v[1:])
+            mul(v[1:], dw, d[1:])
+            carried += [(v, add, s1), (d, add, s2)]
+        for carry_rows, ufunc, state in carried:
+            if m == 1:
+                ufunc.accumulate(carry_rows[:, 0], out=carry_rows[:, 0])
+            else:
+                for i in range(hi - lo):
+                    ufunc(carry_rows[i], carry_rows[i + 1], carry_rows[i + 1])
+            state[:] = carry_rows[-1]
+        if record:
+            rec_x[lo + 1 : hi + 1] = f[1:]
+            if want_y:
+                _tangent(scales, f[1:], v[1:], d[1:], rec_y[lo + 1 : hi + 1])
+        if weights is not None:
+            for i in range(1, hi - lo + 1):
+                w = weights[lo + i]
+                add(x_sum, mul(f[i], w, tmp), x_sum)
+                if want_y:
+                    _tangent(scales, f[i], v[i], d[i], y_k)
+                    add(y_sum, mul(y_k, w, y_term), y_sum)
+
+    if want_y:
+        _tangent(scales, x, s1, s2, y)
+    return _result(x, x_sum, y, y_sum, rec_x, rec_y)
+
+
+def _result(x, x_sum, y, y_sum, rec_x, rec_y) -> BatchResult:
+    def per_path(block):
+        # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
+        # summation order of the reductions over paths (mean(axis=0))
+        return None if block is None else np.ascontiguousarray(block.T)
+
+    return BatchResult(
+        x_terminal=x,
+        x_sum=x_sum,
+        y_terminal=per_path(y),
+        y_sum=per_path(y_sum),
+        x_path=rec_x,
+        y_path=rec_y,
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _step_block(
     model: JumpDiffusionModel,
     theta: Array,
@@ -561,21 +710,44 @@ def _step_block(
     weights adds the weighted sums x_sum (and y_sum); record=True keeps
     the full paths in x_path and y_path (small blocks only).  Raises
     SimulationBlowup at the first step where X or Y turns non-finite,
-    found by a re-run with check_steps=True if the end-of-block check fails;
-    numpy's overflow warnings are silenced, as that error reports them.
-    Each step's body is the affine one for a model with a table, else the
-    generic one (module docstring).
+    found by a re-run of the recursion with check_steps=True if the
+    end-of-block check fails; numpy's overflow warnings are silenced, as
+    that error reports them.  A product-form model takes the product form,
+    any other the recursion, whose step is the affine one for a table
+    without delta entries, else the generic one (module docstring).
     """
+    if not check_steps and _product_form(model, theta, want_y):
+        res = _product_block(
+            model, theta, grid, increments,
+            want_y=want_y, weights=weights, record=record,
+        )
+        bad = _bad_paths(res)
+        if bad.any():
+            # the recursion names the first non-finite step, or, where only
+            # the product form failed (a zero factor), gives those paths
+            fix = _step_block(
+                model, theta, grid, increments, jumps,
+                want_y=want_y, weights=weights, record=record, path_offset=path_offset,
+                check_steps=True,
+            )
+            for f in fields(BatchResult):
+                value = getattr(res, f.name)
+                if value is not None:
+                    path = (..., bad) if f.name.endswith("_path") else bad  # paths end in m
+                    value[path] = getattr(fix, f.name)[path]
+        return res
+
     n, m = increments.shape
     p = model.p
     x = np.full(m, float(model.initial(theta)))
     x_prev = np.empty(m)  # the two swap each step
-    # the bodies' scratch: a term, a partial sum (or X_k dW_k), a row term, the
-    # factor g; a sum goes into a buffer other than its inputs where one is
-    # free (in place costs more at m = 1)
+    # the bodies' scratch: a term, a partial sum, a row term, the factor g;
+    # a sum goes into a buffer other than its inputs where one is free (in
+    # place costs more at m = 1)
     scratch = tuple(np.empty(m) for _ in range(4))
     tmp = scratch[0]
-    body = _generic_body if model.table is None else _affine_body
+    affine = model.table is not None and all(d_j is None for d_j in model.table.delta)
+    body = _affine_body if affine else _generic_body
     step = body(model, theta, grid.dt, increments, jumps, scratch)
 
     y = y_prev = None
@@ -625,25 +797,22 @@ def _step_block(
             if rec_y is not None:
                 rec_y[k + 1] = y
 
-    if not check_steps and not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
-        _step_block(
-            model, theta, grid, increments, jumps,
-            want_y=want_y, path_offset=path_offset, check_steps=True,
-        )
-
-    def per_path(block):
-        # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
-        # summation order of the reductions over paths (mean(axis=0))
-        return None if block is None else np.ascontiguousarray(block.T)
-
-    return BatchResult(
-        x_terminal=x,
-        x_sum=x_sum,
-        y_terminal=per_path(y),
-        y_sum=per_path(y_sum),
-        x_path=rec_x,
-        y_path=rec_y,
+    res = _result(x, x_sum, y, y_sum, rec_x, rec_y)
+    if check_steps or not _bad_paths(res).any():
+        return res
+    return _step_block(
+        model, theta, grid, increments, jumps,
+        want_y=want_y, weights=weights, record=record, path_offset=path_offset,
+        check_steps=True,
     )
+
+
+def _bad_paths(res: BatchResult) -> Array:
+    """The paths of a block whose terminal X or Y is not finite."""
+    bad = ~np.isfinite(res.x_terminal)
+    if res.y_terminal is not None:
+        bad |= ~np.isfinite(res.y_terminal).all(axis=1)
+    return bad
 
 
 def _step_bundle(model: JumpDiffusionModel, theta, noise: NoiseBundle, want_y: bool):

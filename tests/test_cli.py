@@ -1,11 +1,15 @@
 """Command-line interface: formats, determinism, end-to-end wiring."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import plugmc
 from plugmc.cli import main
 
 
@@ -627,3 +631,29 @@ def test_refused_study_leaves_no_directory_it_made(kind, tmp_path, capsys):
         assert captured.err == f"plugmc experiment: error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "study.json"]
         assert list(existing.iterdir()) == []
+
+
+def test_calls_in_one_process_print_what_separate_processes_print(tmp_path, capsys):
+    # main reuses one parser per process: a usage error, then two commands,
+    # in one process print what each prints in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(plugmc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "plugmc.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    data = tmp_path / "obs.csv"
+    simulate = SIM_ARGS[:-1] + ["1"]
+    estimate = ["estimate", "--data", str(data), "--epsilon", "0.04472135954999579"]
+    with pytest.raises(SystemExit):
+        main(SIM_ARGS[:-1] + ["0"])
+    capsys.readouterr()
+    simulated = run_cli(simulate, capsys)
+    data.write_text(simulated)
+    estimated = run_cli(estimate, capsys)
+    assert simulated == fresh(simulate)
+    assert estimated == fresh(estimate)

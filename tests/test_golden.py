@@ -58,6 +58,17 @@ number moved by at most 1.5e-12 relative, most by a few 1e-14 (the
 largest in the oracle's C_minus_grad, a difference of nearly equal
 values).  `experiment_bs_histogram.csv` kept its bytes: no z_hat crossed
 a bin edge.
+
+Six bs digests were re-recorded once more when bs moved to the product
+form (simulate's module docstring): X is the same running product, so
+it kept its bits, but Y is now X times sums of 1/g_k and dW_k/g_k
+instead of the recursion Y g_k + X_k (beta dt + delta dW_k).  The
+changed outputs are `simulate_bs` (its Y columns), `price_bs_call`,
+`price_bs_average_call` and three `experiment_bs_*` files: stdout,
+`summary.json` and `replications.csv`.  No number in them moved by more
+than 3.4e-14 relative or 6.7e-16 absolute.  `estimate_bs` reads only X
+and kept its bytes, as did `experiment_bs_qq.csv`,
+`experiment_bs_histogram.csv` and every ou and levy case.
 """
 
 import contextlib
@@ -70,16 +81,16 @@ from plugmc.cli import main
 EPS = "0.04472135954999579"
 
 GOLDEN = {
-    "simulate_bs": "e26f099fe77425a14a19cfa821b693440c1e23e4845a12df97c82ce83b6580c4",
+    "simulate_bs": "af6a1f5cb2793072ec751e90c9230b45db42fab0143b0a937eaeb8537b857cb8",
     "simulate_ou_jumps": "c00912e075744b3733639d13aadb2b8897245925980d65d70952e644cf34c8a4",
     "simulate_levy": "ab75b028a6ace679907e2a596a13e08623a91c1327c9b6571aab42e897d52f55",
     "estimate_bs": "090f7cbb83a3306e4cebcb1ff342085cd9604834fde918aa34f5746dffbd0cc4",
-    "price_bs_call": "37cfd950f1d002a3b50d7903772e7336445bee3350b7ecd0a69f8ddb0c810140",
-    "price_bs_average_call": "ffe19742699f2181eb0550d72dc34f654cf835e99e583feb9fbadec62ab758ef",
+    "price_bs_call": "9af16d5f584eaf1f173057f5eff83fee9445978bead3f6192d40acb2497d6e2b",
+    "price_bs_average_call": "6fc044cb677da177a65f9cbfc3191e3f688cf3f0e4d4cd94fe71297a5903a627",
     "price_ou_discounted": "8f57ef40d15c4d381181f20c82f88daf0676da0edafdee1eae6e3aa59598fbf4",
-    "experiment_bs_stdout": "506cf78d757f14fe96963aa45652f2fa25f1ea2b7c00434c3451dad62e9c41e7",
-    "experiment_bs_replications.csv": "ac68cab1c832538b763ee103114dd59978187ed5770b2478551866900429a345",
-    "experiment_bs_summary.json": "506cf78d757f14fe96963aa45652f2fa25f1ea2b7c00434c3451dad62e9c41e7",
+    "experiment_bs_stdout": "6a5e87f2c160720085143a4783b4c32cc8b8791a27aa71f625a8be5d4b314fa8",
+    "experiment_bs_replications.csv": "6abcd982b3a75616221e4251088701af71dcb22b1296d7040c60c24808d229fb",
+    "experiment_bs_summary.json": "6a5e87f2c160720085143a4783b4c32cc8b8791a27aa71f625a8be5d4b314fa8",
     "experiment_bs_qq.csv": "7a77da3fe6b33ff04e97aab032310367a6837b6074fa60900c17edd9f200565f",
     "experiment_bs_histogram.csv": "14412400dd43f1479dc5551aba269963fd822608d723c64ddaa4b62ad3c3681f",
     "experiment_ou_oracle": "374cb923efc0f60460fdbcc76182cab37bf5ab1a31638e085dabb022b9768abb",

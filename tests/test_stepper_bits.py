@@ -308,3 +308,106 @@ def test_affine_blowup_names_first_step_and_path(monkeypatch, label, workers):
     err = blowup(monkeypatch, model, model.theta0, grid, 0, n_paths, workers, _step_block)
     assert err.step == step
     assert str(err) == f"non-finite state at step {step} in {label} (path index 7)"
+
+
+def path_columns(res: BatchResult, cols) -> BatchResult:
+    """The BatchResult of the paths `cols` alone (recorded paths end in B)."""
+    def take(name):
+        value = getattr(res, name)
+        if value is None:
+            return None
+        return value[..., cols] if name.endswith("_path") else value[cols]
+
+    return BatchResult(**{f.name: take(f.name) for f in fields(BatchResult)})
+
+
+@pytest.mark.parametrize("steps", [1, 31, 32, 33, 77])
+@settings
+def test_product_form_does_not_depend_on_block_steps_or_chunk_width(
+    monkeypatch, want_y, weighted, record, steps
+):
+    # every route of the product form (a wide chunk's block reduction, the
+    # rows of a recorded or weighted chunk, one column's accumulate) gives
+    # the same bits, at any block length
+    model, theta, root = MODELS["bs"], MODELS["bs"].theta0, 41
+    grid = TimeGrid(1.0, steps)
+    weights = Functional(kind="time_average", horizon=1.0).weights(grid) if weighted else None
+    kw = dict(want_y=want_y, weights=weights, record=record)
+    assert plugmc.simulate._product_form(model, theta, want_y)
+    monkeypatch.setattr(plugmc.simulate, "_worker_count", lambda chunks: 1)
+
+    def batch(n_paths, width, **extra):
+        return simulate_batch(model, theta, grid, root, n_paths, chunk_size=width, **kw, **extra)
+
+    want = batch(9, 2048)
+    increments = np.empty((steps, 9))
+    _draw_chunk(path_seed(root, 0), grid, model.jump, 0, increments)
+    assert_close(want, reference_step_block(model, theta, grid, increments, None, **kw))
+    for block in (1, 5, 32):
+        monkeypatch.setattr(plugmc.simulate, "BLOCK_STEPS", block)
+        for width in (1, 2, 3):
+            assert_same_bits(batch(9, width), want)
+        wide = batch(2049, 2048)  # a chunk of 2 048 columns, then one of one
+        assert_same_bits(path_columns(wide, slice(0, 9)), want)
+        assert_same_bits(path_columns(wide, slice(2048, 2049)), batch(1, 3, start_index=2048))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@settings
+def test_zero_factor_gives_the_recursions_finite_paths(monkeypatch, want_y, weighted, record,
+                                                       width):
+    # mu = 0 and eps sigma = 1: dW = -1.0 makes g = 0, so X turns 0 and
+    # 1/g infinite.  Without Y the product form stays finite and stands;
+    # with Y it is NaN on that path, which takes the recursion's finite
+    # values: no NaN and no SimulationBlowup
+    model = bs_small_noise_model(0.0, 1.0, 1.0, 1.0)
+    grid = TimeGrid(1.0, 40)
+    zero = width // 2
+    increments = np.random.default_rng(5).normal(0.0, 0.1, (grid.steps, width))
+    increments[35, zero] = -1.0
+    weights = Functional(kind="time_average", horizon=1.0).weights(grid) if weighted else None
+    kw = dict(want_y=want_y, weights=weights, record=record)
+    args = (model, model.theta0, grid, increments, None)
+    got = _step_block(*args, **kw)
+    want = reference_step_block(*args, **kw)
+    assert got.x_terminal[zero] == 0.0
+    for f in fields(BatchResult):
+        value = getattr(got, f.name)
+        assert value is None or np.isfinite(value).all(), f.name
+    assert_close(got, want)
+    if want_y:
+        assert_same_bits(path_columns(got, [zero]), path_columns(want, [zero]))
+    # each path's values do not depend on the chunk it is stepped in
+    monkeypatch.setattr(plugmc.simulate, "_draw_chunk", hand_chunk(increments))
+    res = simulate_batch(model, model.theta0, grid, 0, width, chunk_size=1, **kw)
+    assert_same_bits(res, got)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("label", ["X", "Y"])
+def test_product_blowup_after_first_block_names_step_and_path(monkeypatch, label, workers):
+    # as test_affine_blowup_names_first_step_and_path, past BLOCK_STEPS = 32
+    n_paths = 10
+    if label == "X":
+        # dW = 1e80 from step 37 on: X grows by g ~ 1e81 a step, past the
+        # largest float at step 40, while Y_sigma ~ X / 3 is still finite
+        model, grid = bs_small_noise_model(0.2, 10.0, 1.0, 1.0), TimeGrid(1.0, 60)
+        increments = np.zeros((grid.steps, n_paths))
+        increments[36:, 7] = 1e80
+        step = 40
+    else:
+        # dt = 5 and x0 = 1e290: path 7 (dW = 0) has g = 2, so X_k = 2^k x0
+        # stays finite while Y_mu = 2.5 k X_k overflows at step 54; the
+        # others (dW = -0.1) have g = 1 and stay finite
+        model, grid = bs_small_noise_model(0.2, 10.0, 1.0, 1e290), TimeGrid(300.0, 60)
+        increments = np.full((grid.steps, n_paths), -0.1)
+        increments[:, 7] = 0.0
+        step = 54
+    assert plugmc.simulate._product_form(model, model.theta0, True)
+    monkeypatch.setattr(plugmc.simulate, "_draw_chunk", hand_chunk(increments))
+    got = blowup(monkeypatch, model, model.theta0, grid, 0, n_paths, workers, _step_block)
+    want = blowup(
+        monkeypatch, model, model.theta0, grid, 0, n_paths, workers, reference_step_block
+    )
+    assert (got.step, str(got)) == (want.step, str(want))
+    assert str(got) == f"non-finite state at step {step} in {label} (path index 7)"
