@@ -246,7 +246,7 @@ def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
         I = int_0^T a_theta a_theta^T / btilde^2 ds
             + (2 / T) int_0^T btilde_theta btilde_theta^T / btilde^2 ds,
 
-    integrated entry by entry by the trapezoid rule over the driver path.
+    integrated by the trapezoid rule over the driver path.
     Each block is in the units of its rate: eps for drift parameters,
     whose information grows with the horizon, and 1/sqrt(n) for diffusion
     parameters, whose n increments carry the same information whatever
@@ -263,13 +263,9 @@ def fisher_info(model: JumpDiffusionModel, theta, driver: Path) -> Array:
     _, btilde, a_th, b_dot = _unit_coefficients(model, x, theta)
     if np.any(btilde == 0):
         raise ValueError("diffusion coefficient vanishes along the driver path")
-    drift = [g / btilde for g in a_th]
-    diff = [2.0 * g / btilde for g in b_dot]
-    info = np.empty((model.p, model.p))
-    for k in range(model.p):
-        for j in range(k, model.p):
-            info[k, j] = info[j, k] = (
-                np.trapezoid(drift[k] * drift[j], t)
-                + 0.5 * np.trapezoid(diff[k] * diff[j], t) / horizon
-            )
-    return info
+    drift = np.array([g / btilde for g in a_th])  # (p, steps + 1)
+    diff = np.array([2.0 * g / btilde for g in b_dot])
+    return (
+        np.trapezoid(drift[:, None] * drift, t)
+        + 0.5 * np.trapezoid(diff[:, None] * diff, t) / horizon
+    )

@@ -432,6 +432,16 @@ def default_probe_grid(model: JumpDiffusionModel, n_x: int = 25):
 # ---------------------------------------------------------------------------
 
 
+def _table_model(table: LinearTable, x0: float, **fields) -> JumpDiffusionModel:
+    """A built-in model: coefficients, and with a positive intensity the jump
+    kernel, from its table; X_0 = x0 with a zero theta-gradient."""
+    return JumpDiffusionModel(
+        initial=lambda th: x0, initial_grad=lambda th: np.zeros(len(table.alpha)),
+        coefficients=table.coefficients, table=table,
+        jump_kernel=table.jump_kernel if table.intensity > 0 else None, **fields,
+    )
+
+
 def bs_small_noise_model(
     mu: float, sigma: float, eps: float, x0: float
 ) -> JumpDiffusionModel:
@@ -452,17 +462,12 @@ def bs_small_noise_model(
 
     # columns (mu, sigma): drift mu x, diffusion eps sigma x
     table = LinearTable(alpha=(0, 0), beta=(1, 0), gamma=(0, 0), delta=(0, eps))
-    return JumpDiffusionModel(
-        name="bs_small_noise",
-        param_names=("mu", "sigma"),
-        initial=lambda th: x0,
-        initial_grad=lambda th: np.zeros(2),
-        coefficients=table.coefficients,
+    return _table_model(
+        table, x0, name="bs_small_noise", param_names=("mu", "sigma"),
         param_box=np.array([[-5.0, 5.0], [1e-8, 10.0]]),
         growth_const=abs(mu) + eps * sigma,
         theta0=np.array([mu, sigma], dtype=float),
         epsilon=eps,
-        table=table,
     )
 
 
@@ -489,19 +494,13 @@ def ou_jump_model(mu: float, sigma: float, eta: float, lam: float, x0: float) ->
         alpha=(0, 0, 0), beta=(-1, 0, 0), gamma=(0, 1, 0), delta=(0, 0, 0),
         kappa=(0, 0, 1), jump_base=(0, 1), intensity=lam,
     )
-    return JumpDiffusionModel(
-        name="ou_jump",
-        param_names=("mu", "sigma", "eta"),
-        initial=lambda th: x0,
-        initial_grad=lambda th: np.zeros(3),
-        coefficients=table.coefficients,
+    return _table_model(
+        table, x0, name="ou_jump", param_names=("mu", "sigma", "eta"),
         # mu > 0: the closed forms divide by mu
         param_box=np.array([[1e-8, 20.0], [0.0, 10.0], [-10.0, 10.0]]),
         growth_const=kappa,
         theta0=np.array([mu, sigma, eta], dtype=float),
         jump=spec,
-        jump_kernel=table.jump_kernel if lam > 0 else None,
-        table=table,
     )
 
 
@@ -525,16 +524,10 @@ def levy_model(mu: float, sigma: float, eta: float, x0: float) -> JumpDiffusionM
         alpha=(1, 0, 0), beta=(0, 0, 0), gamma=(0, 1, 0), delta=(0, 0, 0),
         nu=(0, 0, 1), size_mean=1.0, intensity=spec.intensity,
     )
-    return JumpDiffusionModel(
-        name="levy",
-        param_names=("mu", "sigma", "eta"),
-        initial=lambda th: x0,
-        initial_grad=lambda th: np.zeros(3),
-        coefficients=table.coefficients,
+    return _table_model(
+        table, x0, name="levy", param_names=("mu", "sigma", "eta"),
         param_box=np.array([[-10.0, 10.0], [0.0, 10.0], [-10.0, 10.0]]),
         growth_const=abs(mu + eta) + sigma + abs(eta),
         theta0=np.array([mu, sigma, eta], dtype=float),
         jump=spec,
-        jump_kernel=table.jump_kernel,
-        table=table,
     )

@@ -50,15 +50,20 @@ same noise by differentiating that step, in the factored (pathwise
 tangent) form of Glasserman, Monte Carlo Methods in Financial
 Engineering (2004), section 7.2: a factor g_k, computed once per step,
 scales all p rows.  So the Euler iterates of Y are the exact
-theta-derivatives of the Euler iterates of X, up to rounding.  X and Y
-are checked for finiteness once per block of paths, after its last step,
-since each update adds to or scales the previous state; a block that
-fails is stepped again from the same noise with a check after every
-step, which names the first non-finite step.  One skeleton
-(_step_block) holds the recursion's state, its buffers, the weighted
-sums, the recorded paths and that check; only the body of a step depends
-on the model, and on nothing else.  The product form (below) steps
-without a body, in _product_block.
+theta-derivatives of the Euler iterates of X, up to rounding.
+
+Two forms step a block of paths: the recursion (_recursion), in which
+only the body of a step depends on the model, and the product form
+(below, _product_block).  Both take their start state from _start: X_0,
+Y_0 from initial_grad, the weighted sums at node 0 and the first
+recorded rows.  _step_block is the one place that picks a form and
+judges its result.  It checks the terminal X and Y once, since each
+update adds to or scales the previous state.  If a path failed, the
+recursion runs again from the same noise with a check after every step.
+That run raises SimulationBlowup at the first non-finite step, or, where
+only the product form failed (a zero factor, below), gives the failing
+paths the recursion's finite values while every other path keeps its
+own; so a path's values do not depend on the chunk it is stepped in.
 
 A model with a table (models.LinearTable: the built-ins) steps from the
 table's theta-scalars alpha, beta, gamma, delta (the drift net of the
@@ -96,17 +101,12 @@ product bit for bit.  Where rows are wanted (record, weights) the same
 sequence is taken row by row, one call per step; a chunk of one column
 takes every route as one 1-D accumulate over the whole grid, since an
 add.reduce of one column sums pairwise and would move bits.  So every
-route gives the same bits.  The carry rows are made once per thread and
-kept, as the noise streams are: a fresh (3, BLOCK_STEPS + 1, 2 048)
-buffer per call pays its page faults on every call.
+route gives the same bits.  The carry rows are kept per thread with the
+noise streams (_ThreadScratch).
 
 A factor g_k = 0 (delta dW_k = -(1 + beta dt) exactly) leaves X = 0 but
-makes 1/g_k infinite, and Y = 0 * inf is NaN.  The end-of-block check
-then re-runs the chunk through the recursion, with a check after every
-step: that names the first non-finite step of a real blow-up, and
-otherwise gives the recursion's values for the paths the product form
-failed on, while every other path keeps its own.  A path's values
-therefore still do not depend on the chunk it is stepped in.
+makes 1/g_k infinite, and Y = 0 * inf is NaN: a failed path, which the
+re-run above gives the recursion's finite values.
 
 A table without delta entries (ou, levy) takes the affine step, the
 recursion above with a scalar g: a table entry of 0 leaves its term out
@@ -138,6 +138,7 @@ coupled_paths return one recorded path.
 
 from __future__ import annotations
 
+import functools
 import operator
 import threading
 from dataclasses import dataclass, fields
@@ -351,18 +352,32 @@ def _draw_block(streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec
     return None
 
 
-# Each thread's _BlockStreams, built on its first draw: building one costs
-# most of a short path's draw, and at() resets all of its state, so
-# reusing it changes no number.
-_thread_streams = threading.local()
+class _ThreadScratch(threading.local):
+    """What each thread's draws and product-form steps reuse: its
+    _BlockStreams, and the carry rows (module docstring), grown when a block
+    needs more rows or columns than the last one made.  Building the streams
+    costs most of a short path's draw, and a fresh (3, BLOCK_STEPS + 1,
+    2 048) buffer per call pays its page faults each time.  at() resets all
+    of the streams' state and every carry row is written before it is read,
+    so reuse changes no number."""
+
+    def __init__(self):
+        self.rows = np.empty((3, 0, 0))
+
+    @functools.cached_property
+    def streams(self) -> _BlockStreams:
+        """Built on the thread's first draw, not at import."""
+        return _BlockStreams()
+
+    def carry_rows(self, rows: int, m: int) -> Array:
+        """The carry rows as a (3, rows, m) view."""
+        buf = self.rows
+        if buf.shape[1] < rows or buf.shape[2] < m:
+            buf = self.rows = np.empty((3, max(rows, buf.shape[1]), max(m, buf.shape[2])))
+        return buf[:, :rows, :m]
 
 
-def _streams() -> _BlockStreams:
-    """The _BlockStreams every draw of this thread takes."""
-    streams = getattr(_thread_streams, "streams", None)
-    if streams is None:
-        streams = _thread_streams.streams = _BlockStreams()
-    return streams
+_scratch = _ThreadScratch()
 
 
 def sample_noise(grid: TimeGrid, jump: JumpSpec, seed: int) -> NoiseBundle:
@@ -560,21 +575,6 @@ def _product_form(model: JumpDiffusionModel, theta: Array, want_y: bool) -> bool
     )
 
 
-# Each thread's product-form block rows, made when a block needs more rows
-# or columns than the last one made: a fresh (3, BLOCK_STEPS + 1, 2 048)
-# buffer per call costs its page faults each time.
-_thread_carry = threading.local()
-
-
-def _carry_rows(rows: int, m: int) -> Array:
-    """This thread's block rows, as a (3, rows, m) view."""
-    buf = getattr(_thread_carry, "rows", None)
-    if buf is None or buf.shape[1] < rows or buf.shape[2] < m:
-        _, old_rows, old_m = (0, 0, 0) if buf is None else buf.shape
-        buf = _thread_carry.rows = np.empty((3, max(rows, old_rows), max(m, old_m)))
-    return buf[:, :rows, :m]
-
-
 def _tangent(scales, x: Array, s1: Array, s2: Array, out: Array) -> None:
     """Y row j = X (c1_j S1 + c2_j S2) into out[..., j, :], for scales of
     (c1_j, c2_j) = (beta_j dt, delta_j), a None term left out; 0 where both
@@ -593,10 +593,33 @@ def _tangent(scales, x: Array, s1: Array, s2: Array, out: Array) -> None:
         np.multiply(y_j, x, y_j)
 
 
+def _start(model: JumpDiffusionModel, theta: Array, n: int, m: int, want_y: bool,
+           weights: Array | None, record: bool) -> tuple:
+    """The start state of both forms, in _result's order: X_0 and Y_0 (from
+    initial_grad) on m paths, their weighted sums at node 0 and the n + 1
+    recorded rows with row 0 filled; None for what is not wanted."""
+    x = np.full(m, float(model.initial(theta)))
+    y = x_sum = y_sum = rec_x = rec_y = None
+    if want_y:
+        y0 = np.asarray(model.initial_grad(theta), dtype=float)
+        y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
+    if weights is not None:
+        x_sum = weights[0] * x
+        if want_y:
+            y_sum = weights[0] * y
+    if record:
+        rec_x = np.empty((n + 1, m))
+        rec_x[0] = x
+        if want_y:
+            rec_y = np.empty((n + 1, model.p, m))
+            rec_y[0] = y
+    return x, x_sum, y, y_sum, rec_x, rec_y
+
+
 def _product_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, increments: Array,
-                   *, want_y: bool, weights: Array | None, record: bool):
+                   *, want_y: bool, weights: Array | None, record: bool) -> BatchResult:
     """X, Y and their sums and paths in the product form (module docstring),
-    unchecked: the caller checks that X and Y are finite."""
+    unchecked."""
     n, m = increments.shape
     dt = grid.dt
     table = model.table
@@ -608,24 +631,13 @@ def _product_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, incr
     block = n if m == 1 else BLOCK_STEPS
     # the carry rows [X; g], [S1; 1/g] and [S2; dW/g]; one column's hold the grid
     rows = min(block, n) + 1
-    fac, inv, dinv = np.empty((3, rows, 1)) if m == 1 else _carry_rows(rows, m)
+    fac, inv, dinv = np.empty((3, rows, 1)) if m == 1 else _scratch.carry_rows(rows, m)
 
-    x = np.full(m, float(model.initial(theta)))
-    y = s1 = s2 = None
-    if want_y:
-        y, s1, s2 = np.zeros((model.p, m)), np.zeros(m), np.zeros(m)
-    x_sum = y_sum = None
+    x, x_sum, y, y_sum, rec_x, rec_y = _start(model, theta, n, m, want_y, weights, record)
     if weights is not None:
-        x_sum, tmp = weights[0] * x, np.empty(m)
-        if want_y:
-            y_sum, y_k, y_term = weights[0] * y, np.empty_like(y), np.empty_like(y)
-    rec_x = rec_y = None
-    if record:
-        rec_x = np.empty((n + 1, m))
-        rec_x[0] = x
-        if want_y:
-            rec_y = np.empty((n + 1, model.p, m))
-            rec_y[0] = y
+        tmp = np.empty(m)
+    if want_y:
+        s1, s2, y_k, y_term = np.zeros(m), np.zeros(m), np.empty_like(y), np.empty_like(y)
 
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -691,56 +703,20 @@ def _result(x, x_sum, y, y_sum, rec_x, rec_y) -> BatchResult:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _step_block(
-    model: JumpDiffusionModel,
-    theta: Array,
-    grid: TimeGrid,
-    increments: Array,  # (steps, m), one column per path
-    jumps,  # output of _flat_jumps or None
-    *,
-    want_y: bool = False,
-    weights: Array | None = None,  # (steps + 1,), one per grid node
-    record: bool = False,
-    path_offset: int = 0,
-    check_steps: bool = False,
-) -> BatchResult:
-    """Advance a block of m paths over the full grid.
-
-    weights adds the weighted sums x_sum (and y_sum); record=True keeps
-    the full paths in x_path and y_path (small blocks only).  Raises
-    SimulationBlowup at the first step where X or Y turns non-finite,
-    found by a re-run of the recursion with check_steps=True if the
-    end-of-block check fails; numpy's overflow warnings are silenced, as
-    that error reports them.  A product-form model takes the product form,
-    any other the recursion, whose step is the affine one for a table
-    without delta entries, else the generic one (module docstring).
-    """
-    if not check_steps and _product_form(model, theta, want_y):
-        res = _product_block(
-            model, theta, grid, increments,
-            want_y=want_y, weights=weights, record=record,
-        )
-        bad = _bad_paths(res)
-        if bad.any():
-            # the recursion names the first non-finite step, or, where only
-            # the product form failed (a zero factor), gives those paths
-            fix = _step_block(
-                model, theta, grid, increments, jumps,
-                want_y=want_y, weights=weights, record=record, path_offset=path_offset,
-                check_steps=True,
-            )
-            for f in fields(BatchResult):
-                value = getattr(res, f.name)
-                if value is not None:
-                    path = (..., bad) if f.name.endswith("_path") else bad  # paths end in m
-                    value[path] = getattr(fix, f.name)[path]
-        return res
-
+def _recursion(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, increments: Array, jumps,
+               *, want_y: bool, weights: Array | None, record: bool,
+               path_offset: int | None = None) -> BatchResult:
+    """X, Y and their sums and paths by the recursion, whose step is the
+    affine one for a table without delta entries, else the generic one
+    (module docstring).  Given a path_offset, X and Y are checked after
+    every step, and SimulationBlowup names the first non-finite step and
+    its path as path_offset + its column; else nothing is checked."""
     n, m = increments.shape
-    p = model.p
-    x = np.full(m, float(model.initial(theta)))
-    x_prev = np.empty(m)  # the two swap each step
+    x, x_sum, y, y_sum, rec_x, rec_y = _start(model, theta, n, m, want_y, weights, record)
+    # the two of each pair swap each step
+    x_prev = np.empty(m)
+    y_prev = None if y is None else np.empty_like(y)
+    y_term = None if y_sum is None else np.empty_like(y)
     # the bodies' scratch: a term, a partial sum, a row term, the factor g;
     # a sum goes into a buffer other than its inputs where one is free (in
     # place costs more at m = 1)
@@ -750,27 +726,6 @@ def _step_block(
     body = _affine_body if affine else _generic_body
     step = body(model, theta, grid.dt, increments, jumps, scratch)
 
-    y = y_prev = None
-    if want_y:
-        y0 = np.asarray(model.initial_grad(theta), dtype=float)
-        y = np.repeat(y0[:, None], m, axis=1)  # (p, m)
-        y_prev = np.empty_like(y)  # the two swap each step
-
-    x_sum = y_sum = None
-    if weights is not None:
-        x_sum = weights[0] * x
-        if y is not None:
-            y_sum = weights[0] * y
-            y_term = np.empty_like(y)
-
-    rec_x = rec_y = None
-    if record:
-        rec_x = np.empty((n + 1, m))
-        rec_x[0] = x
-        if y is not None:
-            rec_y = np.empty((n + 1, p, m))
-            rec_y[0] = y
-
     add, mul = np.add, np.multiply
     for k in range(n):
         x, x_prev = x_prev, x
@@ -778,7 +733,7 @@ def _step_block(
             y, y_prev = y_prev, y
         step(k, x_prev, x, y_prev, y)
 
-        if check_steps:
+        if path_offset is not None:
             for label, state in (("X", x), ("Y", y)):
                 if state is not None and not np.isfinite(state).all():
                     finite = np.isfinite(state).reshape(-1, m).all(axis=0)
@@ -797,14 +752,48 @@ def _step_block(
             if rec_y is not None:
                 rec_y[k + 1] = y
 
-    res = _result(x, x_sum, y, y_sum, rec_x, rec_y)
-    if check_steps or not _bad_paths(res).any():
-        return res
-    return _step_block(
-        model, theta, grid, increments, jumps,
-        want_y=want_y, weights=weights, record=record, path_offset=path_offset,
-        check_steps=True,
-    )
+    return _result(x, x_sum, y, y_sum, rec_x, rec_y)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _step_block(
+    model: JumpDiffusionModel,
+    theta: Array,
+    grid: TimeGrid,
+    increments: Array,  # (steps, m), one column per path
+    jumps,  # output of _flat_jumps or None
+    *,
+    want_y: bool = False,
+    weights: Array | None = None,  # (steps + 1,), one per grid node
+    record: bool = False,
+    path_offset: int = 0,
+) -> BatchResult:
+    """Advance a block of m paths over the full grid, in the product form
+    for a model that takes it, else by the recursion, and judge the result.
+
+    weights adds the weighted sums x_sum (and y_sum); record=True keeps
+    the full paths in x_path and y_path (small blocks only).  The terminal
+    X and Y are checked once; if a path's are not finite, the recursion
+    runs again with a check after every step.  That run raises
+    SimulationBlowup at the first non-finite step, naming the path as
+    path_offset + its column, or gives the failing paths its finite values
+    (a zero factor of the product form).  numpy's overflow warnings are
+    silenced, as that error reports them.
+    """
+    kw = dict(want_y=want_y, weights=weights, record=record)
+    if _product_form(model, theta, want_y):
+        res = _product_block(model, theta, grid, increments, **kw)
+    else:
+        res = _recursion(model, theta, grid, increments, jumps, **kw)
+    bad = _bad_paths(res)
+    if bad.any():
+        fix = _recursion(model, theta, grid, increments, jumps, **kw, path_offset=path_offset)
+        for f in fields(BatchResult):
+            value = getattr(res, f.name)
+            if value is not None:
+                path = (..., bad) if f.name.endswith("_path") else bad  # paths end in m
+                value[path] = getattr(fix, f.name)[path]
+    return res
 
 
 def _bad_paths(res: BatchResult) -> Array:
@@ -846,7 +835,7 @@ def _draw_chunk(root_key: int, grid: TimeGrid, jump: JumpSpec, first: int, incre
     """
     sd = np.sqrt(grid.dt)
     m = increments.shape[1]
-    streams = _streams()
+    streams = _scratch.streams
     normals = np.empty((min(first % BLOCK_PATHS + m, BLOCK_PATHS), grid.steps))
     paths, times, sizes = [], [], []
     col = 0

@@ -405,9 +405,17 @@ def test_product_blowup_after_first_block_names_step_and_path(monkeypatch, label
         step = 54
     assert plugmc.simulate._product_form(model, model.theta0, True)
     monkeypatch.setattr(plugmc.simulate, "_draw_chunk", hand_chunk(increments))
-    got = blowup(monkeypatch, model, model.theta0, grid, 0, n_paths, workers, _step_block)
-    want = blowup(
-        monkeypatch, model, model.theta0, grid, 0, n_paths, workers, reference_step_block
-    )
-    assert (got.step, str(got)) == (want.step, str(want))
-    assert str(got) == f"non-finite state at step {step} in {label} (path index 7)"
+    for zero_factor in (False, True):
+        if zero_factor:
+            # path 6, in path 7's chunk, has g = 0 at step 10: its product
+            # form fails too, and the re-run must give it the recursion's
+            # finite values without swallowing path 7's blow-up
+            mu, delta = model.theta0[0], model.theta0[1] * model.epsilon
+            increments[9, 6] = -(1.0 + mu * grid.dt) / delta
+            assert (1.0 + mu * grid.dt) + increments[9, 6] * delta == 0.0
+        got = blowup(monkeypatch, model, model.theta0, grid, 0, n_paths, workers, _step_block)
+        want = blowup(
+            monkeypatch, model, model.theta0, grid, 0, n_paths, workers, reference_step_block
+        )
+        assert (got.step, str(got)) == (want.step, str(want))
+        assert str(got) == f"non-finite state at step {step} in {label} (path index 7)"
