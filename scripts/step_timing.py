@@ -1,8 +1,10 @@
 """The Euler stepper's time per path-step, in one process.
 
-Each case draws one chunk of noise, then times simulate._step_block on it
-and prints the best of --repeat calls in ns per path-step (for the
-recorded path, ns per step of its one column).  The noise draw is not
+Each case draws one chunk of noise, and every case runs
+simulate._step_block once untimed, so that the first case timed does not
+pay for the process's first calls.  Then each case times _step_block on
+its chunk and prints the best of --repeat calls in ns per path-step (for
+the recorded path, ns per step of its one column).  The noise draw is not
 timed.  Run it from the repository root, pinned to one CPU for steadier
 numbers:
 
@@ -18,6 +20,7 @@ times an older tree given on PYTHONPATH.
 from __future__ import annotations
 
 import argparse
+import functools
 import time
 
 import numpy as np
@@ -41,18 +44,27 @@ CASES = (
 
 
 def measure(repeat: int) -> dict[str, float]:
-    """Each case's best time over `repeat` calls, in ns per path-step."""
-    out = {}
+    """Each case's best time over `repeat` calls, in ns per path-step,
+    after one untimed call of every case."""
+    runs = []
     for name, model, m, n, want_y, record in CASES:
         grid = TimeGrid(1.0, n)
         increments = np.empty((n, m))
         jumps = _flat_jumps(*_draw_chunk(path_seed(7, 0), grid, model.jump, 0, increments), grid)
+        run = functools.partial(
+            _step_block, model, model.theta0, grid, increments, jumps, want_y=want_y, record=record
+        )
+        runs.append((name, m * n, run))
+    for _, _, run in runs:
+        run()
+    out = {}
+    for name, path_steps, run in runs:
         best = float("inf")
         for _ in range(repeat):
             t0 = time.perf_counter()
-            _step_block(model, model.theta0, grid, increments, jumps, want_y=want_y, record=record)
+            run()
             best = min(best, time.perf_counter() - t0)
-        out[name] = best * 1e9 / (m * n)
+        out[name] = best * 1e9 / path_steps
     return out
 
 

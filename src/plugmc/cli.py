@@ -111,6 +111,9 @@ def cmd_estimate(args) -> int:
                 f"data CSV line {line} has fewer fields than the header "
                 f"({len(row)} < {len(header)})"
             )
+    paths = len({r[header.index("path_id")] for r in rows[1:]}) if "path_id" in header else 1
+    if paths > 1:
+        raise ValueError(f"data CSV holds {paths} paths (path_id); estimate reads one")
     t = np.array([float(r[t_col]) for r in rows[1:]])
     x = np.array([float(r[x_col]) for r in rows[1:]])
     if t.size < 2 or abs(t[0]) > 1e-12:
@@ -119,13 +122,12 @@ def cmd_estimate(args) -> int:
     # rounding only: the estimator takes every step to be exactly T / n
     if not np.allclose(t, grid.times(), rtol=0.0, atol=1e-9 * max(1.0, grid.horizon)):
         raise ValueError("data must be sampled on a uniform grid")
-    # construction parameters are only a reference point; theta is estimated
+    # the construction parameters are Newton's start; theta is estimated
     model = model_from_config(
         {"model": "bs", "params": [0.0, 1.0], "epsilon": args.epsilon, "x0": float(x[0])}
     )
-    obs = Observations(grid=grid, samples=x, eps=args.epsilon)
-    init = np.asarray([float(v) for v in args.init.split(",")])
-    result = minimize_contrast(obs, model, init)
+    obs = Observations(grid=grid, samples=x, eps=model.epsilon)
+    result = minimize_contrast(obs, model, model.theta0)
     out = {
         "mu_hat": float(result.theta[0]),
         "sigma_hat": float(result.theta[1]),
@@ -237,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--data", required=True)
     p_est.add_argument("--model", default="bs")
     p_est.add_argument("--epsilon", type=float, required=True)
-    p_est.add_argument("--init", default="0.0,1.0")
     p_est.set_defaults(func=cmd_estimate)
 
     p_price = sub.add_parser("price", help="plug-in Monte Carlo value with CI")

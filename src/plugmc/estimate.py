@@ -22,10 +22,12 @@ For geometric Brownian dynamics the minimizer has a closed form
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .inference import central_difference
 from .models import JumpDiffusionModel
 from .simulate import Path, TimeGrid
 
@@ -49,7 +51,9 @@ MAX_SWEEPS = 100
 
 @dataclass(frozen=True)
 class Observations:
-    """Discrete samples X_{t_k}, k = 0..n, with known noise scale eps."""
+    """Discrete samples X_{t_k}, k = 0..n, with known noise scale eps: the
+    model's epsilon, where a model is given (the contrast route refuses
+    another), and the scale bs_closed_form divides out."""
 
     grid: TimeGrid
     samples: Array
@@ -92,6 +96,10 @@ def _unit_coefficients(model: JumpDiffusionModel, x: Array, theta: Array):
 
 
 def _prepare(obs: Observations, theta, model: JumpDiffusionModel):
+    if obs.eps != model.epsilon:
+        raise ValueError(
+            f"{model.name}: observations carry eps = {obs.eps}, not the model's {model.epsilon}"
+        )
     theta = np.asarray(theta, dtype=float)
     x_prev = obs.samples[:-1]
     dx = np.diff(obs.samples)
@@ -104,7 +112,7 @@ def _prepare(obs: Observations, theta, model: JumpDiffusionModel):
 
 def contrast(obs: Observations, theta, model: JumpDiffusionModel) -> float:
     resid, btilde, _, _ = _prepare(obs, theta, model)
-    quad = resid**2 / (obs.eps**2 * obs.grid.dt * btilde**2)
+    quad = resid**2 / (model.epsilon**2 * obs.grid.dt * btilde**2)
     return float(np.sum(quad + np.log(btilde**2)))
 
 
@@ -112,15 +120,11 @@ def contrast_gradient(obs: Observations, theta, model: JumpDiffusionModel) -> Ar
     """Analytic gradient of the contrast (closed-form coefficient derivatives)."""
     resid, btilde, a_th, b_dot = _prepare(obs, theta, model)
     dt = obs.grid.dt
-    w = obs.eps**2 * dt
+    w = model.epsilon**2 * dt
     drift_weight = -2.0 * (resid / (w * btilde**2))
     diff_weight = -2.0 * resid**2 / (w * btilde**3) + 2.0 / btilde
-    grad = np.empty(model.p)
-    for j in range(model.p):
-        term_drift = drift_weight * a_th[j] * dt
-        term_diff = diff_weight * b_dot[j]
-        grad[j] = np.sum(term_drift + term_diff)
-    return grad
+    terms = zip(a_th, b_dot)
+    return np.array([np.sum(drift_weight * a_j * dt + diff_weight * b_j) for a_j, b_j in terms])
 
 
 def contrast_rates(eps: float, n: int, p: int) -> Array:
@@ -153,15 +157,7 @@ def minimize_contrast(
                 g = contrast_gradient(obs, theta, model)[j]
                 if abs(g) < 0.1 * GRAD_TOL:
                     break
-                h = max(1e-6, 1e-6 * abs(theta[j]))
-                tp = theta.copy()
-                tp[j] += h
-                tm = theta.copy()
-                tm[j] -= h
-                curv = (
-                    contrast_gradient(obs, tp, model)[j]
-                    - contrast_gradient(obs, tm, model)[j]
-                ) / (2.0 * h)
+                curv = central_difference(lambda t: contrast_gradient(obs, t, model)[j], theta, j)
                 if not np.isfinite(curv) or curv <= 0:
                     break
                 new = np.clip(theta[j] - g / curv, box[j, 0], box[j, 1])
@@ -177,13 +173,11 @@ def minimize_contrast(
         if moved == 0.0:
             break
     info = None
-    try:
+    with contextlib.suppress(ValueError):
         info = fisher_info(model, theta, deterministic_path(model, theta, obs.grid))
-    except ValueError:
-        pass
     return EstimatorResult(
         theta=theta,
-        rates=contrast_rates(obs.eps, obs.grid.steps, model.p),
+        rates=contrast_rates(model.epsilon, obs.grid.steps, model.p),
         info=info,
         converged=converged,
         contrast_value=contrast(obs, theta, model),

@@ -186,24 +186,26 @@ def confidence_interval(
     return (float(h_hat - half), float(h_hat + half))
 
 
-def central_difference_gradient(h_fn, theta) -> Array:
-    """Central-difference gradient of a scalar function of theta.
+def central_difference(fn, theta: Array, i: int) -> float:
+    """Central difference of a scalar function of theta in coordinate i,
+    with the step max(1e-6, 1e-6 |theta_i|); non-finite where fn is
+    non-finite at either probe."""
+    h = max(1e-6, 1e-6 * abs(theta[i]))
+    tp, tm = theta.copy(), theta.copy()
+    tp[i] += h
+    tm[i] -= h
+    return (fn(tp) - fn(tm)) / (2.0 * h)
 
-    Step per coordinate is max(1e-6, 1e-6 |theta_i|).  Raises if h_fn is
-    non-finite at either probe of a coordinate.
-    """
+
+def central_difference_gradient(h_fn, theta) -> Array:
+    """Gradient of a scalar function of theta by central_difference; raises
+    if a coordinate's is non-finite, as where h_fn is at either probe."""
     theta = np.asarray(theta, dtype=float)
     grad = np.empty(theta.size)
     for i in range(theta.size):
-        h = max(1e-6, 1e-6 * abs(theta[i]))
-        tp = theta.copy()
-        tp[i] += h
-        tm = theta.copy()
-        tm[i] -= h
-        fp, fm = h_fn(tp), h_fn(tm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        grad[i] = central_difference(h_fn, theta, i)
+        if not np.isfinite(grad[i]):
             raise ValueError(f"H is non-finite near theta (coordinate {i})")
-        grad[i] = (fp - fm) / (2.0 * h)
     return grad
 
 

@@ -33,9 +33,9 @@ jump law at runtime.
 
 The built-in models are affine in x and linear in theta.  Each is one
 LinearTable, a column per parameter holding its part in the drift, the
-diffusion and the jump size; its factory builds coefficients and
-jump_kernel from the table, so the two cannot disagree, and the simulator
-steps it from the table itself.  A user model has no table.
+diffusion and the jump size; its coefficients and jump_kernel come from
+the table, so the two cannot disagree, and the simulator steps it from
+the table itself.  A user model has no table.
 """
 
 from __future__ import annotations
@@ -197,10 +197,10 @@ class LinearTable:
     drift of `coefficients` adds it back.  A 0 entry is stored as None,
     and every term it scales is left out, here and in the simulator's step.
 
-    `coefficients(x, th)` and `jump_kernel(x, z, th)`, the fused calls of
-    the module docstring, are compiled once from the table: the same
-    arithmetic run on names writes their source, one expression per
-    entry, so a call costs what a hand-written one does.
+    `coefficients(x, th)`, the fused call of the module docstring, is
+    compiled once: the same arithmetic run on names writes its source, so
+    a call costs what a hand-written one does.  `jump_kernel` runs it on
+    numbers; the step reads jump_size and jump_shares once per block.
     """
 
     alpha: tuple
@@ -229,15 +229,10 @@ class LinearTable:
         )
         scalars = [name if isinstance(v, str) else v for name, v in zip(names, scalars)]
         coef = self._coefficients("x", scalars)
-        kernel = [_lin(*scalars[4:], "z"), None, list(self.jump_shares("z"))]
-        source = (
-            f"def coefficients(x, th):\n{head}    return {_render(list(coef))}\n"
-            f"def jump_kernel(x, z, th):\n{head}    return {_render(kernel)}\n"
-        )
+        source = f"def coefficients(x, th):\n{head}    return {_render(list(coef))}\n"
         calls = {}
         exec(source, calls)  # the source holds only names and float reprs
         object.__setattr__(self, "coefficients", calls["coefficients"])
-        object.__setattr__(self, "jump_kernel", calls["jump_kernel"])
 
     def scalars(self, theta) -> tuple:
         """(alpha, beta, gamma, delta, kappa, nu) at theta: each row's base
@@ -256,6 +251,12 @@ class LinearTable:
         """kappa_j + nu_j z for each parameter j, the theta-derivative of the
         jump of each centred size z; None for a column without a jump part."""
         return tuple(_lin(k_j, n_j, z) for k_j, n_j in zip(self.kappa, self.nu))
+
+    def jump_kernel(self, x, z, theta) -> tuple:
+        """(c, c_x, c_theta) for the centred sizes z, whatever x; a column
+        without a jump part has a 0.0 share."""
+        shares = tuple(0.0 if share is None else share for share in self.jump_shares(z))
+        return self.jump_size(z, theta), 0.0, shares
 
     def _compensator(self, kappa, nu):
         """intensity * (kappa + nu * size_mean) for the scalars kappa, nu,

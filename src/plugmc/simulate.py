@@ -354,15 +354,16 @@ def _draw_block(streams: _BlockStreams, key: int, grid: TimeGrid, jump: JumpSpec
 
 class _ThreadScratch(threading.local):
     """What each thread's draws and product-form steps reuse: its
-    _BlockStreams, and the carry rows (module docstring), grown when a block
-    needs more rows or columns than the last one made.  Building the streams
-    costs most of a short path's draw, and a fresh (3, BLOCK_STEPS + 1,
-    2 048) buffer per call pays its page faults each time.  at() resets all
-    of the streams' state and every carry row is written before it is read,
-    so reuse changes no number."""
+    _BlockStreams, and the carry rows (module docstring), contiguous in one
+    flat buffer grown when a block needs more: a view of a wider block's
+    columns stepped 1.7x slower.  Building the streams costs most of a short
+    path's draw, and a fresh (3, BLOCK_STEPS + 1, 2 048) buffer per call
+    pays its page faults each time.  at() resets all of the streams' state
+    and every carry row is written before it is read, so reuse changes no
+    number."""
 
     def __init__(self):
-        self.rows = np.empty((3, 0, 0))
+        self.rows = np.empty(0)
 
     @functools.cached_property
     def streams(self) -> _BlockStreams:
@@ -370,11 +371,11 @@ class _ThreadScratch(threading.local):
         return _BlockStreams()
 
     def carry_rows(self, rows: int, m: int) -> Array:
-        """The carry rows as a (3, rows, m) view."""
-        buf = self.rows
-        if buf.shape[1] < rows or buf.shape[2] < m:
-            buf = self.rows = np.empty((3, max(rows, buf.shape[1]), max(m, buf.shape[2])))
-        return buf[:, :rows, :m]
+        """The carry rows as a contiguous (3, rows, m) view."""
+        size = 3 * rows * m
+        if self.rows.size < size:
+            self.rows = np.empty(size)
+        return self.rows[:size].reshape(3, rows, m)
 
 
 _scratch = _ThreadScratch()

@@ -455,6 +455,10 @@ OBS_CSV = "t,X\n0.0,1.0\n0.5,1.1\n1.0,1.2\n"
         # tolerance (1e-5 * t), and the estimator took every step as exact
         ("estimate", "t,X\n0.0,1.0\n500.004,1.1\n1000.0,1.2\n", [],
          "data must be sampled on a uniform grid"),
+        # a CSV of `plugmc simulate --paths 2` used to fail as a grid that is
+        # not uniform
+        ("estimate", "path_id,t,X\n0,0.0,1.0\n0,1.0,1.1\n1,0.0,1.0\n1,1.0,1.2\n", [],
+         "data CSV holds 2 paths (path_id); estimate reads one"),
         # the oracle observes nothing: n_obs only restated its pricing grid
         ("experiment", {"kind": "ou_oracle", "theta0": [1.0, 0.3, 0.5], "n_obs": 20}, [],
          "unknown config keys: ['n_obs'] for kind 'ou_oracle'"),

@@ -117,6 +117,18 @@ def test_newton_matches_closed_form_to_1e10():
         assert np.max(np.abs(newton.theta - cf.theta)) < 1e-10
 
 
+def test_contrast_route_refuses_observations_with_another_eps():
+    # the contrast used to divide by the observations' eps and its btilde by
+    # the model's, so Newton stayed at sigma = 1.0, unconverged, without a word
+    model, obs = simulate_observations(9)
+    doubled = Observations(grid=obs.grid, samples=obs.samples, eps=2 * EPS)
+    message = f"observations carry eps = {2 * EPS}, not the model's {EPS}"
+    with pytest.raises(ValueError, match=message):
+        minimize_contrast(doubled, model, init=THETA0)
+    with pytest.raises(ValueError, match=message):
+        contrast(doubled, THETA0, model)
+
+
 def test_newton_from_truth_converges_fast():
     model, obs = simulate_observations(3)
     result = minimize_contrast(obs, model, init=THETA0)

@@ -13,14 +13,27 @@ import pytest
 import plugmc.experiments as exp
 import plugmc.simulate
 from plugmc import (
+    NO_JUMPS,
     ExperimentConfig,
+    Functional,
+    Observations,
+    TimeGrid,
+    bs_closed_form,
+    build_report,
+    contrast_rates,
+    deterministic_path,
+    euler_path,
+    fisher_info,
     ks_statistic,
     norm_ppf,
+    path_seed,
     run_bs_experiment,
     run_ou_oracle,
+    sample_noise,
     write_experiment_outputs,
 )
 from plugmc.experiments import (
+    IDX_CORRECTION,
     IDX_OBSERVATION,
     IDX_PRICING,
     functional_from_config,
@@ -181,6 +194,41 @@ def test_bs_experiment_mixed_rates():
     s = out.summary
     assert s["ks_statistic"] < 1.358 / np.sqrt(60)  # 5% level
     assert abs(s["z_sd"] - 1.0) < 0.25
+
+
+def test_bs_experiment_observes_over_obs_horizon():
+    # observed over T_obs = 2, priced over T = 1: each estimate comes from
+    # the T_obs path, and the normalization's information from the T_obs grid
+    cfg = ExperimentConfig(**FAST, obs_horizon=2.0, horizon=1.0)
+    out = run_bs_experiment(cfg)
+    eps = cfg.resolved_epsilon()
+    model = model_from_config(
+        {"model": "bs", "params": list(cfg.theta0), "epsilon": eps, "x0": cfg.x0}
+    )
+    theta0 = model.theta0
+    grid_obs = TimeGrid(2.0, cfg.n_obs)
+    assert len(out.rows) == cfg.replications
+    for row in out.rows:
+        seed = path_seed(cfg.root_seed, IDX_OBSERVATION + row.replication)
+        x = euler_path(model, theta0, sample_noise(grid_obs, NO_JUMPS, seed)).values
+        est = bs_closed_form(Observations(grid=grid_obs, samples=x, eps=eps))
+        assert row.theta_hat == tuple(float(v) for v in est.theta)
+
+    functional = Functional(
+        kind="smoothed_call_terminal", horizon=1.0, strike=cfg.strike, rate=cfg.rate,
+        eps_smooth=cfg.resolved_eps_smooth(),
+    )
+
+    def asy_var(grid):
+        info = fisher_info(model, theta0, deterministic_path(model, theta0, grid))
+        return build_report(
+            model, functional, theta0, contrast_rates(eps, cfg.n_obs, model.p), info,
+            cfg.n_paths_correction, cfg.root_seed, cfg.price_grid(), alpha=cfg.alpha,
+            start_index=IDX_CORRECTION,
+        ).asy_var
+
+    assert out.summary["asy_var_theta0"] == asy_var(grid_obs)
+    assert out.summary["asy_var_theta0"] != asy_var(TimeGrid(1.0, cfg.n_obs))
 
 
 def test_bs_experiment_deterministic():

@@ -655,3 +655,12 @@ def test_sample_noise_reuses_streams_without_carrying_state():
     assert not other.is_alive()
     check_all(results)
     assert results == [True] * (3 * len(calls))
+
+
+def test_carry_rows_stay_contiguous_after_a_wider_block():
+    # a view of a wider block's columns stepped the product form 1.6-1.8x
+    # slower, as a batch's last, narrower chunk is after its full ones
+    scratch = plugmc.simulate._ThreadScratch()
+    scratch.carry_rows(33, 2048)
+    rows = scratch.carry_rows(33, 1808)
+    assert rows.shape == (3, 33, 1808) and rows.flags.c_contiguous
