@@ -220,13 +220,22 @@ def bs_closed_form(obs: Observations) -> EstimatorResult:
 
 
 def deterministic_path(model: JumpDiffusionModel, theta, grid: TimeGrid) -> Path:
-    """Noise-free limit path: Euler iterates of dX = a(X, theta) dt."""
+    """Noise-free limit path: Euler iterates of dX = a(X, theta) dt.
+
+    A table model steps in floats through LinearTable.drift, with the
+    arithmetic of its coefficients; any other model calls coefficients
+    once per step."""
     theta = np.asarray(theta, dtype=float)
-    x = np.empty(grid.steps + 1)
-    x[0] = model.initial(theta)
+    if model.table is None:
+        def drift(v):
+            return float(model.coefficients(v, theta)[0])
+    else:
+        drift = model.table.drift(theta)
+    x = [float(model.initial(theta))]
     dt = grid.dt
-    for k in range(grid.steps):
-        x[k + 1] = x[k] + float(model.coefficients(x[k], theta)[0]) * dt
+    for _ in range(grid.steps):
+        x.append(x[-1] + drift(x[-1]) * dt)
+    x = np.array(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("limit ODE path is non-finite")
     return Path(grid=grid, values=x)

@@ -242,6 +242,24 @@ class LinearTable:
         bases = (None,) * 4 + self.jump_base
         return tuple(_weighted(base, row, theta) for base, row in zip(bases, rows))
 
+    def drift(self, theta) -> Callable[[float], float]:
+        """The drift a(x) at theta for a float x, with the arithmetic of
+        coefficients' (alpha + beta x) + comp, a term left out where it is
+        None; its theta-scalars are taken once."""
+        scalars = (None if v is None else float(v) for v in self.scalars(theta))
+        alpha, beta, _, _, kappa, nu = scalars
+        comp = self._compensator(kappa, nu)
+
+        def drift(x):
+            a = None if beta is None else beta * x
+            if alpha is not None:
+                a = alpha if a is None else alpha + a
+            if comp is not None:
+                a = comp if a is None else a + comp
+            return 0.0 if a is None else a
+
+        return drift
+
     def jump_size(self, z, theta):
         """kappa(theta) + nu(theta) z, the jump of each centred size z."""
         size = _lin(*self.scalars(theta)[4:], z)

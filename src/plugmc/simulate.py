@@ -52,18 +52,19 @@ Engineering (2004), section 7.2: a factor g_k, computed once per step,
 scales all p rows.  So the Euler iterates of Y are the exact
 theta-derivatives of the Euler iterates of X, up to rounding.
 
-Two forms step a block of paths: the recursion (_recursion), in which
-only the body of a step depends on the model, and the product form
-(below, _product_block).  Both take their start state from _start: X_0,
-Y_0 from initial_grad, the weighted sums at node 0 and the first
-recorded rows.  _step_block is the one place that picks a form and
-judges its result.  It checks the terminal X and Y once, since each
-update adds to or scales the previous state.  If a path failed, the
-recursion runs again from the same noise with a check after every step.
-That run raises SimulationBlowup at the first non-finite step, or, where
-only the product form failed (a zero factor, below), gives the failing
-paths the recursion's finite values while every other path keeps its
-own; so a path's values do not depend on the chunk it is stepped in.
+Three forms step a block of paths: the recursion (_recursion), through
+the generic step below, and for the built-ins two closed forms of it, the
+product form (_product_block) and the sum form (_sum_block).  All take
+their start state from _start: X_0, Y_0 from initial_grad, the weighted
+sums at node 0 and the first recorded rows.  _step_block is the one
+place that picks a form and judges its result.  It checks the terminal X
+and Y once, since each update adds to or scales the previous state.  If
+a path failed, the recursion runs again from the same noise with a check
+after every step.  That run raises SimulationBlowup at the first
+non-finite step, or, where only a closed form failed (a zero factor,
+below), gives the failing paths the recursion's finite values while
+every other path keeps its own; so a path's values do not depend on the
+chunk it is stepped in.
 
 A model with a table (models.LinearTable: the built-ins) steps from the
 table's theta-scalars alpha, beta, gamma, delta (the drift net of the
@@ -73,7 +74,7 @@ step.  With
 
     g_k = (1 + beta dt) + delta dW_k,
 
-the recursion is
+its Euler iterates are
 
     X_{k+1}   = X_k g_k + alpha dt + gamma dW_k + sum of jumps
     Y_{k+1,j} = Y_{k,j} g_k + (alpha_j + beta_j X_k) dt
@@ -108,11 +109,34 @@ A factor g_k = 0 (delta dW_k = -(1 + beta dt) exactly) leaves X = 0 but
 makes 1/g_k infinite, and Y = 0 * inf is NaN: a failed path, which the
 re-run above gives the recursion's finite values.
 
-A table without delta entries (ou, levy) takes the affine step, the
-recursion above with a scalar g: a table entry of 0 leaves its term out
-once per block.  A jump's size kappa(theta) + nu(theta) z and each row's
-share kappa_j + nu_j z do not depend on x, so a block computes all of
-them in one call, and a step adds its own slice.
+A table without delta entries (ou, levy) takes the sum form.  There
+g = 1 + beta dt is one theta-scalar, and a jump's size kappa(theta) +
+nu(theta) z and each row's share S = kappa_j + nu_j z do not depend on
+x.  With h_i = alpha dt + gamma dW_i + the jumps of step i, the
+recursion unrolls to weighted sums of the increments (Kloeden and
+Platen, "Numerical Solution of Stochastic Differential Equations", 1992,
+section 4.2):
+
+    X_k       = g^k x0 + sum_{i<k} g^(k-1-i) h_i
+    Y_{k,j}   = g^k Y_{0,j} + sum_{i<k} g^(k-1-i) (alpha_j dt + gamma_j dW_i
+                + shares S of step i) + beta_j dt dX_k/dg
+    dX_k/dg   = k g^(k-1) x0 + sum_{i<k} (k-1-i) g^(k-2-i) h_i.
+
+The powers g^e come from one running product (multiply.accumulate), and
+e g^(e-1) is e times the previous power, so no power of 0 is negative
+(g = 0 and g < 0 occur).  A weighted sum sum_k w_k X_k is the same form
+with the weights B_i = sum_{k>i} w_k g^(k-1-i) and their g-derivative,
+from one backward recursion of length n per theta.  The sums over the
+increments of the terminal and weighted values are one einsum over the
+(steps, m) chunk, which sums each entry in step order from +0.0 for two
+or more columns (a BLAS product would move a column's bits with the
+chunk width); it sums a lone column in another order, so that one goes
+in twice.  The jumps go in per column, in their order,
+by one bincount.  A recorded row k is the same sums over the first k
+steps, taken for a block of rows at once against weights that are 0
+past k: a zero weight adds a signed zero, which moves no sum that
+starts at +0.0.  So every route gives the same bits.  A table entry of 0
+leaves its term out.
 
 Any other model takes the generic step: one `model.coefficients` call
 per step,
@@ -144,6 +168,7 @@ import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import JumpDiffusionModel, JumpSpec
 from .workers import in_slices
@@ -484,76 +509,6 @@ def _generic_body(model: JumpDiffusionModel, theta: Array, dt: float, increments
     return step
 
 
-def _affine_body(model: JumpDiffusionModel, theta: Array, dt: float, increments: Array, jumps,
-                 scratch: tuple):
-    """The step of a table without delta entries, from the block's
-    theta-scalars: no model call and no test of a coefficient per step
-    (module docstring)."""
-    table = model.table
-    alpha, beta, gamma = table.scalars(theta)[:3]
-    tmp = scratch[0]
-    add, mul, add_at = np.add, np.multiply, np.add.at
-    g = 1.0 if beta is None else 1.0 + beta * dt
-    alpha_dt = None if alpha is None else alpha * dt
-    # Y row j's terms, added in this order: alpha_j dt, then scale * source
-    # for source 0 = dW_k, 1 = X_k, those of scale 1.0 (the source itself)
-    # first
-    consts = [(j, a_j * dt) for j, a_j in enumerate(table.alpha) if a_j is not None]
-    beta_dt = [None if b_j is None else b_j * dt for b_j in table.beta]
-    terms = [
-        (j, source, scale)
-        for source, scales in enumerate((table.gamma, beta_dt))
-        for j, scale in enumerate(scales)
-        if scale is not None
-    ]
-    units = [(j, source) for j, source, scale in terms if scale == 1.0]
-    scaled = [term for term in terms if term[2] != 1.0]
-
-    bounds = ()
-    if jumps is not None:
-        cols, sizes, jump_bounds = jumps
-        bounds = jump_bounds.tolist()
-        # every jump of the block, and each row's share of it, in one call
-        size = np.broadcast_to(table.jump_size(sizes, theta), sizes.shape)
-        shares = [
-            (j, np.broadcast_to(share, sizes.shape))
-            for j, share in enumerate(table.jump_shares(sizes))
-            if share is not None
-        ]
-
-    def step(k, x_prev, x, y_prev, y):
-        dw = increments[k]
-        mul(x_prev, g, x)
-        if alpha_dt is not None:
-            add(x, alpha_dt, x)
-        if gamma is not None:
-            add(x, mul(dw, gamma, tmp), x)
-
-        if y is not None:
-            mul(y_prev, g, y)
-            sources = (dw, x_prev)
-            for j, c in consts:
-                y_j = y[j]
-                add(y_j, c, y_j)
-            for j, source in units:
-                y_j = y[j]
-                add(y_j, sources[source], y_j)
-            for j, source, scale in scaled:
-                y_j = y[j]
-                add(y_j, mul(sources[source], scale, tmp), y_j)
-
-        if bounds:
-            lo, hi = bounds[k], bounds[k + 1]
-            if hi > lo:
-                pj = cols[lo:hi]
-                add_at(x, pj, size[lo:hi])
-                if y is not None:
-                    for j, share in shares:
-                        add_at(y[j], pj, share[lo:hi])
-
-    return step
-
-
 # Steps per block of the product form: the block's factors are made in a
 # few whole-block calls and reduced in one.  Chosen from measurement: bs
 # X + Y at 2 048 x 500 took 3.2-3.7 ns per path-step at 8, 16 and 32 and
@@ -688,6 +643,125 @@ def _product_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, incr
     return _result(x, x_sum, y, y_sum, rec_x, rec_y)
 
 
+# About the most weights, products and outputs one call of the sum form's
+# recorded rows holds (8 MB of floats): a block of R rows holds R x 2
+# weights per step and per jump, and R x p outputs per path.
+RECORD_ELEMENTS = 1 << 20
+
+
+def _sum_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, increments: Array, jumps,
+               *, want_y: bool, weights: Array | None, record: bool) -> BatchResult:
+    """X, Y and their sums and paths of a table without delta entries, as
+    weighted sums of the increments (module docstring), unchecked."""
+    n, m = increments.shape
+    dt = grid.dt
+    table = model.table
+    alpha, beta, gamma = table.scalars(theta)[:3]
+    g = 1.0 if beta is None else float(1.0 + beta * dt)
+    alpha_dt = None if alpha is None else alpha * dt
+    x0 = float(model.initial(theta))
+    # row 0: g^e; row 1, where Y needs X's g-derivative: e g^(e-1)
+    powers = np.multiply.accumulate(np.append(1.0, np.full(n, g)))
+    rows = powers[None]
+    if want_y and beta is not None:
+        rows = np.stack([powers, np.arange(n + 1) * np.append(0.0, powers[:-1])])
+    r = len(rows)
+    sums = np.add.accumulate(rows, axis=1)
+    # X_k's weight on increment i is rows[:, k - 1 - i] = back[:, n - k + i],
+    # which is 0 for i >= k
+    back = np.concatenate([rows[:, n - 1 :: -1], np.zeros((r, n - 1))], axis=1)
+
+    def after(lo: int, hi: int):
+        """The targets X_k, lo <= k <= hi: the weights on x0 (T, r), their
+        sums over the increments (T, r) and those on increments 0..hi-1
+        (T, r, hi)."""
+        windows = sliding_window_view(back, hi, axis=1)[:, n - hi : n - lo + 1][:, ::-1]
+        return rows[:, lo : hi + 1].T, sums[:, lo - 1 : hi].T, windows.transpose(1, 0, 2)
+
+    targets = after(n, n)
+    if weights is not None:
+        # B_i = sum over k > i of w_k g^(k-1-i) and its g-derivative, back
+        # from B_n = 0; the weight on x0 is the step to i = -1
+        w = weights.tolist()
+        b = np.empty((2, n + 1))
+        acc = dacc = 0.0
+        for i in range(n - 1, -2, -1):
+            acc, dacc = w[i + 1] + g * acc, acc + g * dacc
+            b[:, i + 1] = acc, dacc
+        b = b[:r]
+        weighted = (b[:, 0], b[:, 1:].sum(axis=1), b[:, 1:])
+        targets = [np.concatenate([t, part[None]]) for t, part in zip(targets, weighted)]
+
+    if jumps is None:  # none drawn, or a law without jumps
+        jumps = np.empty(0, dtype=np.int64), np.empty(0), np.zeros(n + 1, dtype=np.int64)
+    cols, sizes, bounds = jumps
+    steps = np.repeat(np.arange(n), np.diff(bounds))
+    size = np.broadcast_to(table.jump_size(sizes, theta), sizes.shape)
+    if want_y:
+        y0 = np.asarray(model.initial_grad(theta), dtype=float)
+        coefs = [
+            (None if a_j is None else a_j * dt, c_j, None if b_j is None else b_j * dt,
+             None if share is None else np.broadcast_to(share, sizes.shape))
+            for a_j, c_j, b_j, share in zip(table.alpha, table.gamma, table.beta,
+                                            table.jump_shares(sizes))
+        ]
+
+    def at(c: Array, s: Array, u: Array):
+        """X (T, m) and Y (T, p, m) or None at the T targets of after(),
+        each sum over the increments in step order from +0.0, as einsum
+        (BLAS would move bits with the chunk width) sums two or more
+        columns; it sums one column in another order, so a lone column
+        goes in twice."""
+        t, k = len(u), u.shape[-1]
+        c, s, u = c.ravel(), s.ravel(), u.reshape(t * r, k)  # row t r + q
+        inc = increments[:k] if m > 1 else np.repeat(increments[:k], 2, axis=1)
+        d = np.einsum("qi,im->qm", u, inc)[:, :m]
+        hi = bounds[k]
+
+        def linear(which, start, drift, noise, jump):
+            """c start + drift s + noise d, and the jumps before step k
+            weighted by u and jump, in their order within a column, at the
+            rows `which`; a None term is left out."""
+            lin = c[which] * start
+            if drift is not None:
+                lin = lin + drift * s[which]
+            out = np.repeat(lin[:, None], m, axis=1)
+            if noise is not None:
+                out += noise * d[which]
+            if jump is not None:
+                q = len(out)
+                bins = (np.arange(q)[:, None] * m + cols[:hi]).ravel()
+                jw = u[which][:, steps[:hi]] * jump[:hi]
+                out += np.bincount(bins, jw.ravel(), q * m).reshape(q, m)
+            return out
+
+        xs = linear(slice(None), x0, alpha_dt, gamma, size)
+        if not want_y:
+            return xs, None
+        y = np.empty((t, model.p, m))
+        for j, (a_dt, c_j, b_dt, share) in enumerate(coefs):
+            y[:, j] = linear(slice(0, None, r), y0[j], a_dt, c_j, share)
+            if b_dt is not None:
+                y[:, j] += b_dt * xs[1::r]
+        return xs[::r], y
+
+    xs, ys = at(*targets)
+    *_, rec_x, rec_y = _start(model, theta, n, m, want_y, None, record)
+    if record:
+        # row k is the same sums over the first k steps; a weight of 0
+        # past k adds a signed zero, which moves no sum (each starts at +0.0)
+        rows_per_call = max(1, RECORD_ELEMENTS // (r * (n + len(cols)) + model.p * m))
+        for lo in range(1, n + 1, rows_per_call):
+            hi = min(lo + rows_per_call - 1, n)
+            rec_x[lo : hi + 1], y_rows = at(*after(lo, hi))
+            if want_y:
+                rec_y[lo : hi + 1] = y_rows
+    ys = (None, None) if ys is None else ys
+    if weights is None:
+        return _result(xs[0], None, ys[0], None, rec_x, rec_y)
+    return _result(xs[0], xs[1], ys[0], ys[1], rec_x, rec_y)
+
+
 def _result(x, x_sum, y, y_sum, rec_x, rec_y) -> BatchResult:
     def per_path(block):
         # (p, m) -> C-contiguous (m, p); an F-ordered array would change the
@@ -707,25 +781,22 @@ def _result(x, x_sum, y, y_sum, rec_x, rec_y) -> BatchResult:
 def _recursion(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, increments: Array, jumps,
                *, want_y: bool, weights: Array | None, record: bool,
                path_offset: int | None = None) -> BatchResult:
-    """X, Y and their sums and paths by the recursion, whose step is the
-    affine one for a table without delta entries, else the generic one
-    (module docstring).  Given a path_offset, X and Y are checked after
-    every step, and SimulationBlowup names the first non-finite step and
-    its path as path_offset + its column; else nothing is checked."""
+    """X, Y and their sums and paths by the recursion, through the generic
+    step (module docstring).  Given a path_offset, X and Y are checked
+    after every step, and SimulationBlowup names the first non-finite step
+    and its path as path_offset + its column; else nothing is checked."""
     n, m = increments.shape
     x, x_sum, y, y_sum, rec_x, rec_y = _start(model, theta, n, m, want_y, weights, record)
     # the two of each pair swap each step
     x_prev = np.empty(m)
     y_prev = None if y is None else np.empty_like(y)
     y_term = None if y_sum is None else np.empty_like(y)
-    # the bodies' scratch: a term, a partial sum, a row term, the factor g;
+    # the step's scratch: a term, a partial sum, a row term, the factor g;
     # a sum goes into a buffer other than its inputs where one is free (in
     # place costs more at m = 1)
     scratch = tuple(np.empty(m) for _ in range(4))
     tmp = scratch[0]
-    affine = model.table is not None and all(d_j is None for d_j in model.table.delta)
-    body = _affine_body if affine else _generic_body
-    step = body(model, theta, grid.dt, increments, jumps, scratch)
+    step = _generic_body(model, theta, grid.dt, increments, jumps, scratch)
 
     add, mul = np.add, np.multiply
     for k in range(n):
@@ -769,8 +840,9 @@ def _step_block(
     record: bool = False,
     path_offset: int = 0,
 ) -> BatchResult:
-    """Advance a block of m paths over the full grid, in the product form
-    for a model that takes it, else by the recursion, and judge the result.
+    """Advance a block of m paths over the full grid, in the product or
+    the sum form for a model that takes one, else by the recursion, and
+    judge the result.
 
     weights adds the weighted sums x_sum (and y_sum); record=True keeps
     the full paths in x_path and y_path (small blocks only).  The terminal
@@ -778,12 +850,14 @@ def _step_block(
     runs again with a check after every step.  That run raises
     SimulationBlowup at the first non-finite step, naming the path as
     path_offset + its column, or gives the failing paths its finite values
-    (a zero factor of the product form).  numpy's overflow warnings are
+    (where only the closed form failed).  numpy's overflow warnings are
     silenced, as that error reports them.
     """
     kw = dict(want_y=want_y, weights=weights, record=record)
     if _product_form(model, theta, want_y):
         res = _product_block(model, theta, grid, increments, **kw)
+    elif model.table is not None and all(d_j is None for d_j in model.table.delta):
+        res = _sum_block(model, theta, grid, increments, jumps, **kw)
     else:
         res = _recursion(model, theta, grid, increments, jumps, **kw)
     bad = _bad_paths(res)

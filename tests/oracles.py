@@ -21,10 +21,11 @@ another road:
   operation, stepping every model through its coefficients; a user
   model's step must give its floats bit for bit, a built-in's, which
   steps from its table, within rounding;
-- complex_step_terminal runs the Euler recursion of X alone in complex
-  arithmetic at theta + i h e_j, in the stepper's order for the model,
-  whose imaginary part over h is the derivative the package's Y steps,
-  free of cancellation;
+- complex_step_terminal runs the Euler iterates of X alone in complex
+  arithmetic at theta + i h e_j, in the stepper's order for the model
+  (for ou and levy its weighted sums of the increments), whose imaginary
+  part over h is the derivative the package's Y steps, free of
+  cancellation;
 - the coupling-order study measures X^{theta+u} - X^theta - u.Y from two
   recorded batches on the same seeds, (X, Y) at theta and X alone at
   theta + u.  On shared noise it is small pathwise (order |u|^2 in sup
@@ -388,30 +389,37 @@ def complex_step_terminal(
     """(Re X_T, Im X_T / h) of the Euler iterates of X, each of shape (p, m):
     row j is stepped at theta + i h e_j, so Im X_T / h is dX_T/dtheta_j.
 
-    For each coordinate j, X's recursion alone runs in complex arithmetic
-    at theta + i h e_j, in _step_block's order.  Without a table that is
-    (X_k + a dt) + b dW_k, minus comp dt; with one, X_k g_k + alpha dt +
-    gamma dW_k with g_k = (1 + beta dt) + delta dW_k, the table's
-    theta-scalars, each term left out where the table's entries are all 0.
-    Then come the step's jumps (jumps is _flat_jumps' output or None) one
-    at a time from the left limit X_k.  The model's coefficients, table
-    and jump_kernel are called on the complex values as they are, so they
-    must be complex-analytic in x and theta (the built-ins are
-    polynomials).  Each row of Re X_T is X_T: a product of two imaginary
-    parts lies below the rounding of the real one beside it.
+    For each coordinate j, X alone runs in complex arithmetic at
+    theta + i h e_j, in _step_block's order for the model.  A table without
+    delta entries takes the weighted sums of the increments (_affine_sums);
+    any other model the recursion: without a table (X_k + a dt) + b dW_k,
+    minus comp dt; with one, X_k g_k + alpha dt + gamma dW_k with
+    g_k = (1 + beta dt) + delta dW_k, the table's theta-scalars, each term
+    left out where the table's entries are all 0.  The recursion then adds
+    the step's jumps (jumps is _flat_jumps' output or None) one at a time
+    from the left limit X_k.  The model's coefficients, table and
+    jump_kernel are called on the complex values as they are, so they must
+    be complex-analytic in x and theta (the built-ins are polynomials).
+    Each row of Re X_T is X_T: a product of two imaginary parts lies below
+    the rounding of the real one beside it.
     """
     n, m = increments.shape
     dt = grid.dt
+    table = model.table
     x_t, dx = np.empty((model.p, m)), np.empty((model.p, m))
     for j in range(model.p):
         th = np.asarray(theta, dtype=complex)
         th[j] += 1j * COMPLEX_STEP
+        if table is not None and all(d_j is None for d_j in table.delta):
+            x = _affine_sums(model, th, grid, increments, jumps)
+            x_t[j], dx[j] = x.real, x.imag / COMPLEX_STEP
+            continue
         x = np.full(m, model.initial(th), dtype=complex)
-        if model.table is not None:
-            alpha, beta, gamma, delta = model.table.scalars(th)[:4]
+        if table is not None:
+            alpha, beta, gamma, delta = table.scalars(th)[:4]
         for k in range(n):
             x_prev, dw = x, increments[k]
-            if model.table is None:
+            if table is None:
                 coef = model.coefficients(x_prev, th)
                 x = x_prev + coef[0] * dt + coef[1] * dw
                 if model.has_jumps:
@@ -434,6 +442,37 @@ def complex_step_terminal(
         x_t[j] = x.real
         dx[j] = x.imag / COMPLEX_STEP
     return x_t, dx
+
+
+def _affine_sums(model: JumpDiffusionModel, th, grid: TimeGrid, increments: Array, jumps) -> Array:
+    """X_T of a table without delta entries at a complex theta, as the
+    stepper's weighted sums: with g = 1 + beta dt and its powers g^e from
+    one running product,
+
+        X_T = g^n x0 + alpha dt sum_{e<n} g^e + gamma sum_i g^(n-1-i) dW_i
+              + sum over jumps of g^(n-1-i) size,
+
+    each sum over the increments taken in step order from 0 and each
+    column's jumps in their order, the terms added in this order."""
+    n, m = increments.shape
+    dt = grid.dt
+    alpha, beta, gamma = model.table.scalars(th)[:3]
+    g = 1.0 if beta is None else 1.0 + beta * dt
+    powers = np.multiply.accumulate(np.append(1.0, np.full(n, g)))
+    x = np.full(m, powers[n] * model.initial(th))
+    if alpha is not None:
+        x = x + (alpha * dt) * np.add.accumulate(powers)[n - 1]
+    if gamma is not None:
+        total = np.zeros(m, dtype=complex)
+        for i in range(n):
+            total = total + powers[n - 1 - i] * increments[i]
+        x = x + gamma * total
+    if model.has_jumps:
+        cols, sizes, bounds = jumps if jumps is not None else (np.empty(0, int), np.empty(0), [0])
+        steps = np.repeat(np.arange(n), np.diff(bounds))
+        share = powers[n - 1 - steps] * model.table.jump_size(sizes, th)
+        x = x + (np.bincount(cols, share.real, m) + 1j * np.bincount(cols, share.imag, m))
+    return x
 
 
 # ---------------------------------------------------------------------------

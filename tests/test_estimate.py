@@ -1,5 +1,7 @@
 """Contrast estimation: closed-form oracle equality, Fisher information."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -312,6 +314,27 @@ def test_fisher_full_matrix_matches_quadrature_of_outer_product():
     np.testing.assert_allclose(info, exact, rtol=1e-12)
     with pytest.raises(ValueError, match=r"parameter\(s\) mu, eta not identified"):
         information_inverse(levy, info)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        bs_small_noise_model(0.2, 1.0, EPS, 1.0),
+        ou_jump_model(1.0, 0.3, 0.5, 0.0, 1.0),
+        ou_jump_model(1.0, 0.3, 0.5, 1.0, 1.0),
+        levy_model(0.1, 0.3, 0.5, 1.0),
+    ],
+    ids=["bs", "ou_lam0", "ou_lam1", "levy"],
+)
+def test_deterministic_path_from_table_equals_per_step_coefficients(model):
+    # the table's drift stepped in floats gives the floats of one
+    # coefficients call per step, at theta0 and at another theta
+    grid = TimeGrid(1.0, 500)
+    per_step = replace(model, table=None)
+    for theta in (model.theta0, model.theta0 * np.array([3.0, 2.0, -7.0][: model.p])):
+        got = deterministic_path(model, theta, grid).values
+        want = deterministic_path(per_step, theta, grid).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_zero_diffusion_rejected():

@@ -2,7 +2,8 @@
 for bit for a model without a table ("arrays", "signed"), where skipping
 a term or reusing a buffer must not move a bit, the sign of a zero
 included; within rounding for the built-ins, which step from their
-tables in another order (X_k g_k + ..., see simulate).
+tables in another order (products and sums over the grid, see
+simulate), and each of whose routes gives the same bits.
 
 The cases reach the signed zeros where a skip could differ: a state
 X = 0 (ou at x0 = 0, where the drift's theta-gradient -x is -0.0),
@@ -310,6 +311,37 @@ def test_affine_blowup_names_first_step_and_path(monkeypatch, label, workers):
     assert str(err) == f"non-finite state at step {step} in {label} (path index 7)"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("label", ["X", "Y"])
+def test_sum_form_blowup_names_first_step_and_path(monkeypatch, label, workers):
+    # ou (a law with jumps, none drawn) on hand-built increments, stepped as
+    # weighted sums: path 7 alone overflows, in a later chunk; the re-run
+    # names the recursion's first non-finite step
+    n_paths = 10
+    if label == "X":
+        # dW = 1e307 from step 6 on: X_k = g X_k-1 + 1e307 passes the
+        # largest float while Y_mu ~ -dt k X is still finite
+        model, grid = ou_jump_model(1.0, 1.0, 0.5, 1.0, 1.0), TimeGrid(1.0, 40)
+        increments = np.zeros((grid.steps, n_paths))
+        increments[5:, 7] = 1e307
+        step = 29
+    else:
+        # dt = 5: path 7 (dW = 1e306 each step) has X_k ~ k 1e306, finite,
+        # while Y_mu ~ -2.5 k^2 1e306 overflows; the others (dW = 0) decay
+        model, grid = ou_jump_model(1e-3, 1.0, 0.5, 1.0, 1.0), TimeGrid(120.0, 24)
+        increments = np.zeros((grid.steps, n_paths))
+        increments[:, 7] = 1e306
+        step = 10
+    assert not plugmc.simulate._product_form(model, model.theta0, True)
+    monkeypatch.setattr(plugmc.simulate, "_draw_chunk", hand_chunk(increments))
+    got = blowup(monkeypatch, model, model.theta0, grid, 0, n_paths, workers, _step_block)
+    want = blowup(
+        monkeypatch, model, model.theta0, grid, 0, n_paths, workers, reference_step_block
+    )
+    assert (got.step, str(got)) == (want.step, str(want))
+    assert str(got) == f"non-finite state at step {step} in {label} (path index 7)"
+
+
 def path_columns(res: BatchResult, cols) -> BatchResult:
     """The BatchResult of the paths `cols` alone (recorded paths end in B)."""
     def take(name):
@@ -350,6 +382,67 @@ def test_product_form_does_not_depend_on_block_steps_or_chunk_width(
         wide = batch(2049, 2048)  # a chunk of 2 048 columns, then one of one
         assert_same_bits(path_columns(wide, slice(0, 9)), want)
         assert_same_bits(path_columns(wide, slice(2048, 2049)), batch(1, 3, start_index=2048))
+
+
+# The tables without delta entries, each on a grid of 70 steps: g = 1
+# (levy), 0 < g < 1, g = -0.5 ("ou_stiff", mu dt = 1.5) and g = 0 exactly
+# ("ou_zero_factor", mu dt = 1)
+SUM_FORM = {
+    "ou_lam0": (MODELS["ou_lam0"], TimeGrid(1.0, 70)),
+    "ou_lam1": (MODELS["ou_lam1"], TimeGrid(1.0, 70)),
+    "ou_stiff": (MODELS["ou_stiff"], TimeGrid(35.0, 70)),
+    "ou_zero_factor": (ou_jump_model(1.0, 0.3, 0.5, 2.0, 1.0), TimeGrid(70.0, 70)),
+    "levy": (MODELS["levy"], TimeGrid(1.0, 70)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings
+@pytest.mark.parametrize("name", SUM_FORM)
+def test_sum_form_does_not_depend_on_route_chunk_width_workers_or_stack(
+    monkeypatch, name, want_y, weighted, record, workers
+):
+    # every route of the weighted sums (a wide chunk, a lone column, which
+    # goes in twice, the recorded rows' prefix sums in blocks of one row or
+    # more) gives the same bits at any chunk width and worker count, and at
+    # each row of a stack
+    model, grid = SUM_FORM[name]
+    theta = model.theta0
+    thetas = np.stack([theta, theta * np.array([0.5, 2.0, -1.0])])
+    dt_g = 1.0 - theta[0] * grid.dt if name.startswith("ou") else 1.0
+    assert {"ou_stiff": dt_g < 0, "ou_zero_factor": dt_g == 0.0}.get(name, dt_g > 0)
+    weights = None
+    if weighted:
+        functional = Functional(kind="discounted_integral", horizon=grid.horizon, discount=0.05)
+        weights = functional.weights(grid)
+    kw = dict(want_y=want_y, weights=weights)
+    assert not plugmc.simulate._product_form(model, theta, want_y)
+    monkeypatch.setattr(plugmc.simulate, "_worker_count", lambda chunks: min(workers, chunks))
+
+    def batch(th, n_paths, width, rec=record, **extra):
+        return simulate_batch(model, th, grid, 43, n_paths, chunk_size=width, record=rec, **kw,
+                              **extra)
+
+    want = [batch(th, 9, 2048) for th in thetas]
+    increments = np.empty((grid.steps, 9))
+    jumps = _flat_jumps(*_draw_chunk(path_seed(43, 0), grid, model.jump, 0, increments), grid)
+    assert_close(want[0], reference_step_block(model, theta, grid, increments, jumps, **kw,
+                                               record=record))
+    with monkeypatch.context() as patch:
+        patch.setattr(plugmc.simulate, "RECORD_ELEMENTS", 1)  # one recorded row per call
+        for width in (1, 2, 3):
+            for got, lone in zip(batch(thetas, 9, width), want):
+                assert_same_bits(got, lone)
+    wide = batch(theta, 2049, 2048)  # a chunk of 2 048 columns, then one of one
+    assert_same_bits(path_columns(wide, slice(0, 9)), want[0])
+    assert_same_bits(path_columns(wide, slice(2048, 2049)), batch(theta, 1, 3, start_index=2048))
+    if record:
+        terminal = batch(theta, 9, 3, rec=False)
+        assert_same_bits(
+            BatchResult(x_terminal=want[0].x_path[-1],
+                        y_terminal=want[0].y_path[-1].T.copy() if want_y else None),
+            BatchResult(x_terminal=terminal.x_terminal, y_terminal=terminal.y_terminal),
+        )
 
 
 @pytest.mark.parametrize("width", [1, 3])
