@@ -14,7 +14,9 @@ The cases are bs X only and X + Y at 2 000 x 50 and at 2 048 x 500, ou
 (lambda = 1, so with jumps) X + Y at 2 048 x 500, alone and with the
 weighted sums of the oracle's discounted integral (discount 0.05), levy
 X + Y at 2 048 x 500, and one recorded bs and one recorded ou path X + Y
-over 500 steps, the route of `plugmc simulate`.  It uses only names the
+over 500 steps, the route of `plugmc simulate`, and one recorded ou and
+one recorded levy path over 10 000 steps, where a recorded route whose
+cost grows faster than the steps would show.  It uses only names the
 stepper has had since the linear tables, so the same script times an
 older tree given on PYTHONPATH.
 """
@@ -46,6 +48,8 @@ CASES = (
     ("levy X + Y, 2048 x 500", LEVY, 2048, 500, True, False, False),
     ("bs X + Y, 1 recorded path x 500", BS, 1, 500, True, True, False),
     ("ou X + Y, 1 recorded path x 500", OU, 1, 500, True, True, False),
+    ("ou X + Y, 1 recorded path x 10000", OU, 1, 10_000, True, True, False),
+    ("levy X + Y, 1 recorded x 10000", LEVY, 1, 10_000, True, True, False),
 )
 
 

@@ -251,11 +251,7 @@ class LinearTable:
         comp = self._compensator(kappa, nu)
 
         def drift(x):
-            a = None if beta is None else beta * x
-            if alpha is not None:
-                a = alpha if a is None else alpha + a
-            if comp is not None:
-                a = comp if a is None else a + comp
+            a = _plus(_lin(alpha, beta, x), comp)
             return 0.0 if a is None else a
 
         return drift

@@ -131,12 +131,15 @@ increments of the terminal and weighted values are one einsum over the
 (steps, m) chunk, which sums each entry in step order from +0.0 for two
 or more columns (a BLAS product would move a column's bits with the
 chunk width); it sums a lone column in another order, so that one goes
-in twice.  The jumps go in per column, in their order,
-by one bincount.  A recorded row k is the same sums over the first k
-steps, taken for a block of rows at once against weights that are 0
-past k: a zero weight adds a signed zero, which moves no sum that
-starts at +0.0.  So every route gives the same bits.  A table entry of 0
-leaves its term out.
+in twice.  The jumps go in per column, in their order, by one bincount.
+A recorded chunk takes its rows in blocks of RECORD_STEPS steps: row
+lo + k is the same sums over the block's first k steps, from the
+recorded row lo in place of x0 and Y_0, taken for the block's rows at
+once against weights that are 0 past k (a zero weight adds a signed
+zero, which moves no sum that starts at +0.0).  So a recorded path costs
+O(steps x RECORD_STEPS), and its last row is the terminal value itself.
+Every route gives the same bits.  A table entry of 0 leaves its
+term out.
 
 Any other model takes the generic step: one `model.coefficients` call
 per step,
@@ -643,10 +646,13 @@ def _product_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, incr
     return _result(x, x_sum, y, y_sum, rec_x, rec_y)
 
 
-# About the most weights, products and outputs one call of the sum form's
-# recorded rows holds (8 MB of floats): a block of R rows holds R x 2
-# weights per step and per jump, and R x p outputs per path.
-RECORD_ELEMENTS = 1 << 20
+# Steps per block of the sum form's recorded rows (module docstring): a
+# recorded path costs O(steps x RECORD_STEPS).  Chosen from measurement:
+# one recorded ou path X + Y over 2 000 steps took 7.1, 4.0, 2.2, 1.7 and
+# 1.7 us per step at 8, 16, 32, 64 and 128, and a recorded chunk of 2 048
+# paths over 500 steps 37, 35, 45, 64 and 118 ns per path-step (2-vCPU
+# x86-64 host; the affine recursion took 6.3 us and 10 ns).
+RECORD_STEPS = 32
 
 
 def _sum_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, increments: Array, jumps,
@@ -659,7 +665,6 @@ def _sum_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, incremen
     alpha, beta, gamma = table.scalars(theta)[:3]
     g = 1.0 if beta is None else float(1.0 + beta * dt)
     alpha_dt = None if alpha is None else alpha * dt
-    x0 = float(model.initial(theta))
     # row 0: g^e; row 1, where Y needs X's g-derivative: e g^(e-1)
     powers = np.multiply.accumulate(np.append(1.0, np.full(n, g)))
     rows = powers[None]
@@ -667,14 +672,14 @@ def _sum_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, incremen
         rows = np.stack([powers, np.arange(n + 1) * np.append(0.0, powers[:-1])])
     r = len(rows)
     sums = np.add.accumulate(rows, axis=1)
-    # X_k's weight on increment i is rows[:, k - 1 - i] = back[:, n - k + i],
-    # which is 0 for i >= k
+    # the weight of X_k, k steps on, on increment i is rows[:, k - 1 - i] =
+    # back[:, n - k + i], which is 0 for i >= k
     back = np.concatenate([rows[:, n - 1 :: -1], np.zeros((r, n - 1))], axis=1)
 
     def after(lo: int, hi: int):
-        """The targets X_k, lo <= k <= hi: the weights on x0 (T, r), their
-        sums over the increments (T, r) and those on increments 0..hi-1
-        (T, r, hi)."""
+        """The targets k = lo..hi steps on: the weights on the start (T, r),
+        their sums over the increments (T, r) and those on the next hi
+        increments (T, r, hi)."""
         windows = sliding_window_view(back, hi, axis=1)[:, n - hi : n - lo + 1][:, ::-1]
         return rows[:, lo : hi + 1].T, sums[:, lo - 1 : hi].T, windows.transpose(1, 0, 2)
 
@@ -698,7 +703,6 @@ def _sum_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, incremen
     steps = np.repeat(np.arange(n), np.diff(bounds))
     size = np.broadcast_to(table.jump_size(sizes, theta), sizes.shape)
     if want_y:
-        y0 = np.asarray(model.initial_grad(theta), dtype=float)
         coefs = [
             (None if a_j is None else a_j * dt, c_j, None if b_j is None else b_j * dt,
              None if share is None else np.broadcast_to(share, sizes.shape))
@@ -706,56 +710,59 @@ def _sum_block(model: JumpDiffusionModel, theta: Array, grid: TimeGrid, incremen
                                             table.jump_shares(sizes))
         ]
 
-    def at(c: Array, s: Array, u: Array):
+    def at(c: Array, s: Array, u: Array, lo: int, x: Array, y: Array | None):
         """X (T, m) and Y (T, p, m) or None at the T targets of after(),
-        each sum over the increments in step order from +0.0, as einsum
+        counted from step lo, where the state is x (m,) and y (p, m).  Each
+        sum over the increments goes in step order from +0.0, as einsum
         (BLAS would move bits with the chunk width) sums two or more
         columns; it sums one column in another order, so a lone column
         goes in twice."""
         t, k = len(u), u.shape[-1]
         c, s, u = c.ravel(), s.ravel(), u.reshape(t * r, k)  # row t r + q
-        inc = increments[:k] if m > 1 else np.repeat(increments[:k], 2, axis=1)
+        inc = increments[lo : lo + k] if m > 1 else np.repeat(increments[lo : lo + k], 2, axis=1)
         d = np.einsum("qi,im->qm", u, inc)[:, :m]
-        hi = bounds[k]
+        j0, j1 = bounds[lo], bounds[lo + k]
 
         def linear(which, start, drift, noise, jump):
-            """c start + drift s + noise d, and the jumps before step k
-            weighted by u and jump, in their order within a column, at the
-            rows `which`; a None term is left out."""
-            lin = c[which] * start
+            """c start + drift s + noise d, and the block's jumps weighted by
+            u and jump, in their order within a column, at the rows
+            `which`; a None term is left out."""
+            out = c[which, None] * start
             if drift is not None:
-                lin = lin + drift * s[which]
-            out = np.repeat(lin[:, None], m, axis=1)
+                out += (drift * s[which])[:, None]
             if noise is not None:
                 out += noise * d[which]
             if jump is not None:
                 q = len(out)
-                bins = (np.arange(q)[:, None] * m + cols[:hi]).ravel()
-                jw = u[which][:, steps[:hi]] * jump[:hi]
+                bins = (np.arange(q)[:, None] * m + cols[j0:j1]).ravel()
+                jw = u[which][:, steps[j0:j1] - lo] * jump[j0:j1]
                 out += np.bincount(bins, jw.ravel(), q * m).reshape(q, m)
             return out
 
-        xs = linear(slice(None), x0, alpha_dt, gamma, size)
+        xs = linear(slice(None), x, alpha_dt, gamma, size)
         if not want_y:
             return xs, None
-        y = np.empty((t, model.p, m))
+        ys = np.empty((t, model.p, m))
         for j, (a_dt, c_j, b_dt, share) in enumerate(coefs):
-            y[:, j] = linear(slice(0, None, r), y0[j], a_dt, c_j, share)
+            ys[:, j] = linear(slice(0, None, r), y[j], a_dt, c_j, share)
             if b_dt is not None:
-                y[:, j] += b_dt * xs[1::r]
-        return xs[::r], y
+                ys[:, j] += b_dt * xs[1::r]
+        return xs[::r], ys
 
-    xs, ys = at(*targets)
-    *_, rec_x, rec_y = _start(model, theta, n, m, want_y, None, record)
+    x, _, y, _, rec_x, rec_y = _start(model, theta, n, m, want_y, None, record)
+    xs, ys = at(*targets, 0, x, y)
     if record:
-        # row k is the same sums over the first k steps; a weight of 0
-        # past k adds a signed zero, which moves no sum (each starts at +0.0)
-        rows_per_call = max(1, RECORD_ELEMENTS // (r * (n + len(cols)) + model.p * m))
-        for lo in range(1, n + 1, rows_per_call):
-            hi = min(lo + rows_per_call - 1, n)
-            rec_x[lo : hi + 1], y_rows = at(*after(lo, hi))
+        # rows 1..n-1 in blocks, each from its block's first row; row n is
+        # the terminal
+        for lo in range(0, n - 1, RECORD_STEPS):
+            hi = min(lo + RECORD_STEPS, n - 1)
+            rec_x[lo + 1 : hi + 1], y_rows = at(*after(1, hi - lo), lo, rec_x[lo],
+                                                 None if rec_y is None else rec_y[lo])
             if want_y:
-                rec_y[lo : hi + 1] = y_rows
+                rec_y[lo + 1 : hi + 1] = y_rows
+        rec_x[n] = xs[0]
+        if want_y:
+            rec_y[n] = ys[0]
     ys = (None, None) if ys is None else ys
     if weights is None:
         return _result(xs[0], None, ys[0], None, rec_x, rec_y)

@@ -467,8 +467,8 @@ def _affine_sums(model: JumpDiffusionModel, th, grid: TimeGrid, increments: Arra
         for i in range(n):
             total = total + powers[n - 1 - i] * increments[i]
         x = x + gamma * total
-    if model.has_jumps:
-        cols, sizes, bounds = jumps if jumps is not None else (np.empty(0, int), np.empty(0), [0])
+    if jumps is not None:  # none drawn, or a law without jumps
+        cols, sizes, bounds = jumps
         steps = np.repeat(np.arange(n), np.diff(bounds))
         share = powers[n - 1 - steps] * model.table.jump_size(sizes, th)
         x = x + (np.bincount(cols, share.real, m) + 1j * np.bincount(cols, share.imag, m))

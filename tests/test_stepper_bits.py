@@ -396,16 +396,9 @@ SUM_FORM = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@settings
-@pytest.mark.parametrize("name", SUM_FORM)
-def test_sum_form_does_not_depend_on_route_chunk_width_workers_or_stack(
-    monkeypatch, name, want_y, weighted, record, workers
-):
-    # every route of the weighted sums (a wide chunk, a lone column, which
-    # goes in twice, the recorded rows' prefix sums in blocks of one row or
-    # more) gives the same bits at any chunk width and worker count, and at
-    # each row of a stack
+def sum_form_setup(monkeypatch, name, want_y, weighted, workers):
+    """The model, grid and thetas of SUM_FORM[name] (theta0 and a second
+    row), and a batch(theta, n_paths, width, record, ...) at W = workers."""
     model, grid = SUM_FORM[name]
     theta = model.theta0
     thetas = np.stack([theta, theta * np.array([0.5, 2.0, -1.0])])
@@ -415,34 +408,55 @@ def test_sum_form_does_not_depend_on_route_chunk_width_workers_or_stack(
     if weighted:
         functional = Functional(kind="discounted_integral", horizon=grid.horizon, discount=0.05)
         weights = functional.weights(grid)
-    kw = dict(want_y=want_y, weights=weights)
     assert not plugmc.simulate._product_form(model, theta, want_y)
     monkeypatch.setattr(plugmc.simulate, "_worker_count", lambda chunks: min(workers, chunks))
 
-    def batch(th, n_paths, width, rec=record, **extra):
-        return simulate_batch(model, th, grid, 43, n_paths, chunk_size=width, record=rec, **kw,
-                              **extra)
+    def batch(th, n_paths, width, record, **extra):
+        return simulate_batch(model, th, grid, 43, n_paths, chunk_size=width, record=record,
+                              want_y=want_y, weights=weights, **extra)
 
-    want = [batch(th, 9, 2048) for th in thetas]
+    return model, grid, thetas, weights, batch
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings
+@pytest.mark.parametrize("name", SUM_FORM)
+def test_sum_form_does_not_depend_on_route_chunk_width_workers_or_stack(
+    monkeypatch, name, want_y, weighted, record, workers
+):
+    # every route of the weighted sums (chunks of two or three columns, a
+    # lone column, which goes in twice, the recorded rows in blocks of
+    # RECORD_STEPS, which end in the terminal) gives the same bits at any
+    # chunk width and worker count, and at each row of a stack
+    model, grid, thetas, weights, batch = sum_form_setup(
+        monkeypatch, name, want_y, weighted, workers
+    )
+    want = [batch(th, 9, 2048, record) for th in thetas]
     increments = np.empty((grid.steps, 9))
     jumps = _flat_jumps(*_draw_chunk(path_seed(43, 0), grid, model.jump, 0, increments), grid)
-    assert_close(want[0], reference_step_block(model, theta, grid, increments, jumps, **kw,
-                                               record=record))
-    with monkeypatch.context() as patch:
-        patch.setattr(plugmc.simulate, "RECORD_ELEMENTS", 1)  # one recorded row per call
-        for width in (1, 2, 3):
-            for got, lone in zip(batch(thetas, 9, width), want):
-                assert_same_bits(got, lone)
-    wide = batch(theta, 2049, 2048)  # a chunk of 2 048 columns, then one of one
-    assert_same_bits(path_columns(wide, slice(0, 9)), want[0])
-    assert_same_bits(path_columns(wide, slice(2048, 2049)), batch(theta, 1, 3, start_index=2048))
+    assert_close(want[0], reference_step_block(model, thetas[0], grid, increments, jumps,
+                                               want_y=want_y, weights=weights, record=record))
+    for width in (1, 2, 3):
+        for got, lone in zip(batch(thetas, 9, width, record), want):
+            assert_same_bits(got, lone)
     if record:
-        terminal = batch(theta, 9, 3, rec=False)
+        terminal = batch(thetas[0], 9, 3, False)
         assert_same_bits(
             BatchResult(x_terminal=want[0].x_path[-1],
                         y_terminal=want[0].y_path[-1].T.copy() if want_y else None),
             BatchResult(x_terminal=terminal.x_terminal, y_terminal=terminal.y_terminal),
         )
+
+
+@pytest.mark.parametrize("name", SUM_FORM)
+def test_sum_form_wide_chunk_matches_lone_columns(monkeypatch, name):
+    # a chunk of 2 048 columns, then one of one, with every output on:
+    # its columns equal the same paths in chunks of three and alone
+    _, _, thetas, _, batch = sum_form_setup(monkeypatch, name, True, True, 1)
+    wide = batch(thetas[0], 2049, 2048, True)
+    assert_same_bits(path_columns(wide, slice(0, 9)), batch(thetas[0], 9, 3, True))
+    assert_same_bits(path_columns(wide, slice(2048, 2049)),
+                     batch(thetas[0], 1, 3, True, start_index=2048))
 
 
 @pytest.mark.parametrize("width", [1, 3])
